@@ -13,9 +13,18 @@ boundary basis greedily through the cycle basis yields, per degree and
 dimension, one fixed basis of the cycle space whose tail represents
 homology classes.  Every choice here is load bearing: the resolution
 machinery is only well defined relative to these bases.
+
+Elimination is sparse: the rows of A, the columns of Q and the rows of
+P^-1 are dicts holding only nonzeros, and column swaps are kept as a
+permutation.  Boundary matrices are 0/+-1 with j+1 nonzeros per column,
+so this keeps time and memory near the fill-in instead of m^2 + n^2.  The
+pivot rule and every row and column operation are those of the dense
+elimination, in exact arithmetic, so Q, P^-1 and therefore the bases are
+unchanged.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -179,23 +188,37 @@ def chain_add_scaled(target: Chain, source: Chain, scale, modulus=None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# deterministic Gaussian elimination
+# deterministic Gaussian elimination on sparse rows and columns
 
 
-def _row_axpy(dst, src, factor, p):
-    """dst -= factor * src, entrywise, optionally mod p."""
+def _axpy(dst: dict, src: dict, factor, p) -> None:
+    """dst -= factor * src on sparse vectors, optionally mod p; zeros dropped."""
+    get = dst.get
     if p is None:
-        for k, v in enumerate(src):
-            if v:
-                dst[k] -= factor * v
+        for k, v in src.items():
+            acc = get(k, 0) - factor * v
+            if acc:
+                # integral Fractions go back to ints, which keeps most
+                # arithmetic on boundary matrices off the Fraction path
+                if type(acc) is not int and acc.denominator == 1:
+                    acc = acc.numerator
+                dst[k] = acc
+            else:
+                del dst[k]
     else:
-        for k, v in enumerate(src):
-            if v:
-                dst[k] = (dst[k] - factor * v) % p
+        for k, v in src.items():
+            acc = (get(k, 0) - factor * v) % p
+            if acc:
+                dst[k] = acc
+            else:
+                del dst[k]
 
 
 class GaussDecomposition:
-    """Result of gauss_reduce: rank, Q as columns, P^-1 as rows, lazy P."""
+    """Result of gauss_reduce: rank, Q as sparse columns, P^-1 as sparse rows.
+
+    ``q_cols[k]`` and ``p_inv_rows[i]`` are dicts index -> nonzero scalar.
+    """
 
     def __init__(self, field, nrows, ncols, rank, p_inv_rows, q_cols):
         self.field = field
@@ -204,115 +227,103 @@ class GaussDecomposition:
         self.rank = rank
         self.p_inv_rows = p_inv_rows
         self.q_cols = q_cols
-        self._p_cols = None
 
     def kernel_columns(self):
         """Last ncols - rank columns of Q: a basis of the kernel."""
         return self.q_cols[self.rank:]
 
-    def q_column(self, i):
-        return self.q_cols[i]
-
-    @property
-    def p_columns(self):
-        """Columns of P, computed on demand by inverting P^-1."""
-        if self._p_cols is None:
-            inv = gauss_reduce(self.p_inv_rows, self.nrows, self.field)
-            if inv.rank != self.nrows:
-                raise ArithmeticError("P^-1 is singular; elimination is broken")
-            cols = []
-            for i in range(self.nrows):
-                e = [self.field.zero] * self.nrows
-                e[i] = self.field.one
-                cols.append(inv.solve(e))
-            self._p_cols = cols
-        return self._p_cols
-
-    def apply_p_inv(self, vec):
-        p = self.field.modulus
-        support = [k for k, v in enumerate(vec) if v]
-        out = []
-        for row in self.p_inv_rows:
-            s = sum(row[k] * vec[k] for k in support)
-            out.append(s if p is None else s % p)
-        return out
-
     def solve(self, vec):
-        """One solution x of A x = vec, or None when inconsistent.
+        """One solution x of A x = vec as a dense list, or None when inconsistent.
 
         Uses x = Q . [(P^-1 vec)_{1..r}; 0], which is deterministic and
         linear in vec.
         """
-        u = self.apply_p_inv(vec)
-        if any(u[self.rank:]):
+        p = self.field.modulus
+        support = {k: v for k, v in enumerate(vec) if v}
+
+        def u(i):
+            s = sum(c * support[k] for k, c in self.p_inv_rows[i].items() if k in support)
+            return s if p is None else s % p
+
+        if any(u(i) for i in range(self.rank, self.nrows)):
             return None
         x = [self.field.zero] * self.ncols
-        p = self.field.modulus
         for i in range(self.rank):
-            ui = u[i]
+            ui = u(i)
             if not ui:
                 continue
-            col = self.q_cols[i]
-            for k, q in enumerate(col):
-                if q:
-                    x[k] = x[k] + ui * q if p is None else (x[k] + ui * q) % p
+            for k, q in self.q_cols[i].items():
+                x[k] = x[k] + ui * q if p is None else (x[k] + ui * q) % p
         return x
 
 
 def gauss_reduce(rows, ncols: int, field) -> GaussDecomposition:
     """Reduce a matrix to the block identity form with fixed pivoting.
 
-    Pivot rule: scan columns left to right; within a column take the
-    topmost nonzero entry below the finished block.  Rows are cleared top
-    to bottom, then columns left to right.
+    ``rows`` are dense lists; only their nonzeros are kept.  Pivot rule:
+    scan columns left to right; within a column take the topmost nonzero
+    entry below the finished block, swapping that row up and the column
+    into the block's next position.  Rows are cleared top to bottom, then
+    columns left to right; the column swaps are kept as a permutation, and
+    Q's columns are listed in the permuted order.
     """
     m = len(rows)
-    n = ncols
-    fz, fo = field.zero, field.one
+    fo = field.one
     p = field.modulus
-    M = [[field.of(v) for v in row] for row in rows]
-    p_inv = [[fo if i == k else fz for k in range(m)] for i in range(m)]
-    q_cols = [[fo if i == k else fz for i in range(n)] for k in range(n)]
+    of = field.of
+    M = []
+    for row in rows:
+        entries = {}
+        for k, v in enumerate(row):
+            if v:
+                v = of(v)
+                if v:
+                    entries[k] = v
+        M.append(entries)
+    p_inv = [{i: fo} for i in range(m)]
+    q_cols = [{k: fo} for k in range(ncols)]
+    col_at = list(range(ncols))  # position -> column of the input
+    pos_of = list(range(ncols))  # column of the input -> position
     t = 0
-    for c in range(n):
+    for c in range(ncols):
         if t >= m:
             break
-        piv = next((i for i in range(t, m) if M[i][c]), None)
-        if piv is None:
+        # position c still holds input column c: each swap exchanges the
+        # scanned position with an earlier one, never a later one
+        hits = [i for i in range(t, m) if c in M[i]]
+        if not hits:
             continue
+        piv = hits[0]
         if piv != t:
             M[t], M[piv] = M[piv], M[t]
             p_inv[t], p_inv[piv] = p_inv[piv], p_inv[t]
         if c != t:
-            for row in M:
-                row[t], row[c] = row[c], row[t]
+            moved = col_at[t]
+            col_at[t], col_at[c] = c, moved
+            pos_of[c], pos_of[moved] = t, c
             q_cols[t], q_cols[c] = q_cols[c], q_cols[t]
-        pivot = M[t][t]
+        src = M[t]
+        src_inv = p_inv[t]
+        pivot = src[c]
         if pivot != fo:
             inv = field.div(fo, pivot)
-            row = M[t]
-            for k, v in enumerate(row):
-                if v:
-                    row[k] = v * inv if p is None else (v * inv) % p
-            row = p_inv[t]
-            for k, v in enumerate(row):
-                if v:
-                    row[k] = v * inv if p is None else (v * inv) % p
-        src = M[t]
-        for i in range(m):
-            if i != t and M[i][t]:
-                f = M[i][t]
-                _row_axpy(M[i], src, f, p)
-                _row_axpy(p_inv[i], p_inv[t], f, p)
-        # column t is now e_t, so clearing row t only zeroes M itself;
-        # the real work is the bookkeeping on Q
+            for row in (src, src_inv):
+                for k, v in row.items():
+                    row[k] = of(v * inv) if p is None else (v * inv) % p
+        # hits[1:] keep their indices: the swap only moved rows t and piv
+        for i in hits[1:]:
+            f = M[i][c]
+            _axpy(M[i], src, f, p)
+            _axpy(p_inv[i], src_inv, f, p)
+        # column c is now e_t, so clearing row t by column operations is
+        # bookkeeping on Q only; the row itself is no longer needed
         qt = q_cols[t]
-        for jj in range(n):
-            if jj != t and src[jj]:
-                _row_axpy(q_cols[jj], qt, src[jj], p)
-                src[jj] = fz
+        for k, v in src.items():
+            if k != c:
+                _axpy(q_cols[pos_of[k]], qt, v, p)
+        M[t] = None
         t += 1
-    return GaussDecomposition(field, m, n, t, p_inv, q_cols)
+    return GaussDecomposition(field, m, ncols, t, p_inv, q_cols)
 
 
 class _EchelonTracker:
@@ -322,10 +333,10 @@ class _EchelonTracker:
         self.field = field
         self.rows = {}  # pivot position -> normalized row (dict pos -> scalar)
 
-    def add(self, vec) -> bool:
-        """Reduce vec against the stored rows; keep and report if independent."""
+    def add(self, vec: dict) -> bool:
+        """Reduce a sparse vector against the stored rows; keep and report if independent."""
         field = self.field
-        work = {k: v for k, v in enumerate(vec) if v}
+        work = dict(vec)
         while work:
             piv = min(work)
             row = self.rows.get(piv)
@@ -337,15 +348,7 @@ class _EchelonTracker:
                 }
                 self.rows[piv] = normalized
                 return True
-            factor = work[piv]
-            for k, v in row.items():
-                acc = work.get(k, field.zero) - factor * v
-                if field.modulus is not None:
-                    acc %= field.modulus
-                if acc:
-                    work[k] = acc
-                elif k in work:
-                    del work[k]
+            _axpy(work, row, work[piv], field.modulus)
         return False
 
 
@@ -484,22 +487,18 @@ def fixed_cycle_basis(complex_, j: int, field, g_down=None, g_up=None) -> ChainB
 
     tracker = _EchelonTracker(field)
     boundary = []
-    for i in range(g_up.rank):
-        qcol = g_up.q_column(i)
-        preimage = {k: v for k, v in enumerate(qcol) if v}
+    for qcol in g_up.q_cols[:g_up.rank]:
+        preimage = {k: qcol[k] for k in sorted(qcol)}
         pre_chain = {up_faces[k]: v for k, v in preimage.items()}
         cycle = chain_boundary(pre_chain, field.modulus)
-        dense = [field.zero] * len(faces)
-        for face, coeff in cycle.items():
-            dense[face_index[face]] = coeff
-        if not tracker.add(dense):
+        if not tracker.add({face_index[face]: coeff for face, coeff in cycle.items()}):
             raise ArithmeticError("boundary basis vectors are dependent")
         boundary.append((cycle, preimage))
 
     homology = []
     for col in g_down.kernel_columns():
         if tracker.add(col):
-            homology.append({faces[k]: v for k, v in enumerate(col) if v})
+            homology.append({faces[k]: col[k] for k in sorted(col)})
 
     order_name = complex_.order.kind if hasattr(complex_, "order") else "index"
     return ChainBasis(complex_.degree, j, order_name, field, faces, up_faces,
@@ -549,11 +548,23 @@ def load_cached_basis(cache_dir, key, field):
 
 
 def store_cached_basis(cache_dir, key, basis) -> None:
+    """Write one basis entry atomically; an existing entry is left alone.
+
+    The entry goes through a temp file of its own (exclusive create, random
+    name), so concurrent writers of one key never share a temp path; the
+    last os.replace wins with identical bytes.
+    """
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, f"basis-{key}.json")
     if os.path.exists(path):
         return
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(basis.to_dict(), fh, sort_keys=True, separators=(",", ":"))
-    os.replace(tmp, path)
+    text = json.dumps(basis.to_dict(), sort_keys=True, separators=(",", ":"))
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise

@@ -22,6 +22,7 @@ from .complexes import NablaComplex, build_delta, build_nabla
 from .config import Config
 from .homology import (
     ChainBasis,
+    GaussDecomposition,
     basis_cache_key,
     betti_reduced,
     boundary_matrix,
@@ -283,7 +284,7 @@ class ResolutionEngine:
         self.registry = GeneratorRegistry()
         self._nabla: dict[Degree, NablaComplex] = {}
         self._bases: dict[tuple, ChainBasis] = {}
-        self._gauss: dict[tuple, tuple] = {}
+        self._gauss: dict[tuple, GaussDecomposition] = {}
         self._psi: dict[tuple, SyzygyVector] = {}
         self._binomials: dict[tuple, SyzygyVector] = {}
         self._lifts: dict[tuple, tuple] = {}
@@ -301,16 +302,15 @@ class ResolutionEngine:
     def delta(self, m: Degree):
         return build_delta(self.semigroup, tuple(m))
 
-    def _gauss_at(self, m: Degree, j: int):
-        """Boundary matrix of the fiber complex at m in dim j, reduced."""
+    def _gauss_at(self, m: Degree, j: int) -> GaussDecomposition:
+        """Reduction of the fiber complex's boundary matrix at m in dim j."""
         key = (tuple(m), j)
-        cached = self._gauss.get(key)
-        if cached is None:
+        decomp = self._gauss.get(key)
+        if decomp is None:
             matrix = boundary_matrix(self.nabla(m), j)
             decomp = gauss_reduce(matrix.data, len(matrix.col_faces), self.field)
-            cached = (matrix, decomp)
-            self._gauss[key] = cached
-        return cached
+            self._gauss[key] = decomp
+        return decomp
 
     def chain_basis(self, m: Degree, j: int) -> ChainBasis:
         m = tuple(m)
@@ -327,8 +327,8 @@ class ResolutionEngine:
             basis = load_cached_basis(cache_dir, disk_key, self.field)
         if basis is None:
             cx = self.nabla(m)
-            _, g_down = self._gauss_at(m, j)
-            _, g_up = self._gauss_at(m, j + 1)
+            g_down = self._gauss_at(m, j)
+            g_up = self._gauss_at(m, j + 1)
             basis = fixed_cycle_basis(cx, j, self.field, g_down=g_down, g_up=g_up)
             if cache_dir:
                 store_cached_basis(cache_dir, disk_key, basis)

@@ -13,6 +13,7 @@ import json
 from fractions import Fraction
 from itertools import product
 
+from .homology import RationalField, gauss_reduce
 from .orders import Monomial, TermOrder
 
 Degree = tuple[int, ...]
@@ -295,24 +296,10 @@ class Semigroup:
     def matrix_rank(self) -> int:
         """Rank of the generator matrix over the rationals."""
         rows = [
-            [Fraction(self.generators[i][j]) for i in range(self.num_generators)]
+            [self.generators[i][j] for i in range(self.num_generators)]
             for j in range(self.dim)
         ]
-        rank = 0
-        for col in range(self.num_generators):
-            piv = next((i for i in range(rank, self.dim) if rows[i][col]), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            pivot = rows[rank][col]
-            for i in range(self.dim):
-                if i != rank and rows[i][col]:
-                    f = rows[i][col] / pivot
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-            rank += 1
-            if rank == self.dim:
-                break
-        return rank
+        return gauss_reduce(rows, self.num_generators, RationalField()).rank
 
     def __repr__(self):
         return f"Semigroup(dim={self.dim}, generators={list(self.generators)})"

@@ -9,6 +9,7 @@ import time
 from contextlib import contextmanager
 
 import pytest
+from dense_gauss import densify
 
 from toricsyz import (
     Config,
@@ -190,7 +191,7 @@ def test_criterion_6_structural_invariants(tmp_path):
                 mat = boundary_matrix(cx, j)
                 if not mat.col_faces:
                     continue
-                g = gauss_reduce(mat.data, len(mat.col_faces), field)
+                g = densify(gauss_reduce(mat.data, len(mat.col_faces), field))
                 q_rows = [[g.q_cols[k][i] for k in range(g.ncols)]
                           for i in range(g.ncols)]
                 half = [

@@ -1,0 +1,85 @@
+"""The sparse gauss_reduce against the dense reference in dense_gauss.py.
+
+Both use the same pivot rule and the same row and column operations in
+exact arithmetic, so rank, every column of Q, every row of P^-1 and every
+``solve`` result (None included) must be equal, not just equivalent.
+"""
+import random
+from fractions import Fraction
+
+import pytest
+from dense_gauss import dense_gauss_reduce, densify
+
+from toricsyz import PrimeField, RationalField, gauss_reduce
+
+FIELDS = [RationalField(), PrimeField(5), PrimeField(32003)]
+
+
+def random_matrix(rng, field, m, n, density, rank_cap=None):
+    """Entries mostly 0/+-1; rows past rank_cap are combinations of earlier rows."""
+    values = [-1, 1, 1, -1, 2, -3, 4]
+    if field.modulus is None:
+        values.append(Fraction(1, 2))
+    rows = [[rng.choice(values) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(m)]
+    if rank_cap is not None and rank_cap > 0:
+        for i in range(rank_cap, m):
+            a, b = rng.randrange(rank_cap), rng.randrange(rank_cap)
+            ca, cb = rng.choice([1, -1, 2]), rng.choice([0, 1, -2])
+            rows[i] = [ca * x + cb * y for x, y in zip(rows[a], rows[b])]
+    if field.modulus is not None:
+        rows = [[v % field.modulus for v in row] for row in rows]
+    return rows
+
+
+def shapes(rng):
+    """(m, n, density, rank_cap) cases: empty, zero, wide, tall, deficient."""
+    yield from [(0, 0, 0.5, None), (0, 4, 0.5, None), (3, 0, 0.5, None),
+                (1, 1, 1.0, None), (4, 4, 0.0, None), (1, 6, 1.0, None), (6, 1, 1.0, None)]
+    for _ in range(150):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        kind = rng.randrange(4)
+        if kind == 0:  # wide
+            n = m + rng.randint(1, 8)
+        elif kind == 1:  # tall
+            m = n + rng.randint(1, 8)
+        rank_cap = rng.randint(1, max(1, min(m, n) - 1)) if kind == 2 else None
+        yield m, n, rng.choice([0.15, 0.3, 0.6, 1.0]), rank_cap
+
+
+def random_target(rng, field, rows, m):
+    """Half of the targets lie in the column space (A x), half are arbitrary."""
+    if rows and rows[0] and rng.random() < 0.5:
+        x = [rng.choice([0, 1, -1, 2]) for _ in rows[0]]
+        vec = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    else:
+        vec = [rng.choice([0, 0, 1, -1, 3]) for _ in range(m)]
+    if field.modulus is not None:
+        vec = [v % field.modulus for v in vec]
+    return vec
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_sparse_matches_dense_reference(field):
+    rng = random.Random(f"gauss-{field.name}")
+    consistent = inconsistent = 0
+    for m, n, density, rank_cap in shapes(rng):
+        rows = random_matrix(rng, field, m, n, density, rank_cap)
+        ref = dense_gauss_reduce([list(r) for r in rows], n, field)
+        sparse = gauss_reduce([list(r) for r in rows], n, field)
+        dense = densify(sparse)
+        assert sparse.rank == ref.rank, rows
+        assert dense.q_cols == ref.q_cols, rows
+        assert dense.p_inv_rows == ref.p_inv_rows, rows
+        # readers copy these dicts into chains, so a stored zero would show
+        assert all(v for vec in sparse.q_cols + sparse.p_inv_rows for v in vec.values())
+        for _ in range(4):
+            vec = random_target(rng, field, rows, m)
+            expected = ref.solve(vec)
+            assert sparse.solve(vec) == expected, (rows, vec)
+            if expected is None:
+                inconsistent += 1
+            else:
+                consistent += 1
+    assert consistent and inconsistent
+

@@ -1,0 +1,92 @@
+"""Byte-exact goldens: CLI artifacts and one on-disk basis file.
+
+Each case runs one command through ``toricsyz.cli.main`` and compares what
+it writes with a file under ``tests/golden/`` byte for byte. Tests that only
+compare two runs of the same code cannot see a changed pivot rule or basis
+order; these can, because every generator id, fixed basis and cache entry
+is pinned. A golden is regenerated only by a change that means to alter
+that output, and the change says why.
+
+Regenerate every golden from the current code with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+
+import pytest
+
+from toricsyz.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+EXAMPLE = os.path.join(GOLDEN, "example.json")
+S35 = os.path.join(GOLDEN, "s35.json")
+
+# golden file -> command line; each writes its JSON document via --output
+OUTPUTS = {
+    "harvest_60_10_l2_rational.json":
+        ["harvest", EXAMPLE, "-m", "60,10", "--max-level", "2", "--format", "json"],
+    "harvest_60_10_l2_p32003.json":
+        ["harvest", EXAMPLE, "-m", "60,10", "--max-level", "2", "--field", "32003",
+         "--format", "json"],
+    # the paper's binomial x2^2 x3^6 - x1^3 x4^5 of degree (52, 8)
+    "minimalize_52_8.json":
+        ["minimalize", EXAMPLE, "--lead", "0,2,6,0", "--trail", "3,0,0,5", "--format", "json"],
+    # x1^100 - x2^60 in <3,5>: a large sparse 1-skeleton
+    "minimalize_s35_k100.json":
+        ["minimalize", S35, "--lead", "100,0", "--trail", "0,60", "--format", "json"],
+    "scan_w6_j2.json":
+        ["scan", EXAMPLE, "--w-bound", "6", "--jmax", "2", "--format", "json"],
+    "validate_example.json":
+        ["validate", EXAMPLE, "--format", "json"],
+}
+
+# The (60,10) basis in dimension 2 over Q: 154 boundary preimages, entries
+# with denominator 2. Its file name pins the cache key as well.
+CACHE_ARGV = ["betti", EXAMPLE, "-m", "60,10", "--jmax", "2"]
+CACHE_FILE = "basis-c17308e3c3a72635a2b4fd0001168cec53fc77e4146adbf3ea0a258556cdbe45.json"
+CACHE_GOLDEN = "basis_60_10_dim2_rational.json"
+
+
+def _run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    if code != 0:
+        raise AssertionError(f"{argv} exited with {code}")
+
+
+def _read(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUTS))
+def test_cli_output_matches_golden(tmp_path, name):
+    out = tmp_path / name
+    _run(OUTPUTS[name] + ["--output", str(out)])
+    assert _read(out) == _read(os.path.join(GOLDEN, name))
+
+
+def test_cache_file_matches_golden(tmp_path):
+    cache = tmp_path / "cache"
+    _run(CACHE_ARGV + ["--cache", str(cache)])
+    assert _read(cache / CACHE_FILE) == _read(os.path.join(GOLDEN, CACHE_GOLDEN))
+
+
+def regenerate():
+    for name, argv in OUTPUTS.items():
+        _run(argv + ["--output", os.path.join(GOLDEN, name)])
+    cache = os.path.join(GOLDEN, "cache.tmp")
+    _run(CACHE_ARGV + ["--cache", cache])
+    os.replace(os.path.join(cache, CACHE_FILE), os.path.join(GOLDEN, CACHE_GOLDEN))
+    for leftover in os.listdir(cache):
+        os.remove(os.path.join(cache, leftover))
+    os.rmdir(cache)
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate())

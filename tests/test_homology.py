@@ -1,8 +1,12 @@
 import json
+import os
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
 import pytest
+from dense_gauss import densify
 
 from toricsyz import (
     DEGREVLEX,
@@ -101,7 +105,7 @@ class TestBoundaryMatrix:
 
 class TestGaussReduce:
     def test_all_ones_row(self):
-        g = gauss_reduce([[1, 1, 1, 1]], 4, Q)
+        g = densify(gauss_reduce([[1, 1, 1, 1]], 4, Q))
         assert g.rank == 1
         kernel = g.kernel_columns()
         assert len(kernel) == 3
@@ -109,7 +113,7 @@ class TestGaussReduce:
             assert sum(col) == 0
 
     def test_zero_matrix(self):
-        g = gauss_reduce([[0, 0], [0, 0]], 2, Q)
+        g = densify(gauss_reduce([[0, 0], [0, 0]], 2, Q))
         assert g.rank == 0
         assert g.q_cols == [[1, 0], [0, 1]]
         assert g.p_inv_rows == [[1, 0], [0, 1]]
@@ -129,7 +133,7 @@ class TestGaussReduce:
             mat = boundary_matrix(cx, j)
             if not mat.col_faces:
                 continue
-            g = gauss_reduce(mat.data, len(mat.col_faces), Q)
+            g = densify(gauss_reduce(mat.data, len(mat.col_faces), Q))
             assert g.rank == echelon_rank(mat.data)
             p = g.p_columns  # materializes the inverse; fails if singular
             rows_p = [[p[k][i] for k in range(g.nrows)] for i in range(g.nrows)]
@@ -313,6 +317,41 @@ class TestDeterminismAndCache:
     def test_cache_miss_returns_none(self, tmp_path):
         assert load_cached_basis(str(tmp_path), "deadbeef", Q) is None
 
+    def test_concurrent_stores_of_one_key(self, tmp_path, example_semigroup):
+        # the barrier lines the writers up, so several of them pass the
+        # exists() check before any replaces the entry and all of those
+        # write; none may fail or leave a temp file behind
+        cx = build_nabla(example_semigroup, (60, 10), DEGREVLEX)
+        basis = fixed_cycle_basis(cx, 1, Q)
+        key = basis_cache_key(example_semigroup, (60, 10), 1, "degrevlex", Q.name)
+        expected = json.dumps(basis.to_dict(), sort_keys=True, separators=(",", ":"))
+        errors = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for attempt in range(10):
+                cache = tmp_path / str(attempt)
+                barrier = threading.Barrier(6)
+
+                def store(cache=cache, barrier=barrier):
+                    try:
+                        barrier.wait(timeout=10)
+                        store_cached_basis(str(cache), key, basis)
+                    except Exception as exc:  # collected and asserted on below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=store) for _ in range(6)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=30)
+                assert not any(th.is_alive() for th in threads)
+                assert os.listdir(cache) == [f"basis-{key}.json"]
+                assert (cache / f"basis-{key}.json").read_text(encoding="utf-8") == expected
+        finally:
+            sys.setswitchinterval(switch)
+        assert errors == []
+
 
 class TestFieldModes:
     def test_field_parsing(self):
@@ -345,7 +384,7 @@ class TestFieldModes:
         f = PrimeField(2)
         cx = build_nabla(example_semigroup, (52, 8), DEGREVLEX)
         mat = boundary_matrix(cx, 1)
-        g = gauss_reduce(mat.data, len(mat.col_faces), f)
+        g = densify(gauss_reduce(mat.data, len(mat.col_faces), f))
         q_rows = [[g.q_cols[k][i] for k in range(g.ncols)] for i in range(g.ncols)]
         product = matmul(matmul(g.p_inv_rows, mat.data), q_rows)
         for i in range(g.nrows):
