@@ -18,6 +18,7 @@ from .complexes import (
 from .config import Config
 from .homology import (
     ChainBasis,
+    FieldError,
     NotACycle,
     PrimeField,
     RationalField,
@@ -61,6 +62,7 @@ __all__ = [
     "DecompositionResult",
     "DegreeMismatch",
     "DeltaComplex",
+    "FieldError",
     "GeneratorRecord",
     "GeneratorRegistry",
     "LEX",

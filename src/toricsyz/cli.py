@@ -5,6 +5,12 @@ Commands: validate | fiber | nabla | delta | betti | minimalize | harvest
 input.  With --format json every command emits one JSON document carrying
 a "config" header; identical invocations with a shared --cache directory
 produce byte-identical output.
+
+betti and scan read their ranks off the comparison complex of each degree;
+--delta-crosscheck recomputes them on the fiber complex and exits 1 where
+the two disagree.  The --cache directory holds fixed bases, which only the
+generator-making commands (minimalize, harvest) and the cross-check read
+or write.
 """
 from __future__ import annotations
 
@@ -59,7 +65,9 @@ def _add_global_options(parser, suppress: bool):
     parser.add_argument("--field", default=default("rational"),
                         help="'rational' (default) or a prime, e.g. 32003")
     parser.add_argument("--cache", default=default(None),
-                        help="directory for the basis cache")
+                        help="directory for the fixed-basis cache, read and "
+                             "written by minimalize, harvest and "
+                             "--delta-crosscheck")
     parser.add_argument("--format", default=default("text"),
                         choices=["text", "json"])
     parser.add_argument("--output", default=default(None),
@@ -187,7 +195,7 @@ def _cmd_betti(args):
     engine = _engine(args)
     m = _parse_degree(args.degree, engine.semigroup.dim)
     jmax = args.jmax if args.jmax is not None else engine.semigroup.num_generators - 1
-    ranks = {j: engine.multigraded_betti(m, j) for j in range(jmax + 1)}
+    ranks = {j: engine.betti_delta(m, j) for j in range(jmax + 1)}
     payload = {
         "config": engine.config.describe(),
         "kind": "betti",
@@ -197,12 +205,17 @@ def _cmd_betti(args):
     lines = [f"degree {m}"]
     lines += [f"  j={j}: {v}" for j, v in ranks.items()]
     if args.delta_crosscheck:
-        delta_ranks = {j: engine.betti_delta(m, j) for j in range(jmax + 1)}
-        agree = delta_ranks == ranks
-        payload["delta_ranks"] = {str(j): v for j, v in delta_ranks.items()}
+        nabla_ranks = {j: engine.multigraded_betti(m, j) for j in range(jmax + 1)}
+        agree = nabla_ranks == ranks
+        # "delta_ranks" repeats "ranks" (both are the Δ ranks); it is part
+        # of the cross-check's output format
+        payload["delta_ranks"] = {str(j): v for j, v in ranks.items()}
         payload["crosscheck_ok"] = agree
         lines.append(f"  delta crosscheck: {'OK' if agree else 'MISMATCH'}")
         if not agree:
+            payload["nabla_ranks"] = {str(j): v for j, v in nabla_ranks.items()}
+            lines.append(f"  nabla: {list(nabla_ranks.values())}, "
+                         f"delta: {list(ranks.values())}")
             return 1, "\n".join(lines), payload
     return 0, "\n".join(lines), payload
 
@@ -242,8 +255,8 @@ def _cmd_scan(args):
     rows = []
     disagreements = []
     for m in sg.degrees_up_to(args.w_bound):
-        ranks = [engine.multigraded_betti(m, j) for j in range(jmax + 1)]
-        cm_rank = (engine.multigraded_betti(m, obstruction_dim)
+        ranks = [engine.betti_delta(m, j) for j in range(jmax + 1)]
+        cm_rank = (engine.betti_delta(m, obstruction_dim)
                    if obstruction_dim > jmax else ranks[obstruction_dim])
         rows.append({
             "degree": list(m),
@@ -251,9 +264,9 @@ def _cmd_scan(args):
             "cm_obstruction": bool(cm_rank),
         })
         if args.delta_crosscheck:
-            delta = [engine.betti_delta(m, j) for j in range(jmax + 1)]
-            if delta != ranks:
-                disagreements.append({"degree": list(m), "nabla": ranks, "delta": delta})
+            nabla = [engine.multigraded_betti(m, j) for j in range(jmax + 1)]
+            if nabla != ranks:
+                disagreements.append({"degree": list(m), "nabla": nabla, "delta": ranks})
     payload = {
         "config": engine.config.describe(),
         "kind": "scan",
@@ -269,6 +282,8 @@ def _cmd_scan(args):
     if args.delta_crosscheck:
         payload["crosscheck_disagreements"] = disagreements
         lines.append(f"delta crosscheck disagreements: {len(disagreements)}")
+        lines += [f"  {tuple(d['degree'])}: nabla {d['nabla']}, delta {d['delta']}"
+                  for d in disagreements]
         if disagreements:
             return 1, "\n".join(lines), payload
     return 0, "\n".join(lines), payload

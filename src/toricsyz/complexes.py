@@ -8,8 +8,12 @@ every member, the complex is the union of one full simplex per variable
 
 The comparison complex lives on the variable indices themselves: a
 subset F is a face when m minus the sum of the corresponding generators
-stays in the semigroup.  Both complexes have the same reduced homology,
-which the test suite exercises as a property.
+stays in the semigroup.  Without its empty face it is the nerve of the
+cover above (F is a face exactly when some fiber monomial is divisible by
+every x_i with i in F), so by the nerve theorem both complexes have the
+same reduced homology; rank-only queries use it, since it has at most 2^r
+faces and needs no fiber.  The test suite checks the equality as a
+property.
 """
 from __future__ import annotations
 
@@ -212,13 +216,31 @@ class DeltaComplex:
 
 
 def build_delta(semigroup: Semigroup, m: Degree) -> DeltaComplex:
+    """The comparison complex of m, built up one face size at a time.
+
+    Faces are closed under subsets (m - n_F in S implies m - n_G in S for
+    G inside F), so a candidate is tested for membership only when each of
+    its facets is already a face.
+    """
+    m = tuple(m)
+    if not semigroup.member(m):
+        return DeltaComplex(semigroup, m, frozenset())
     r = semigroup.num_generators
-    faces = set()
-    for size in range(r + 1):
-        for face in combinations(range(r), size):
-            shifted = m
-            for i in face:
-                shifted = semigroup.sub_degree(shifted, semigroup.generators[i])
-            if semigroup.member(shifted):
-                faces.add(face)
-    return DeltaComplex(semigroup, m, frozenset(faces))
+    gens = semigroup.generators
+    shifted = {(): m}  # face F -> m - n_F
+    layer = [()]
+    while layer:
+        grown = []
+        for face in layer:
+            rest = shifted[face]
+            for i in range(face[-1] + 1 if face else 0, r):
+                cand = face + (i,)
+                if any(cand[:k] + cand[k + 1:] not in shifted
+                       for k in range(len(face))):
+                    continue
+                target = semigroup.sub_degree(rest, gens[i])
+                if semigroup.member(target):
+                    shifted[cand] = target
+                    grown.append(cand)
+        layer = grown
+    return DeltaComplex(semigroup, m, frozenset(shifted))

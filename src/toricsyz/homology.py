@@ -38,6 +38,10 @@ class NotACycle(ValueError):
     """A chain handed to express_in_basis has a nonzero boundary."""
 
 
+class FieldError(ValueError):
+    """A field modulus that is not a prime or is too large to certify."""
+
+
 # ---------------------------------------------------------------------------
 # coefficient fields
 
@@ -73,12 +77,45 @@ class RationalField:
         return "RationalField()"
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson and Webster, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; valid for n < _MR_LIMIT."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d % 2:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """Integers modulo a prime, represented as ints in [0, p)."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-            raise ValueError(f"{p} is not prime")
+        if p >= _MR_LIMIT:
+            raise FieldError(f"modulus {p} is too large: primes below "
+                             f"{_MR_LIMIT} are supported")
+        if not _is_prime(p):
+            raise FieldError(f"{p} is not prime")
         self.modulus = p
         self.name = f"prime:{p}"
         self.zero = 0
@@ -539,25 +576,40 @@ def basis_cache_key(semigroup, m, j, order_name, field_name) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def load_cached_basis(cache_dir, key, field):
+def load_cached_basis(cache_dir, key, field, complex_, j):
+    """The cached basis of complex_ in dimension j under key, or None on a miss.
+
+    An entry that cannot be read back counts as a miss: invalid JSON,
+    missing keys, bad scalars, or a degree, dimension or face list that is
+    not that of complex_ in dimension j.
+    """
     path = os.path.join(cache_dir, f"basis-{key}.json")
-    if not os.path.exists(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            basis = ChainBasis.from_dict(json.load(fh), field)
+    except FileNotFoundError:
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        return ChainBasis.from_dict(json.load(fh), field)
+    except (ValueError, KeyError, TypeError, ZeroDivisionError):
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        return None
+    if (basis.degree != complex_.degree or basis.dim != j
+            or basis.faces != complex_.faces_of_dim(j)
+            or basis.up_faces != complex_.faces_of_dim(j + 1)):
+        return None
+    return basis
 
 
 def store_cached_basis(cache_dir, key, basis) -> None:
-    """Write one basis entry atomically; an existing entry is left alone.
+    """Write one basis entry atomically, replacing any entry under key.
 
     The entry goes through a temp file of its own (exclusive create, random
     name), so concurrent writers of one key never share a temp path; the
-    last os.replace wins with identical bytes.
+    last os.replace wins with identical bytes.  The engine stores only
+    after its load missed, so an entry found at the path failed to load and
+    is overwritten.
     """
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, f"basis-{key}.json")
-    if os.path.exists(path):
-        return
     text = json.dumps(basis.to_dict(), sort_keys=True, separators=(",", ":"))
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .complexes import NablaComplex, build_delta, build_nabla
+from .complexes import DeltaComplex, NablaComplex, build_delta, build_nabla
 from .config import Config
 from .homology import (
     ChainBasis,
@@ -283,6 +283,7 @@ class ResolutionEngine:
         self.field = get_field(self.config.field)
         self.registry = GeneratorRegistry()
         self._nabla: dict[Degree, NablaComplex] = {}
+        self._delta: dict[Degree, DeltaComplex] = {}
         self._bases: dict[tuple, ChainBasis] = {}
         self._gauss: dict[tuple, GaussDecomposition] = {}
         self._psi: dict[tuple, SyzygyVector] = {}
@@ -299,8 +300,13 @@ class ResolutionEngine:
             self._nabla[m] = cx
         return cx
 
-    def delta(self, m: Degree):
-        return build_delta(self.semigroup, tuple(m))
+    def delta(self, m: Degree) -> DeltaComplex:
+        m = tuple(m)
+        cx = self._delta.get(m)
+        if cx is None:
+            cx = build_delta(self.semigroup, m)
+            self._delta[m] = cx
+        return cx
 
     def _gauss_at(self, m: Degree, j: int) -> GaussDecomposition:
         """Reduction of the fiber complex's boundary matrix at m in dim j."""
@@ -324,7 +330,8 @@ class ResolutionEngine:
             disk_key = basis_cache_key(
                 self.semigroup, m, j, self.order.kind, self.field.name
             )
-            basis = load_cached_basis(cache_dir, disk_key, self.field)
+            basis = load_cached_basis(cache_dir, disk_key, self.field,
+                                      self.nabla(m), j)
         if basis is None:
             cx = self.nabla(m)
             g_down = self._gauss_at(m, j)
@@ -336,13 +343,25 @@ class ResolutionEngine:
         return basis
 
     def multigraded_betti(self, m: Degree, j: int) -> int:
-        """Rank of degree-m homology in dim j, i.e. the Betti count there."""
+        """Rank of degree-m homology in dim j, read off the fiber complex.
+
+        Builds the fixed basis there (and stores it in the disk cache), so
+        this is the path for generator-making code and the cross-check of
+        betti_delta; rank-only queries go through betti_delta.
+        """
         cx = self.nabla(m)
         if not cx.faces_of_dim(j):
             return 0
         return len(self.chain_basis(m, j).homology)
 
     def betti_delta(self, m: Degree, j: int) -> int:
+        """The Betti count at (m, j) from the comparison complex.
+
+        The comparison complex minus its empty face is the nerve of the
+        fiber complex's cover by one simplex per variable, so by the nerve
+        theorem both have the same reduced homology; this one has at most
+        2^r faces and needs no fiber.
+        """
         return betti_reduced(self.delta(m), j, self.field)
 
     # -- level 0 ------------------------------------------------------------
@@ -813,7 +832,11 @@ class ResolutionEngine:
         return fragment
 
     def verify_fragment(self, fragment: ResolutionFragment) -> dict:
-        """Exact checks: compositions vanish, entries are minimal, counts fit."""
+        """Exact checks: compositions vanish, entries are minimal, counts fit.
+
+        The count bound is the rank from the comparison complex, which
+        shares nothing with the fixed bases the generators came from.
+        """
         violations = []
         unit = (0,) * self.semigroup.num_generators
         for level, records in sorted(fragment.levels.items()):
@@ -839,7 +862,7 @@ class ResolutionEngine:
             seen.setdefault((rec.level, rec.degree), 0)
             seen[(rec.level, rec.degree)] += 1
         for (level, degree), count in sorted(seen.items()):
-            bound = self.multigraded_betti(degree, level)
+            bound = self.betti_delta(degree, level)
             if count > bound:
                 violations.append(
                     f"{count} generators at level {level}, degree {degree}, "

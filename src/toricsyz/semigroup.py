@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .homology import RationalField, gauss_reduce
 from .orders import Monomial, TermOrder
@@ -123,7 +124,10 @@ class Semigroup:
         self.generators = gens
         self.num_generators = len(gens)
         self.grading = self._positive_grading()
-        self._wdots = tuple(_dot(self.grading, n) for n in gens)
+        # the grading scaled to integers, for the fiber and membership search
+        scale = lcm(*(x.denominator for x in self.grading))
+        self._int_grading = tuple(int(x * scale) for x in self.grading)
+        self._wdots = tuple(_dot(self._int_grading, n) for n in gens)
         self._member_cache: dict[Degree, bool] = {}
         self._fiber_cache: dict[tuple, tuple[Monomial, ...]] = {}
 
@@ -209,12 +213,16 @@ class Semigroup:
 
         Any solution alpha satisfies sum(a_i * w.n_i) = w.m with every
         w.n_i >= 1, so each exponent is bounded by the residual weight.
+        The weights are those of w scaled by the lcm L of its denominators,
+        so they are ints with L.w.n_i >= L; the residual weight never goes
+        negative, so floor division gives the bounds of the rational
+        quotient and the search visits the same nodes in the same order.
         The last coordinate is solved exactly instead of scanned.
         """
         r = self.num_generators
         gens = self.generators
         wdots = self._wdots
-        wm = self.weight(m)
+        wm = _dot(self._int_grading, m)
         if wm < 0:
             return [] if find_all else False
         solutions: list[Monomial] = []
@@ -237,7 +245,7 @@ class Semigroup:
                     solutions.append(sol)
                     return not find_all
                 return False
-            bound = int(wres / wdots[i])
+            bound = wres // wdots[i]
             res = list(residual)
             n = gens[i]
             for a in range(bound + 1):
@@ -269,7 +277,7 @@ class Semigroup:
         wm = self.weight(m)
         if wm < 0:
             return set()
-        ranges = [range(int(wm / wd) + 1) for wd in self._wdots]
+        ranges = [range(int(wm / self.weight(n)) + 1) for n in self.generators]
         return {
             alpha
             for alpha in product(*ranges)

@@ -184,7 +184,7 @@ def verify_fragment_json(data, engine: ResolutionEngine) -> dict:
     for gid, (level, degree, _value) in parsed.items():
         counts[(level, degree)] = counts.get((level, degree), 0) + 1
     for (level, degree), count in sorted(counts.items()):
-        bound = engine.multigraded_betti(degree, level)
+        bound = engine.betti_delta(degree, level)
         if count > bound:
             violations.append(
                 f"{count} generators at level {level}, degree {degree}, "

@@ -1,6 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from toricsyz import Config, ResolutionEngine, Semigroup
+
+# Property tests draw the same examples on every run, so the suite stays
+# deterministic; no example database is written.
+settings.register_profile(
+    "tier1", derandomize=True, deadline=None, max_examples=25, database=None,
+)
+settings.load_profile("tier1")
 
 EXAMPLE_COLUMNS = [[4, 1], [5, 1], [7, 1], [8, 1]]
 

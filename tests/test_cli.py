@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from toricsyz import ResolutionEngine
 from toricsyz.cli import main
 
 EXAMPLE = {"dim": 2, "generators": [[4, 1], [5, 1], [7, 1], [8, 1]]}
@@ -209,3 +210,74 @@ def test_bad_weight_bound_exits_two(tmp_path):
     path = tmp_path / "sg.json"
     path.write_text(json.dumps(EXAMPLE), encoding="utf-8")
     assert main(["scan", str(path), "--w-bound", "not-a-number"]) == 2
+
+
+class TestRanksWithoutBases:
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--w-bound", "8", "--jmax", "2"],
+        ["betti", "-m", "60,10", "--jmax", "2"],
+    ])
+    def test_rank_commands_leave_cache_empty(self, capsys, semigroup_file,
+                                             tmp_path, argv):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        code, _ = run(capsys, argv[0], semigroup_file, *argv[1:],
+                      "--cache", str(cache))
+        assert code == 0
+        assert list(cache.iterdir()) == []
+
+
+class TestCrosscheckDisagreement:
+    @pytest.fixture()
+    def wrong_nabla(self, monkeypatch):
+        # the fiber-complex path reports one rank too many at j = 0
+        original = ResolutionEngine.multigraded_betti
+
+        def wrong(self, m, j):
+            return original(self, m, j) + (j == 0)
+
+        monkeypatch.setattr(ResolutionEngine, "multigraded_betti", wrong)
+
+    def test_scan_reports_both_paths(self, capsys, semigroup_file, wrong_nabla):
+        code, out = run(capsys, "--format", "json", "scan", semigroup_file,
+                        "--w-bound", "2", "--jmax", "1", "--delta-crosscheck")
+        data = json.loads(out)
+        assert code == 1
+        rows = {tuple(r["degree"]): r["ranks"] for r in data["rows"]}
+        disagreements = data["crosscheck_disagreements"]
+        assert len(disagreements) == len(rows)
+        for entry in disagreements:
+            delta = rows[tuple(entry["degree"])]
+            assert entry["delta"] == delta
+            assert entry["nabla"] == [delta[0] + 1] + delta[1:]
+
+    def test_betti_reports_both_paths(self, capsys, semigroup_file, wrong_nabla):
+        code, out = run(capsys, "--format", "json", "betti", semigroup_file,
+                        "-m", "21,3", "--jmax", "1", "--delta-crosscheck")
+        data = json.loads(out)
+        assert code == 1
+        assert not data["crosscheck_ok"]
+        assert data["ranks"] == data["delta_ranks"] == {"0": 1, "1": 0}
+        assert data["nabla_ranks"] == {"0": 2, "1": 0}
+
+    def test_betti_text_names_both_paths(self, capsys, semigroup_file, wrong_nabla):
+        code, out = run(capsys, "betti", semigroup_file, "-m", "21,3",
+                        "--jmax", "1", "--delta-crosscheck")
+        assert code == 1
+        assert "MISMATCH" in out
+        assert "nabla: [2, 0], delta: [1, 0]" in out
+
+
+class TestFieldModulus:
+    def test_mersenne_61_accepted(self, capsys, semigroup_file):
+        code, out = run(capsys, "--format", "json", "--field", str(2 ** 61 - 1),
+                        "betti", semigroup_file, "-m", "21,3", "--jmax", "0")
+        assert code == 0
+        assert json.loads(out)["ranks"] == {"0": 1}
+
+    @pytest.mark.parametrize("modulus", ["561", "1", "0", "-7", "91", str(2 ** 89 - 1)])
+    def test_rejected_with_exit_two(self, capsys, semigroup_file, modulus):
+        code = main(["--field", modulus, "betti", semigroup_file, "-m", "21,3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")

@@ -46,17 +46,21 @@ OUTPUTS = {
 }
 
 # The (60,10) basis in dimension 2 over Q: 154 boundary preimages, entries
-# with denominator 2. Its file name pins the cache key as well.
-CACHE_ARGV = ["betti", EXAMPLE, "-m", "60,10", "--jmax", "2"]
+# with denominator 2. Its file name pins the cache key as well. Plain betti
+# reads its ranks off the comparison complex and builds no basis; the
+# cross-check computes the fiber-complex ranks for j = 0..2, which writes
+# the bases.
+CACHE_ARGV = ["betti", EXAMPLE, "-m", "60,10", "--jmax", "2", "--delta-crosscheck"]
 CACHE_FILE = "basis-c17308e3c3a72635a2b4fd0001168cec53fc77e4146adbf3ea0a258556cdbe45.json"
 CACHE_GOLDEN = "basis_60_10_dim2_rational.json"
 
 
 def _run(argv):
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
         code = main(argv)
     if code != 0:
         raise AssertionError(f"{argv} exited with {code}")
+    return out.getvalue()
 
 
 def _read(path):
@@ -75,6 +79,23 @@ def test_cache_file_matches_golden(tmp_path):
     cache = tmp_path / "cache"
     _run(CACHE_ARGV + ["--cache", str(cache)])
     assert _read(cache / CACHE_FILE) == _read(os.path.join(GOLDEN, CACHE_GOLDEN))
+
+
+@pytest.mark.parametrize("argv", [
+    CACHE_ARGV,
+    ["harvest", EXAMPLE, "-m", "21,3"],
+], ids=["betti-crosscheck", "harvest"])
+def test_truncated_cache_entries_are_rewritten(tmp_path, argv):
+    cache = tmp_path / "cache"
+    first = _run(argv + ["--cache", str(cache)])
+    entries = {p: p.read_bytes() for p in cache.iterdir()}
+    assert entries
+    for path, data in entries.items():
+        path.write_bytes(data[: len(data) // 2])
+    assert _run(argv + ["--cache", str(cache)]) == first
+    assert {p: p.read_bytes() for p in cache.iterdir()} == entries
+    if argv is CACHE_ARGV:
+        assert entries[cache / CACHE_FILE] == _read(os.path.join(GOLDEN, CACHE_GOLDEN))
 
 
 def regenerate():

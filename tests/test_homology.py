@@ -10,6 +10,7 @@ from dense_gauss import densify
 
 from toricsyz import (
     DEGREVLEX,
+    FieldError,
     NotACycle,
     PrimeField,
     RationalField,
@@ -309,18 +310,46 @@ class TestDeterminismAndCache:
         basis = fixed_cycle_basis(cx, 0, Q)
         key = basis_cache_key(example_semigroup, (36, 6), 0, "degrevlex", Q.name)
         store_cached_basis(str(tmp_path), key, basis)
-        loaded = load_cached_basis(str(tmp_path), key, Q)
+        loaded = load_cached_basis(str(tmp_path), key, Q, cx, 0)
         assert loaded is not None
         assert json.dumps(loaded.to_dict(), sort_keys=True) == \
             json.dumps(basis.to_dict(), sort_keys=True)
 
-    def test_cache_miss_returns_none(self, tmp_path):
-        assert load_cached_basis(str(tmp_path), "deadbeef", Q) is None
+    def test_cache_miss_returns_none(self, tmp_path, example_semigroup):
+        cx = build_nabla(example_semigroup, (36, 6), DEGREVLEX)
+        assert load_cached_basis(str(tmp_path), "deadbeef", Q, cx, 0) is None
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda text, data: text[: len(text) // 2],
+        lambda text, data: b"\xff\xfe",
+        lambda text, data: json.dumps({k: v for k, v in data.items() if k != "homology"}),
+        lambda text, data: json.dumps([data]),
+        lambda text, data: json.dumps({**data, "homology": [[[[0, 1]], "1/0"]]}),
+        lambda text, data: json.dumps({**data, "homology": [[[[0, 1]], "one"]]}),
+        lambda text, data: json.dumps({**data, "faces": data["faces"][1:]}),
+        lambda text, data: json.dumps({**data, "up_faces": data["up_faces"][::-1]}),
+        lambda text, data: json.dumps({**data, "dim": 0}),
+        lambda text, data: json.dumps({**data, "degree": [0, 0]}),
+    ], ids=["truncated", "not-utf8", "missing-key", "not-an-object", "zero-denominator",
+            "bad-scalar", "faces", "up-faces", "dim", "degree"])
+    def test_corrupt_entry_is_a_miss(self, tmp_path, example_semigroup, corrupt):
+        cx = build_nabla(example_semigroup, (36, 6), DEGREVLEX)
+        basis = fixed_cycle_basis(cx, 1, Q)
+        key = basis_cache_key(example_semigroup, (36, 6), 1, "degrevlex", Q.name)
+        store_cached_basis(str(tmp_path), key, basis)
+        path = tmp_path / f"basis-{key}.json"
+        assert load_cached_basis(str(tmp_path), key, Q, cx, 1) is not None
+        text = path.read_text(encoding="utf-8")
+        bad = corrupt(text, json.loads(text))
+        path.write_bytes(bad if isinstance(bad, bytes) else bad.encode("utf-8"))
+        assert load_cached_basis(str(tmp_path), key, Q, cx, 1) is None
+        # the next store replaces the entry
+        store_cached_basis(str(tmp_path), key, basis)
+        assert path.read_text(encoding="utf-8") == text
 
     def test_concurrent_stores_of_one_key(self, tmp_path, example_semigroup):
-        # the barrier lines the writers up, so several of them pass the
-        # exists() check before any replaces the entry and all of those
-        # write; none may fail or leave a temp file behind
+        # the barrier lines the writers up, so they replace the entry at
+        # about the same time; none may fail or leave a temp file behind
         cx = build_nabla(example_semigroup, (60, 10), DEGREVLEX)
         basis = fixed_cycle_basis(cx, 1, Q)
         key = basis_cache_key(example_semigroup, (60, 10), 1, "degrevlex", Q.name)
@@ -360,6 +389,20 @@ class TestFieldModes:
         assert get_field("prime:2").modulus == 2
         with pytest.raises(ValueError):
             get_field("prime:6")
+
+    def test_miller_rabin_primality(self):
+        assert PrimeField(2 ** 61 - 1).modulus == 2 ** 61 - 1
+        assert PrimeField(2).one == 1
+        assert PrimeField(41).modulus == 41
+        # 561 = 3 * 11 * 17 is a Carmichael number; 1373653 = 829 * 1657 is
+        # a strong pseudoprime to the bases 2 and 3
+        for n in (561, 1373653, 0, 1, 4, 9, 15, 91, 41 * 43, -7):
+            with pytest.raises(FieldError, match="not prime"):
+                PrimeField(n)
+
+    def test_modulus_beyond_certified_range_rejected(self):
+        with pytest.raises(FieldError, match="too large"):
+            PrimeField(2 ** 89 - 1)  # prime, but above the deterministic range
 
     def test_prime_field_arithmetic(self):
         f = PrimeField(7)
