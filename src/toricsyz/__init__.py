@@ -25,7 +25,6 @@ from .homology import (
     betti_reduced,
     boundary_matrix,
     chain_boundary,
-    express_in_basis,
     fixed_cycle_basis,
     gauss_reduce,
     get_field,
@@ -33,6 +32,7 @@ from .homology import (
 from .orders import DEGREVLEX, LEX, TermOrder, mono_str
 from .resolution import (
     Binomial,
+    CheckFailed,
     DecompositionResult,
     GeneratorRecord,
     GeneratorRegistry,
@@ -57,6 +57,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Binomial",
     "ChainBasis",
+    "CheckFailed",
     "Config",
     "DEGREVLEX",
     "DecompositionResult",
@@ -88,7 +89,6 @@ __all__ = [
     "build_delta",
     "build_nabla",
     "chain_boundary",
-    "express_in_basis",
     "fixed_cycle_basis",
     "gauss_reduce",
     "get_field",

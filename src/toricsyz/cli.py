@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Commands: validate | fiber | nabla | delta | betti | minimalize | harvest
-| scan | verify.  Exit codes: 0 success, 1 verification failure, 2 invalid
-input.  With --format json every command emits one JSON document carrying
-a "config" header; identical invocations with a shared --cache directory
-produce byte-identical output.
+| scan | verify.  Exit codes: 0 success, 1 verification failure or failed
+internal check, 2 invalid input.  With --format json every command emits
+one JSON document carrying a "config" header; identical invocations with a
+shared --cache directory produce byte-identical output.
 
 betti and scan read their ranks off the comparison complex of each degree;
 --delta-crosscheck recomputes them on the fiber complex and exits 1 where
@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 
 from . import serialize
 from .config import Config
 from .orders import mono_str
-from .resolution import ResolutionEngine
+from .resolution import CheckFailed, ResolutionEngine
 from .semigroup import Semigroup, SemigroupError
 
 
@@ -130,7 +131,6 @@ def _engine(args) -> ResolutionEngine:
         term_order=args.order,
         field=_field_value(args.field),
         cache_dir=args.cache,
-        output_format=args.format,
     )
     return ResolutionEngine(sg, config)
 
@@ -250,6 +250,10 @@ def _cmd_harvest(args):
 def _cmd_scan(args):
     engine = _engine(args)
     sg = engine.semigroup
+    try:
+        Fraction(args.w_bound)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SemigroupError(f"bad weight bound {args.w_bound!r}") from exc
     jmax = args.jmax if args.jmax is not None else sg.num_generators - 1
     obstruction_dim = sg.num_generators - sg.matrix_rank()
     rows = []
@@ -327,6 +331,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, text, payload = _HANDLERS[args.command](args)
+    except (CheckFailed, ArithmeticError) as exc:
+        # a failed consistency check is the engine's fault, not the input's
+        sys.stderr.write(f"error: internal check failed: {exc}\n")
+        return 1
     except (ValueError, OSError) as exc:
         # SemigroupError and ResolutionError are ValueErrors too
         sys.stderr.write(f"error: {exc}\n")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Config:
-    """Term order, coefficient field, cache location and output format.
+    """Term order, coefficient field, cache location and debug checks.
 
     ``field`` is either the string "rational" or a prime given as an int
     or as "prime:p".  Identical configs yield byte-identical artifacts.
@@ -15,7 +15,6 @@ class Config:
     term_order: str = "degrevlex"
     field: object = "rational"
     cache_dir: str | None = None
-    output_format: str = "text"
     debug_checks: bool = False
 
     def field_name(self) -> str:

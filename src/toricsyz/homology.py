@@ -35,7 +35,7 @@ Chain = dict  # Face -> field scalar
 
 
 class NotACycle(ValueError):
-    """A chain handed to express_in_basis has a nonzero boundary."""
+    """A chain handed to ChainBasis.express is not a cycle of its basis."""
 
 
 class FieldError(ValueError):
@@ -55,9 +55,31 @@ class RationalField:
     one = 1
 
     def of(self, n):
-        if isinstance(n, Fraction) and n.denominator == 1:
+        """Canonical form of n: integral Fractions become ints."""
+        if type(n) is not int and n.denominator == 1:
             return n.numerator
         return n
+
+    def axpy(self, dst: dict, src: dict, scale) -> None:
+        """dst += scale * src on sparse vectors; zeros are dropped.
+
+        Integral Fractions go back to ints, which keeps most arithmetic on
+        boundary matrices off the Fraction path.
+        """
+        if not scale:
+            return
+        get = dst.get
+        for k, v in src.items():
+            acc = get(k, 0) + scale * v
+            if acc:
+                if type(acc) is not int and acc.denominator == 1:
+                    acc = acc.numerator
+                dst[k] = acc
+            else:
+                try:
+                    del dst[k]
+                except KeyError:  # a zero in src on a key dst lacks
+                    pass
 
     def neg(self, a):
         return -a
@@ -122,7 +144,24 @@ class PrimeField:
         self.one = 1 % p
 
     def of(self, n):
+        """Canonical form of n: its residue in [0, p)."""
         return int(n) % self.modulus
+
+    def axpy(self, dst: dict, src: dict, scale) -> None:
+        """dst += scale * src on sparse vectors mod p; zeros are dropped."""
+        p = self.modulus
+        if not scale:
+            return
+        get = dst.get
+        for k, v in src.items():
+            acc = (get(k, 0) + scale * v) % p
+            if acc:
+                dst[k] = acc
+            else:
+                try:
+                    del dst[k]
+                except KeyError:  # a zero in src on a key dst lacks
+                    pass
 
     def neg(self, a):
         return -a % self.modulus
@@ -141,6 +180,9 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.modulus})"
+
+
+_RATIONALS = RationalField()
 
 
 def get_field(spec):
@@ -171,13 +213,6 @@ class BoundaryMatrix:
     def shape(self):
         return (len(self.data), len(self.col_faces))
 
-    def to_dict(self):
-        return {
-            "rows": [list(f) for f in self.row_faces],
-            "cols": [list(f) for f in self.col_faces],
-            "data": [list(row) for row in self.data],
-        }
-
 
 def boundary_matrix(complex_, j: int, field=None) -> BoundaryMatrix:
     """Matrix of the j-th boundary map; the target of d_0 is the empty face."""
@@ -192,63 +227,18 @@ def boundary_matrix(complex_, j: int, field=None) -> BoundaryMatrix:
     return BoundaryMatrix(rows, cols, data)
 
 
-def chain_boundary(chain: Chain, modulus=None) -> Chain:
+def chain_boundary(chain: Chain, field=_RATIONALS) -> Chain:
     """Boundary of a sparse chain; 0-faces map to the empty face."""
     out: Chain = {}
+    axpy = field.axpy
     for face, coeff in chain.items():
-        for pos in range(len(face)):
-            sub = face[:pos] + face[pos + 1:]
-            c = coeff if pos % 2 == 0 else -coeff
-            acc = out.get(sub)
-            acc = c if acc is None else acc + c
-            if modulus is not None:
-                acc %= modulus
-            if acc:
-                out[sub] = acc
-            elif sub in out:
-                del out[sub]
+        axpy(out, {face[:pos] + face[pos + 1:]: -1 if pos % 2 else 1
+                   for pos in range(len(face))}, coeff)
     return out
-
-
-def chain_add_scaled(target: Chain, source: Chain, scale, modulus=None) -> None:
-    if not scale:
-        return
-    for face, coeff in source.items():
-        acc = target.get(face)
-        acc = scale * coeff if acc is None else acc + scale * coeff
-        if modulus is not None:
-            acc %= modulus
-        if acc:
-            target[face] = acc
-        elif face in target:
-            del target[face]
 
 
 # ---------------------------------------------------------------------------
 # deterministic Gaussian elimination on sparse rows and columns
-
-
-def _axpy(dst: dict, src: dict, factor, p) -> None:
-    """dst -= factor * src on sparse vectors, optionally mod p; zeros dropped."""
-    get = dst.get
-    if p is None:
-        for k, v in src.items():
-            acc = get(k, 0) - factor * v
-            if acc:
-                # integral Fractions go back to ints, which keeps most
-                # arithmetic on boundary matrices off the Fraction path
-                if type(acc) is not int and acc.denominator == 1:
-                    acc = acc.numerator
-                dst[k] = acc
-            else:
-                del dst[k]
-    else:
-        for k, v in src.items():
-            acc = (get(k, 0) - factor * v) % p
-            if acc:
-                dst[k] = acc
-            else:
-                del dst[k]
 
 
 class GaussDecomposition:
@@ -275,23 +265,22 @@ class GaussDecomposition:
         Uses x = Q . [(P^-1 vec)_{1..r}; 0], which is deterministic and
         linear in vec.
         """
-        p = self.field.modulus
+        field = self.field
         support = {k: v for k, v in enumerate(vec) if v}
 
         def u(i):
-            s = sum(c * support[k] for k, c in self.p_inv_rows[i].items() if k in support)
-            return s if p is None else s % p
+            return field.of(sum(c * support[k] for k, c in self.p_inv_rows[i].items()
+                                if k in support))
 
         if any(u(i) for i in range(self.rank, self.nrows)):
             return None
-        x = [self.field.zero] * self.ncols
+        x = {}
         for i in range(self.rank):
-            ui = u(i)
-            if not ui:
-                continue
-            for k, q in self.q_cols[i].items():
-                x[k] = x[k] + ui * q if p is None else (x[k] + ui * q) % p
-        return x
+            field.axpy(x, self.q_cols[i], u(i))
+        dense = [field.zero] * self.ncols
+        for k, v in x.items():
+            dense[k] = v
+        return dense
 
 
 def gauss_reduce(rows, ncols: int, field) -> GaussDecomposition:
@@ -306,8 +295,8 @@ def gauss_reduce(rows, ncols: int, field) -> GaussDecomposition:
     """
     m = len(rows)
     fo = field.one
-    p = field.modulus
     of = field.of
+    axpy = field.axpy
     M = []
     for row in rows:
         entries = {}
@@ -346,18 +335,18 @@ def gauss_reduce(rows, ncols: int, field) -> GaussDecomposition:
             inv = field.div(fo, pivot)
             for row in (src, src_inv):
                 for k, v in row.items():
-                    row[k] = of(v * inv) if p is None else (v * inv) % p
+                    row[k] = of(v * inv)
         # hits[1:] keep their indices: the swap only moved rows t and piv
         for i in hits[1:]:
-            f = M[i][c]
-            _axpy(M[i], src, f, p)
-            _axpy(p_inv[i], src_inv, f, p)
+            f = -M[i][c]
+            axpy(M[i], src, f)
+            axpy(p_inv[i], src_inv, f)
         # column c is now e_t, so clearing row t by column operations is
         # bookkeeping on Q only; the row itself is no longer needed
         qt = q_cols[t]
         for k, v in src.items():
             if k != c:
-                _axpy(q_cols[pos_of[k]], qt, v, p)
+                axpy(q_cols[pos_of[k]], qt, -v)
         M[t] = None
         t += 1
     return GaussDecomposition(field, m, ncols, t, p_inv, q_cols)
@@ -379,13 +368,9 @@ class _EchelonTracker:
             row = self.rows.get(piv)
             if row is None:
                 inv = field.div(field.one, work[piv])
-                normalized = {
-                    k: field.of(v * inv) if field.modulus is None else (v * inv) % field.modulus
-                    for k, v in work.items()
-                }
-                self.rows[piv] = normalized
+                self.rows[piv] = {k: field.of(v * inv) for k, v in work.items()}
                 return True
-            _axpy(work, row, work[piv], field.modulus)
+            field.axpy(work, row, -work[piv])
         return False
 
 
@@ -442,15 +427,17 @@ class ChainBasis:
         return self._solver
 
     def express(self, chain: Chain):
-        """Unique coordinates (lam, mu) with chain = sum lam.b + sum mu.h."""
-        if chain_boundary(chain, self.field.modulus):
-            raise NotACycle("chain has nonzero boundary")
+        """Unique coordinates (lam, mu) with chain = sum lam.b + sum mu.h.
+
+        The basis spans exactly the cycles, so a chain with nonzero boundary
+        is outside its span and raises NotACycle.
+        """
         if not chain:
             return ([self.field.zero] * len(self.homology),
                     [self.field.zero] * len(self.boundary))
         sol = self._get_solver().solve(self._dense(chain))
         if sol is None:
-            raise NotACycle("cycle is outside the fixed cycle basis span")
+            raise NotACycle("chain is not a cycle in the span of the fixed basis")
         t2 = len(self.homology)
         return sol[:t2], sol[t2:]
 
@@ -524,13 +511,24 @@ def fixed_cycle_basis(complex_, j: int, field, g_down=None, g_up=None) -> ChainB
 
     tracker = _EchelonTracker(field)
     boundary = []
+    # the boundary of each up-face, by face index, is built once and shared
+    # by every preimage column it appears in
+    up_boundary = {}
     for qcol in g_up.q_cols[:g_up.rank]:
         preimage = {k: qcol[k] for k in sorted(qcol)}
-        pre_chain = {up_faces[k]: v for k, v in preimage.items()}
-        cycle = chain_boundary(pre_chain, field.modulus)
-        if not tracker.add({face_index[face]: coeff for face, coeff in cycle.items()}):
+        vec = {}
+        for k, v in preimage.items():
+            col = up_boundary.get(k)
+            if col is None:
+                face = up_faces[k]
+                col = up_boundary[k] = {
+                    face_index[face[:p] + face[p + 1:]]: -1 if p % 2 else 1
+                    for p in range(len(face))
+                }
+            field.axpy(vec, col, v)
+        if not tracker.add(vec):
             raise ArithmeticError("boundary basis vectors are dependent")
-        boundary.append((cycle, preimage))
+        boundary.append(({faces[i]: c for i, c in vec.items()}, preimage))
 
     homology = []
     for col in g_down.kernel_columns():
@@ -559,11 +557,6 @@ def betti_reduced(complex_, j: int, field) -> int:
     return (len(faces) - g_down.rank) - rank_up
 
 
-def express_in_basis(chain: Chain, basis: ChainBasis):
-    """Coordinates of a cycle in the fixed basis; raises NotACycle otherwise."""
-    return basis.express(chain)
-
-
 # ---------------------------------------------------------------------------
 # on-disk basis cache
 
@@ -580,8 +573,10 @@ def load_cached_basis(cache_dir, key, field, complex_, j):
     """The cached basis of complex_ in dimension j under key, or None on a miss.
 
     An entry that cannot be read back counts as a miss: invalid JSON,
-    missing keys, bad scalars, or a degree, dimension or face list that is
-    not that of complex_ in dimension j.
+    missing keys, bad scalars, a degree, dimension or face list that is
+    not that of complex_ in dimension j, a chain off those faces or with
+    nonzero boundary, or a boundary cycle that is not the boundary of its
+    preimage.
     """
     path = os.path.join(cache_dir, f"basis-{key}.json")
     try:
@@ -596,6 +591,17 @@ def load_cached_basis(cache_dir, key, field, complex_, j):
             or basis.faces != complex_.faces_of_dim(j)
             or basis.up_faces != complex_.faces_of_dim(j + 1)):
         return None
+    # a boundary cycle that is the boundary of its preimage on up_faces is
+    # itself a cycle on faces, so only the homology chains need that check
+    for cycle, preimage in basis.boundary:
+        if any(not 0 <= k < len(basis.up_faces) for k in preimage):
+            return None
+        pre_chain = {basis.up_faces[k]: v for k, v in preimage.items()}
+        if chain_boundary(pre_chain, field) != cycle:
+            return None
+    for chain in basis.homology:
+        if not chain.keys() <= basis.face_index.keys() or chain_boundary(chain, field):
+            return None
     return basis
 
 

@@ -26,7 +26,6 @@ from .homology import (
     basis_cache_key,
     betti_reduced,
     boundary_matrix,
-    chain_add_scaled,
     fixed_cycle_basis,
     gauss_reduce,
     get_field,
@@ -65,7 +64,11 @@ class NotASyzygy(ResolutionError):
     """A vector whose image under the enclosing map is nonzero."""
 
 
-class LiftFailed(ResolutionError):
+class CheckFailed(ResolutionError):
+    """An internal consistency check failed: the engine's state is wrong, not its input."""
+
+
+class LiftFailed(CheckFailed):
     """A shifted witness cycle failed to bound; bases are inconsistent."""
 
 
@@ -81,27 +84,6 @@ class UnknownGenerator(ResolutionError):
 # sparse polynomial helpers (field aware)
 
 
-def poly_add_scaled(target: Polynomial, source: Polynomial, scale, modulus) -> None:
-    if not scale:
-        return
-    for mono, coeff in source.items():
-        acc = target.get(mono)
-        term = scale * coeff
-        acc = term if acc is None else acc + term
-        if modulus is not None:
-            acc %= modulus
-        if acc:
-            target[mono] = acc
-        elif mono in target:
-            del target[mono]
-
-
-def poly_scale(p: Polynomial, scale, modulus) -> Polynomial:
-    out: Polynomial = {}
-    poly_add_scaled(out, p, scale, modulus)
-    return out
-
-
 def poly_mono_mul(p: Polynomial, mono: Monomial) -> Polynomial:
     if mono_is_unit(mono):
         return dict(p)
@@ -114,43 +96,19 @@ def poly_mono_div(p: Polynomial, mono: Monomial) -> Polynomial:
     return {mono_div(m, mono): c for m, c in p.items()}
 
 
-def poly_mul(a: Polynomial, b: Polynomial, modulus) -> Polynomial:
+def poly_mul(a: Polynomial, b: Polynomial, field) -> Polynomial:
     out: Polynomial = {}
     for ma, ca in a.items():
-        for mb, cb in b.items():
-            key = mono_mul(ma, mb)
-            acc = out.get(key)
-            term = ca * cb
-            acc = term if acc is None else acc + term
-            if modulus is not None:
-                acc %= modulus
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
+        field.axpy(out, poly_mono_mul(b, ma), ca)
     return out
 
 
-def poly_content(p: Polynomial) -> Monomial:
-    """Greatest common monomial divisor of the support."""
-    return mono_gcd(*p.keys())
-
-
-def poly_str(p: Polynomial, field) -> str:
-    if not p:
-        return "0"
-    parts = []
-    for mono in sorted(p, key=lambda m: (sum(m), m), reverse=True):
-        parts.append(f"({field.to_str(p[mono])})*{mono_str(mono)}")
-    return " + ".join(parts)
-
-
-def syz_add_scaled(target: SyzygyVector, source: SyzygyVector, scale, modulus) -> None:
+def syz_add_scaled(target: SyzygyVector, source: SyzygyVector, scale, field) -> None:
     if not scale:
         return
     for gid, poly in source.items():
         acc = target.setdefault(gid, {})
-        poly_add_scaled(acc, poly, scale, modulus)
+        field.axpy(acc, poly, scale)
         if not acc:
             del target[gid]
 
@@ -178,11 +136,25 @@ class Binomial:
     def as_polynomial(self, field) -> Polynomial:
         return {self.lead: field.one, self.trail: field.neg(field.one)}
 
-    def gcd(self) -> Monomial:
-        return mono_gcd(self.lead, self.trail)
-
     def __str__(self):
         return f"{mono_str(self.lead)} - {mono_str(self.trail)}"
+
+
+def phi_image(g: SyzygyVector, value_of, field):
+    """Image of g under substituting generator values: sum of f * value_of(gid).
+
+    A polynomial where the referenced values are Binomials (g at level 1),
+    a syzygy vector where they are syzygy vectors (higher levels).
+    """
+    out: dict = {}
+    for gid, f in g.items():
+        value = value_of(gid)
+        if isinstance(value, Binomial):
+            field.axpy(out, poly_mul(f, value.as_polynomial(field), field), field.one)
+        else:
+            syz_add_scaled(out, {gid2: poly_mul(f, p2, field) for gid2, p2 in value.items()},
+                           field.one, field)
+    return out
 
 
 @dataclass
@@ -216,6 +188,9 @@ class GeneratorRegistry:
             raise UnknownGenerator(f"generator {gid} is not registered")
         return rec
 
+    def value(self, gid):
+        return self.get(gid).value
+
     def add(self, record: GeneratorRecord) -> None:
         if record.gid in self.records:
             raise ResolutionError(f"duplicate registration of {record.gid}")
@@ -225,9 +200,6 @@ class GeneratorRegistry:
     def level_records(self, level: int, semigroup: Semigroup):
         return sorted(self.by_level.get(level, []), key=lambda r: r.sort_key(semigroup))
 
-    def count(self, level: int, degree: Degree) -> int:
-        return sum(1 for r in self.by_level.get(level, []) if r.degree == tuple(degree))
-
 
 @dataclass
 class DecompositionResult:
@@ -235,15 +207,6 @@ class DecompositionResult:
 
     input_degree: Degree
     entries: list  # (GeneratorRecord, Polynomial), canonical order
-
-    def coefficient_of(self, gid) -> Polynomial:
-        for rec, poly in self.entries:
-            if rec.gid == gid:
-                return poly
-        return {}
-
-    def generator_degrees(self):
-        return [rec.degree for rec, _ in self.entries]
 
 
 @dataclass
@@ -273,7 +236,7 @@ class ResolutionEngine:
     Owns the generator registry plus every cache (fibers, complexes, fixed
     bases, evaluated faces), so that independent queries agree on one
     common minimal system.  Registry mutations happen in the deterministic
-    order induced by the recursion; readers may run concurrently.
+    order induced by the recursion.
     """
 
     def __init__(self, semigroup: Semigroup, config: Config | None = None):
@@ -373,8 +336,7 @@ class ResolutionEngine:
         for face, coeff in chain.items():
             if len(face) != 1 or not 0 <= face[0] < len(cx.vertices):
                 raise NotAFace(f"{face} is not a vertex of the complex at {m}")
-            poly_add_scaled(out, {cx.vertices[face[0]]: self.field.one},
-                            coeff, self.field.modulus)
+            self.field.axpy(out, {cx.vertices[face[0]]: self.field.one}, coeff)
         return out
 
     def minimalize_binomial(self, lead: Monomial, trail: Monomial) -> DecompositionResult:
@@ -392,9 +354,9 @@ class ResolutionEngine:
         if lead == trail:
             raise NotInIdeal("the two monomials coincide; the binomial is zero")
         coeffs = self._decompose_binomial(lead, trail)
-        result = self._finish_result(m, coeffs)
-        self._check_binomial_reconstruction(lead, trail, result)
-        return result
+        self._check_reconstruction(coeffs, Binomial(lead, trail).as_polynomial(self.field),
+                                   mono_gcd(lead, trail))
+        return self._finish_result(m, coeffs)
 
     def _decompose_binomial(self, alpha: Monomial, beta: Monomial) -> SyzygyVector:
         key = (alpha, beta)
@@ -417,13 +379,7 @@ class ResolutionEngine:
             if not lv:
                 continue
             rec = self._ensure_generator(0, m_red, idx)
-            coeff = lv * rec.orientation
-            if field.modulus is not None:
-                coeff %= field.modulus
-            poly_add_scaled(out.setdefault(rec.gid, {}),
-                            {(0,) * len(alpha): field.one}, coeff, field.modulus)
-            if not out[rec.gid]:
-                del out[rec.gid]
+            syz_add_scaled(out, {rec.gid: {(0,) * len(alpha): rec.orientation}}, lv, field)
         self._push_boundary_part(out, basis, mu, m_red, 1)
         if not mono_is_unit(gamma):
             out = syz_mono_mul(out, gamma)
@@ -437,20 +393,11 @@ class ResolutionEngine:
         field = self.field
         nu: dict[int, object] = {}
         for j, mv in enumerate(mu):
-            if not mv:
-                continue
-            for k, q in basis.boundary[j][1].items():
-                acc = nu.get(k, field.zero) + mv * q
-                if field.modulus is not None:
-                    acc %= field.modulus
-                if acc:
-                    nu[k] = acc
-                elif k in nu:
-                    del nu[k]
+            field.axpy(nu, basis.boundary[j][1], mv)
         for k in sorted(nu):
             face = basis.up_faces[k]
             sub = self._psi_face(m_red, dim, face)
-            syz_add_scaled(out, sub, nu[k], field.modulus)
+            syz_add_scaled(out, sub, nu[k], field)
 
     def _ensure_generator(self, level: int, m: Degree, idx: int) -> GeneratorRecord:
         gid = (level, tuple(m), idx)
@@ -462,7 +409,7 @@ class ResolutionEngine:
         if level == 0:
             raw = self.psi0(witness, m)
             if len(raw) != 2:
-                raise ResolutionError("0-dimensional witness is not a vertex pair")
+                raise CheckFailed("0-dimensional witness is not a vertex pair")
             top = max(raw, key=self.order.key)
             other = next(mono for mono in raw if mono != top)
             if raw[top] == field.one:
@@ -470,14 +417,14 @@ class ResolutionEngine:
             elif raw[top] == field.neg(field.one):
                 orientation = field.neg(field.one)
             else:
-                raise ResolutionError("witness pair has non-unit coefficients")
+                raise CheckFailed("witness pair has non-unit coefficients")
             record = GeneratorRecord(gid, 0, tuple(m), Binomial(top, other),
                                      dict(witness), orientation)
         else:
             value: SyzygyVector = {}
             for face in sorted(witness):
                 sub = self._psi_face(m, level, face)
-                syz_add_scaled(value, sub, witness[face], field.modulus)
+                syz_add_scaled(value, sub, witness[face], field)
             record = GeneratorRecord(gid, level, tuple(m), value,
                                      dict(witness), field.one)
         self.registry.add(record)
@@ -521,54 +468,27 @@ class ResolutionEngine:
             for pos in range(len(face)):
                 sub_face = face[:pos] + face[pos + 1:]
                 sub = self._psi_face(m, dim - 1, sub_face)
-                syz_add_scaled(g, sub, one if pos % 2 == 0 else neg,
-                               self.field.modulus)
+                syz_add_scaled(g, sub, one if pos % 2 == 0 else neg, self.field)
             result = self._decompose_syzygy(dim - 1, g, m)
         self._psi[key] = result
         return result
 
     def _check_diagram(self, level, face, m, result) -> None:
         """phi(psi(F)) must equal psi(boundary F); exercised in debug mode."""
-        low: SyzygyVector = {}
-        one = self.field.one
-        neg = self.field.neg(one)
+        field = self.field
         if level == 1:
             cx = self.nabla(m)
-            expected = {cx.vertices[face[1]]: one, cx.vertices[face[0]]: neg}
-            expected = {k: v for k, v in expected.items() if v}
-            if self._phi_image_level1(result) != expected:
-                raise ResolutionError(f"diagram check failed for edge {face} at {m}")
-            return
-        for pos in range(len(face)):
-            sub = self._psi_face(m, level - 1, face[:pos] + face[pos + 1:])
-            syz_add_scaled(low, sub, one if pos % 2 == 0 else neg, self.field.modulus)
-        if self._phi_image(level, result) != low:
-            raise ResolutionError(f"diagram check failed for face {face} at {m}")
+            low = Binomial(cx.vertices[face[1]], cx.vertices[face[0]]).as_polynomial(field)
+        else:
+            low = {}
+            neg = field.neg(field.one)
+            for pos in range(len(face)):
+                sub = self._psi_face(m, level - 1, face[:pos] + face[pos + 1:])
+                syz_add_scaled(low, sub, field.one if pos % 2 == 0 else neg, field)
+        if phi_image(result, self.registry.value, field) != low:
+            raise CheckFailed(f"diagram check failed for face {face} at {m}")
 
     # -- higher levels --------------------------------------------------------
-
-    def _phi_image_level1(self, g: SyzygyVector) -> Polynomial:
-        out: Polynomial = {}
-        for gid, f in g.items():
-            rec = self.registry.get(gid)
-            prod = poly_mul(f, rec.value.as_polynomial(self.field), self.field.modulus)
-            poly_add_scaled(out, prod, self.field.one, self.field.modulus)
-        return out
-
-    def _phi_image(self, level: int, g: SyzygyVector):
-        """Image of a level vector under substitution of generator values."""
-        if level == 1:
-            return self._phi_image_level1(g)
-        out: SyzygyVector = {}
-        for gid, f in g.items():
-            rec = self.registry.get(gid)
-            for gid2, p2 in rec.value.items():
-                acc = out.setdefault(gid2, {})
-                poly_add_scaled(acc, poly_mul(f, p2, self.field.modulus),
-                                self.field.one, self.field.modulus)
-                if not acc:
-                    del out[gid2]
-        return out
 
     def _validate_syzygy(self, level: int, g: SyzygyVector) -> Degree:
         if level < 1:
@@ -592,8 +512,7 @@ class ResolutionEngine:
                     raise NotHomogeneous(
                         f"mixed degrees {m} and {dm} in syzygy vector"
                     )
-        image = self._phi_image(level, g)
-        if image:
+        if phi_image(g, self.registry.value, self.field):
             raise NotASyzygy("vector does not annihilate the previous level")
         return m
 
@@ -608,8 +527,7 @@ class ResolutionEngine:
         chain = self._lift(level, g, m)
         recon: SyzygyVector = {}
         for face, coeff in chain.items():
-            syz_add_scaled(recon, self._psi_face(m, level, face), coeff,
-                           self.field.modulus)
+            syz_add_scaled(recon, self._psi_face(m, level, face), coeff, self.field)
         if recon != g:
             raise LiftFailed("psi of the lifted chain does not reconstruct the input")
         return chain
@@ -643,8 +561,7 @@ class ResolutionEngine:
                         raise LiftFailed(
                             f"shifted generator {gid} leaves the fiber of {m}"
                         ) from exc
-                    chain_add_scaled(chain, {(iu, iv): field.one},
-                                     field.neg(coeff), field.modulus)
+                    field.axpy(chain, {(iu, iv): field.one}, field.neg(coeff))
             return chain
         faces, key_index, decomp = self._lift_solver(m, level)
         if not faces:
@@ -698,9 +615,8 @@ class ResolutionEngine:
             return DecompositionResult(self.semigroup.zero_degree(), [])
         m = self._validate_syzygy(level, g)
         coeffs = self._decompose_syzygy(level, g, m)
-        result = self._finish_result(m, coeffs)
-        self._check_syzygy_reconstruction(level, g, result)
-        return result
+        self._check_reconstruction(coeffs, g, syz_content(g))
+        return self._finish_result(m, coeffs)
 
     def _decompose_syzygy(self, level: int, g: SyzygyVector, m: Degree) -> SyzygyVector:
         if not g:
@@ -722,29 +638,13 @@ class ResolutionEngine:
             if not lv:
                 continue
             rec = self._ensure_generator(level, m_red, idx)
-            poly_add_scaled(out.setdefault(rec.gid, {}), {unit: field.one},
-                            lv, field.modulus)
-            if not out[rec.gid]:
-                del out[rec.gid]
+            syz_add_scaled(out, {rec.gid: {unit: field.one}}, lv, field)
         self._push_boundary_part(out, basis, mu, m_red, level + 1)
         if not mono_is_unit(content):
             out = syz_mono_mul(out, content)
         if self.config.debug_checks:
-            self._check_decomposition(level, g, out)
+            self._check_reconstruction(out, g, content)
         return out
-
-    def _check_decomposition(self, level, g, out) -> None:
-        recon: SyzygyVector = {}
-        for gid, f in out.items():
-            rec = self.registry.get(gid)
-            for gid2, p2 in rec.value.items():
-                acc = recon.setdefault(gid2, {})
-                poly_add_scaled(acc, poly_mul(f, p2, self.field.modulus),
-                                self.field.one, self.field.modulus)
-                if not acc:
-                    del recon[gid2]
-        if recon != g:
-            raise ResolutionError("decomposition failed to reconstruct its input")
 
     # -- result assembly ------------------------------------------------------
 
@@ -756,42 +656,15 @@ class ResolutionEngine:
         entries.sort(key=lambda item: item[0].sort_key(self.semigroup))
         return DecompositionResult(tuple(m), entries)
 
-    def _check_binomial_reconstruction(self, lead, trail, result) -> None:
-        field = self.field
-        total: Polynomial = {}
-        gamma = mono_gcd(lead, trail)
-        for rec, poly in result.entries:
-            prod = poly_mul(poly, rec.value.as_polynomial(field), field.modulus)
-            poly_add_scaled(total, prod, field.one, field.modulus)
-            for mono in poly:
-                if not all(g <= e for g, e in zip(gamma, mono)):
-                    raise ResolutionError(
-                        f"coefficient of {rec.gid} violates gcd divisibility"
-                    )
-        expected = {lead: field.one}
-        poly_add_scaled(expected, {trail: field.one}, field.neg(field.one),
-                        field.modulus)
-        if total != expected:
-            raise ResolutionError("binomial decomposition does not reconstruct input")
-
-    def _check_syzygy_reconstruction(self, level, g, result) -> None:
-        field = self.field
-        content = syz_content(g)
-        recon: SyzygyVector = {}
-        for rec, poly in result.entries:
-            for mono in poly:
-                if not all(c <= e for c, e in zip(content, mono)):
-                    raise ResolutionError(
-                        f"coefficient of {rec.gid} violates content divisibility"
-                    )
-            for gid2, p2 in rec.value.items():
-                acc = recon.setdefault(gid2, {})
-                poly_add_scaled(acc, poly_mul(poly, p2, field.modulus),
-                                field.one, field.modulus)
-                if not acc:
-                    del recon[gid2]
-        if recon != g:
-            raise ResolutionError("syzygy decomposition does not reconstruct input")
+    def _check_reconstruction(self, coeffs: SyzygyVector, expected, divisor: Monomial) -> None:
+        """Every coefficient is divisible by divisor and phi(coeffs) == expected."""
+        for gid, poly in coeffs.items():
+            if any(any(d > e for d, e in zip(divisor, mono)) for mono in poly):
+                raise CheckFailed(
+                    f"coefficient of {gid} is not divisible by {mono_str(divisor)}"
+                )
+        if phi_image(coeffs, self.registry.value, self.field) != expected:
+            raise CheckFailed("decomposition does not reconstruct its input")
 
     # -- harvesting -----------------------------------------------------------
 
@@ -832,89 +705,60 @@ class ResolutionEngine:
         return fragment
 
     def verify_fragment(self, fragment: ResolutionFragment) -> dict:
-        """Exact checks: compositions vanish, entries are minimal, counts fit.
+        """The check_entries report of the fragment's records."""
+        return self.check_entries({rec.gid: (rec.level, rec.degree, rec.value)
+                                   for rec in fragment.all_records()})
 
-        The count bound is the rank from the comparison complex, which
-        shares nothing with the fixed bases the generators came from.
+    def check_entries(self, entries: dict) -> dict:
+        """Exact checks on a {gid: (level, degree, value)} map; the fragment report.
+
+        Binomials must be homogeneous of their degree and constant-free.  A
+        syzygy entry must reference a generator of the map one level down
+        and be a nonzero, constant-free polynomial of the record's degree;
+        each record must compose to zero with the level below.  No (level,
+        degree) may hold more generators than the homology rank from the
+        comparison complex, which shares nothing with the fixed bases the
+        generators came from.
         """
+        sg = self.semigroup
+        unit = (0,) * sg.num_generators
         violations = []
-        unit = (0,) * self.semigroup.num_generators
-        for level, records in sorted(fragment.levels.items()):
-            for rec in records:
-                if level == 0:
-                    if self.semigroup.degree_of(rec.value.lead) != rec.degree or \
-                            self.semigroup.degree_of(rec.value.trail) != rec.degree:
-                        violations.append(f"{rec.gid}: binomial is not homogeneous")
-                    if mono_is_unit(rec.value.lead) or mono_is_unit(rec.value.trail):
-                        violations.append(f"{rec.gid}: constant term in binomial")
+        for gid, (level, degree, value) in sorted(entries.items()):
+            if level == 0:
+                if any(sg.degree_of(mono) != degree for mono in (value.lead, value.trail)):
+                    violations.append(f"{gid}: binomial is not homogeneous")
+                if mono_is_unit(value.lead) or mono_is_unit(value.trail):
+                    violations.append(f"{gid}: constant term in binomial")
+                continue
+            usable = {}
+            for gid2, poly in value.items():
+                ref = entries.get(gid2)
+                if ref is None:
+                    violations.append(f"{gid}: references missing generator {gid2}")
                     continue
-                try:
-                    self._validate_syzygy(level, rec.value)
-                except ResolutionError as exc:
-                    violations.append(f"{rec.gid}: {exc}")
-                for gid2, poly in rec.value.items():
-                    if unit in poly:
-                        violations.append(
-                            f"{rec.gid}: constant coefficient on {gid2}"
-                        )
-        seen = {}
-        for rec in fragment.all_records():
-            seen.setdefault((rec.level, rec.degree), 0)
-            seen[(rec.level, rec.degree)] += 1
-        for (level, degree), count in sorted(seen.items()):
+                if not poly:
+                    violations.append(f"{gid}: stored zero polynomial on {gid2}")
+                if unit in poly:
+                    violations.append(f"{gid}: constant coefficient on {gid2}")
+                if ref[0] != level - 1:
+                    violations.append(f"{gid}: level mismatch against {gid2}")
+                    continue
+                if any(tuple(a + b for a, b in zip(sg.degree_of(mono), ref[1])) != degree
+                       for mono in poly):
+                    violations.append(f"{gid}: inhomogeneous entry on {gid2}")
+                usable[gid2] = poly
+            if phi_image(usable, lambda g: entries[g][2], self.field):
+                violations.append(f"{gid}: composition with previous level is nonzero")
+        counts: dict = {}
+        for level, degree, _value in entries.values():
+            counts[(level, degree)] = counts.get((level, degree), 0) + 1
+        ranks: dict = {}
+        for (level, degree), count in sorted(counts.items()):
+            ranks[str(level)] = ranks.get(str(level), 0) + count
             bound = self.betti_delta(degree, level)
             if count > bound:
                 violations.append(
                     f"{count} generators at level {level}, degree {degree}, "
                     f"but homology rank is {bound}"
                 )
-        return {
-            "passed": not violations,
-            "violations": violations,
-            "ranks": {str(k): v for k, v in fragment.ranks().items()},
-        }
-
-    # -- independent oracle -----------------------------------------------------
-
-    def oracle_v0(self, m: Degree) -> int:
-        """Brute-force count of degree-m minimal generators of the toric ideal.
-
-        Computes dim (I)_m - dim (irrelevant * I)_m directly: the degree-m
-        part of the ideal is spanned by consecutive fiber differences, and
-        the shifted part by variable multiples of lower-degree differences.
-        Uses its own small row reduction on purpose.
-        """
-        m = tuple(m)
-        fiber = self.semigroup.fiber(m, self.order)
-        t = len(fiber)
-        if t <= 1:
-            return 0
-        index = {mono: i for i, mono in enumerate(fiber)}
-        field = self.field
-        rows = []
-        r = self.semigroup.num_generators
-        for i in range(r):
-            shift = tuple(1 if k == i else 0 for k in range(r))
-            m2 = self.semigroup.sub_degree(m, self.semigroup.generators[i])
-            fib2 = self.semigroup.fiber(m2, self.order)
-            for a in range(len(fib2) - 1):
-                vec = [field.zero] * t
-                vec[index[mono_mul(fib2[a], shift)]] = field.one
-                vec[index[mono_mul(fib2[a + 1], shift)]] = field.neg(field.one)
-                rows.append(vec)
-        rank = 0
-        reduced: list[tuple[int, list]] = []
-        for vec in rows:
-            vec = list(vec)
-            for piv, base in reduced:
-                if vec[piv]:
-                    f = field.div(vec[piv], base[piv])
-                    for k in range(t):
-                        if base[k]:
-                            acc = vec[k] - f * base[k]
-                            vec[k] = acc if field.modulus is None else acc % field.modulus
-            piv = next((k for k in range(t) if vec[k]), None)
-            if piv is not None:
-                reduced.append((piv, vec))
-                rank += 1
-        return (t - 1) - rank
+        return {"passed": not violations, "violations": violations, "ranks": ranks}

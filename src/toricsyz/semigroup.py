@@ -92,21 +92,11 @@ def _fourier_motzkin_point(rows: list[tuple[tuple[int, ...], int]], dim: int):
     return point
 
 
-def validate_presentation(dim: int, generators) -> tuple[Fraction, ...]:
-    """Accept a presentation and return its positive grading certificate.
-
-    Raises ZeroGenerator or NotCombinatoriallyFinite on bad input; the
-    returned weight w satisfies w.n_i >= 1 for every generator and is
-    normalized so the smallest such product is exactly 1.
-    """
-    return Semigroup(dim, generators).grading
-
-
 class Semigroup:
     """Validated presentation of a combinatorially finite semigroup.
 
     Immutable after construction; all query methods are pure (results are
-    memoized internally, which is safe for concurrent readers).
+    memoized internally).
     """
 
     def __init__(self, dim: int, generators):
@@ -153,6 +143,7 @@ class Semigroup:
         return {"dim": self.dim, "generators": [list(col) for col in self.generators]}
 
     def _positive_grading(self) -> tuple[Fraction, ...]:
+        """The certificate w: w.n_i >= 1 for every generator, min exactly 1."""
         rows = [(col, 1) for col in self.generators]
         point = _fourier_motzkin_point(rows, self.dim)
         if point is None:

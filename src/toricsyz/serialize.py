@@ -15,8 +15,6 @@ from .resolution import (
     GeneratorRecord,
     ResolutionEngine,
     ResolutionFragment,
-    poly_mul,
-    poly_add_scaled,
 )
 
 
@@ -27,17 +25,9 @@ def poly_to_json(poly, field):
     ]
 
 
-def poly_from_json(items, field):
-    return {tuple(t["monomial"]): field.from_str(t["coeff"]) for t in items}
-
-
 def gid_to_json(gid):
     level, degree, idx = gid
     return [level, list(degree), idx]
-
-
-def gid_from_json(item):
-    return (item[0], tuple(item[1]), item[2])
 
 
 def chain_to_json(chain, field):
@@ -116,93 +106,97 @@ def dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+class MalformedFragment(ValueError):
+    """A fragment document that does not have the shape harvest writes."""
+
+
+def _malformed(what) -> MalformedFragment:
+    return MalformedFragment(f"malformed fragment: {what}")
+
+
+def _int(item, what) -> int:
+    if type(item) is not int:
+        raise _malformed(f"{what} {item!r} is not an integer")
+    return item
+
+
+def _ints(item, length, what) -> tuple:
+    if (not isinstance(item, list) or len(item) != length
+            or not all(type(x) is int for x in item)):
+        raise _malformed(f"{what} {item!r} is not a list of {length} integers")
+    return tuple(item)
+
+
+def _monomial(item, r) -> tuple:
+    mono = _ints(item, r, "monomial")
+    if min(mono) < 0:
+        raise _malformed(f"monomial {item!r} has a negative exponent")
+    return mono
+
+
+def _gid(item, dim) -> tuple:
+    if not isinstance(item, list) or len(item) != 3:
+        raise _malformed(f"generator id {item!r} is not [level, degree, index]")
+    return (_int(item[0], "level"), _ints(item[1], dim, "degree"),
+            _int(item[2], "generator index"))
+
+
+def _entry(gen, sg, field):
+    """(gid, (level, degree, value)) of one generator object."""
+    if not isinstance(gen, dict):
+        raise _malformed(f"generator entry {gen!r} is not an object")
+    gid = _gid(gen["id"], sg.dim)
+    level = _int(gen["level"], "level")
+    if level < 0:
+        raise _malformed(f"negative level {level}")
+    degree = _ints(gen["degree"], sg.dim, "degree")
+    r = sg.num_generators
+    if level == 0:
+        value = Binomial(_monomial(gen["value"]["lead"], r),
+                         _monomial(gen["value"]["trail"], r))
+    else:
+        value = {}
+        for item in gen["value"]:
+            value[_gid(item["generator"], sg.dim)] = {
+                _monomial(t["monomial"], r): field.from_str(t["coeff"])
+                for t in item["coefficient"]
+            }
+    return gid, (level, degree, value)
+
+
+def fragment_entries(data, engine: ResolutionEngine) -> dict:
+    """The {gid: (level, degree, value)} map of a parsed fragment document.
+
+    Raises MalformedFragment where the document does not have the shape
+    harvest writes: a missing key, a non-object document or entry, a
+    degree, id or monomial of the wrong length, or an unreadable scalar.
+    """
+    if not isinstance(data, dict):
+        raise _malformed("the document is not an object")
+    entries = {}
+    try:
+        for gen in data["generators"]:
+            gid, entry = _entry(gen, engine.semigroup, engine.field)
+            if gid in entries:
+                raise _malformed(f"generator {gid} is listed twice")
+            entries[gid] = entry
+    except MalformedFragment:
+        raise
+    except KeyError as exc:
+        raise _malformed(f"missing key {exc}") from exc
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise _malformed(exc) from exc
+    return entries
+
+
 def verify_fragment_json(data, engine: ResolutionEngine) -> dict:
     """Re-run the fragment checks on a parsed document, self-contained.
 
     Values are read back from the file, so this validates the artifact
-    rather than the in-memory registry that produced it.
+    rather than the in-memory registry that produced it; the checks are
+    those of ResolutionEngine.verify_fragment, through the same checker.
     """
-    field = engine.field
-    sg = engine.semigroup
-    unit = (0,) * sg.num_generators
-    violations = []
-    parsed = {}
-    for gen in data.get("generators", []):
-        gid = gid_from_json(gen["id"])
-        level = gen["level"]
-        degree = tuple(gen["degree"])
-        if level == 0:
-            value = Binomial(tuple(gen["value"]["lead"]), tuple(gen["value"]["trail"]))
-        else:
-            value = {
-                gid_from_json(entry["generator"]): poly_from_json(entry["coefficient"], field)
-                for entry in gen["value"]
-            }
-        parsed[gid] = (level, degree, value)
-
-    for gid, (level, degree, value) in sorted(parsed.items()):
-        if level == 0:
-            for mono in (value.lead, value.trail):
-                if sg.degree_of(mono) != degree:
-                    violations.append(f"{gid}: binomial is not homogeneous")
-                if not any(mono):
-                    violations.append(f"{gid}: constant term in binomial")
-            continue
-        image = {}
-        for gid2, poly in value.items():
-            if gid2 not in parsed:
-                violations.append(f"{gid}: references missing generator {gid2}")
-                continue
-            if unit in poly:
-                violations.append(f"{gid}: constant coefficient on {gid2}")
-            lvl2, deg2, val2 = parsed[gid2]
-            if lvl2 != level - 1:
-                violations.append(f"{gid}: level mismatch against {gid2}")
-                continue
-            for mono in poly:
-                found = tuple(a + b for a, b in zip(sg.degree_of(mono), deg2))
-                if found != degree:
-                    violations.append(f"{gid}: inhomogeneous entry on {gid2}")
-                    break
-            if lvl2 == 0:
-                prod = poly_mul(poly, val2.as_polynomial(field), field.modulus)
-                poly_add_scaled(image.setdefault("_", {}), prod, field.one,
-                                field.modulus)
-                if not image["_"]:
-                    del image["_"]
-            else:
-                for gid3, p3 in val2.items():
-                    acc = image.setdefault(gid3, {})
-                    poly_add_scaled(acc, poly_mul(poly, p3, field.modulus),
-                                    field.one, field.modulus)
-                    if not acc:
-                        del image[gid3]
-        if image:
-            violations.append(f"{gid}: composition with previous level is nonzero")
-
-    counts = {}
-    for gid, (level, degree, _value) in parsed.items():
-        counts[(level, degree)] = counts.get((level, degree), 0) + 1
-    for (level, degree), count in sorted(counts.items()):
-        bound = engine.betti_delta(degree, level)
-        if count > bound:
-            violations.append(
-                f"{count} generators at level {level}, degree {degree}, "
-                f"but homology rank is {bound}"
-            )
-    return {
-        "passed": not violations,
-        "violations": violations,
-        "ranks": _rank_table(parsed),
-    }
-
-
-def _rank_table(parsed):
-    ranks: dict[str, int] = {}
-    for _gid, (level, _degree, _value) in parsed.items():
-        key = str(level)
-        ranks[key] = ranks.get(key, 0) + 1
-    return ranks
+    return engine.check_entries(fragment_entries(data, engine))
 
 
 def decomposition_text(result: DecompositionResult, engine: ResolutionEngine) -> str:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from toricsyz import ResolutionEngine
+from toricsyz import ChainBasis, ResolutionEngine, homology
 from toricsyz.cli import main
 
 EXAMPLE = {"dim": 2, "generators": [[4, 1], [5, 1], [7, 1], [8, 1]]}
@@ -281,3 +281,77 @@ class TestFieldModulus:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ")
+
+
+# a one-generator fragment, as harvest writes it at degree (12, 2)
+GOOD_FRAGMENT = {"generators": [{
+    "id": [0, [12, 2], 0], "level": 0, "degree": [12, 2],
+    "value": {"lead": [0, 1, 1, 0], "trail": [1, 0, 0, 1]}, "witness": [],
+}]}
+
+
+def _with_first_generator(**changes):
+    return {"generators": [{**GOOD_FRAGMENT["generators"][0], **changes}]}
+
+
+class TestMalformedFragment:
+    def test_well_formed_control_passes(self, capsys, semigroup_file, tmp_path):
+        path = tmp_path / "fragment.json"
+        path.write_text(json.dumps(GOOD_FRAGMENT), encoding="utf-8")
+        assert run(capsys, "verify", semigroup_file, str(path))[0] == 0
+
+    @pytest.mark.parametrize("doc", [
+        {"generators": [{"level": 0}]},
+        [1, 2],
+        {"generators": [5]},
+        {},
+        _with_first_generator(degree=[12]),
+        _with_first_generator(id=[0, [12, 2, 0], 0]),
+        _with_first_generator(level="0"),
+        _with_first_generator(value={"lead": [0, 1, 1], "trail": [1, 0, 0, 1]}),
+        _with_first_generator(level=1, value=[{"generator": [0, [12, 2], 0],
+                                               "coefficient": [{"monomial": [0, 0, 0, 0],
+                                                                "coeff": "1/0"}]}]),
+        {"generators": GOOD_FRAGMENT["generators"] * 2},
+    ], ids=["missing-key", "not-an-object", "entry-not-an-object", "no-generators",
+            "degree-length", "id-degree-length", "level-not-int", "monomial-length",
+            "zero-denominator", "duplicate-id"])
+    def test_exits_two_without_traceback(self, capsys, semigroup_file, tmp_path, doc):
+        path = tmp_path / "fragment.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["verify", semigroup_file, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: malformed fragment: ")
+        assert captured.out == ""
+
+
+class TestInternalCheckFailures:
+    """A failed consistency check exits 1 and names itself; bad input stays 2."""
+
+    def _minimalize(self, capsys, semigroup_file):
+        code = main(["minimalize", semigroup_file, "--lead", "0,2,6,0", "--trail", "3,0,0,5"])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err
+
+    def test_wrong_coordinates_exit_one(self, capsys, semigroup_file, monkeypatch):
+        original = ChainBasis.express
+
+        def doubled(self, chain):
+            lam, mu = original(self, chain)
+            return [2 * v for v in lam], mu
+
+        monkeypatch.setattr(ChainBasis, "express", doubled)
+        code, err = self._minimalize(capsys, semigroup_file)
+        assert code == 1
+        assert err.startswith("error: internal check failed: ")
+
+    def test_dependent_basis_exits_one(self, capsys, semigroup_file, monkeypatch):
+        monkeypatch.setattr(homology._EchelonTracker, "add", lambda self, vec: False)
+        code, err = self._minimalize(capsys, semigroup_file)
+        assert code == 1
+        assert err == "error: internal check failed: boundary basis vectors are dependent\n"
+
+    def test_zero_denominator_weight_bound_exits_two(self, semigroup_file):
+        assert main(["scan", semigroup_file, "--w-bound", "1/0"]) == 2

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import sys
 
@@ -96,6 +97,22 @@ def test_truncated_cache_entries_are_rewritten(tmp_path, argv):
     assert {p: p.read_bytes() for p in cache.iterdir()} == entries
     if argv is CACHE_ARGV:
         assert entries[cache / CACHE_FILE] == _read(os.path.join(GOLDEN, CACHE_GOLDEN))
+
+
+def test_wrong_cached_coefficient_is_a_miss(tmp_path):
+    # a well-formed entry whose homology chain is no longer a cycle
+    argv = ["harvest", EXAMPLE, "-m", "21,3"]
+    cache = tmp_path / "cache"
+    first = _run(argv + ["--cache", str(cache)])
+    (path,) = [p for p in cache.iterdir() if json.loads(p.read_bytes())["homology"]]
+    original = path.read_bytes()
+    data = json.loads(original)
+    assert data["dim"] == 0
+    chain = data["homology"][0]
+    chain[[c for _face, c in chain].index("-1/1")][1] = "5/1"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert _run(argv + ["--cache", str(cache)]) == first
+    assert path.read_bytes() == original
 
 
 def regenerate():

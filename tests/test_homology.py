@@ -19,7 +19,6 @@ from toricsyz import (
     build_delta,
     build_nabla,
     chain_boundary,
-    express_in_basis,
     fixed_cycle_basis,
     gauss_reduce,
     get_field,
@@ -258,7 +257,7 @@ class TestExpress:
     def test_homology_vector_has_unit_coordinates(self, example_semigroup):
         cx = build_nabla(example_semigroup, (21, 3), DEGREVLEX)
         basis = fixed_cycle_basis(cx, 0, Q)
-        lam, mu = express_in_basis(basis.homology[0], basis)
+        lam, mu = basis.express(basis.homology[0])
         assert lam == [1]
         assert mu == []
 
@@ -267,7 +266,7 @@ class TestExpress:
         basis = fixed_cycle_basis(cx, 0, Q)
         edge = cx.faces_of_dim(1)[0]
         cycle = chain_boundary({edge: 1})
-        lam, mu = express_in_basis(cycle, basis)
+        lam, mu = basis.express(cycle)
         assert not any(lam)
         rebuilt = {}
         for coeff, (bcycle, _pre) in zip(mu, basis.boundary):
@@ -281,7 +280,7 @@ class TestExpress:
         a = cx.vertex_index[(0, 3, 3, 0)]
         b = cx.vertex_index[(3, 0, 0, 3)]
         z = {(a,): 1, (b,): -1}
-        lam, mu = express_in_basis(z, basis)
+        lam, mu = basis.express(z)
         assert not any(lam)  # connected: the class vanishes
         rebuilt = {}
         for coeff, (bcycle, _pre) in zip(mu, basis.boundary):
@@ -293,7 +292,7 @@ class TestExpress:
         cx = build_nabla(example_semigroup, (21, 3), DEGREVLEX)
         basis = fixed_cycle_basis(cx, 0, Q)
         with pytest.raises(NotACycle):
-            express_in_basis({(0,): 1}, basis)
+            basis.express({(0,): 1})
 
 
 class TestDeterminismAndCache:
@@ -330,8 +329,19 @@ class TestDeterminismAndCache:
         lambda text, data: json.dumps({**data, "up_faces": data["up_faces"][::-1]}),
         lambda text, data: json.dumps({**data, "dim": 0}),
         lambda text, data: json.dumps({**data, "degree": [0, 0]}),
+        lambda text, data: json.dumps({**data, "homology": [[[data["faces"][0], "1/1"]]]}),
+        lambda text, data: json.dumps({**data, "boundary": [
+            {**data["boundary"][0], "cycle": data["boundary"][1]["cycle"]},
+            *data["boundary"][1:]]}),
+        lambda text, data: json.dumps({**data, "boundary": [
+            {**data["boundary"][0], "preimage": [[len(data["up_faces"]), "1/1"]]},
+            *data["boundary"][1:]]}),
+        lambda text, data: json.dumps({**data, "boundary": [
+            {**data["boundary"][0], "preimage": [[-1, "1/1"]]}, *data["boundary"][1:]]}),
     ], ids=["truncated", "not-utf8", "missing-key", "not-an-object", "zero-denominator",
-            "bad-scalar", "faces", "up-faces", "dim", "degree"])
+            "bad-scalar", "faces", "up-faces", "dim", "degree", "homology-not-a-cycle",
+            "cycle-not-boundary-of-preimage", "preimage-index-too-large",
+            "preimage-index-negative"])
     def test_corrupt_entry_is_a_miss(self, tmp_path, example_semigroup, corrupt):
         cx = build_nabla(example_semigroup, (36, 6), DEGREVLEX)
         basis = fixed_cycle_basis(cx, 1, Q)

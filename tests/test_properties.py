@@ -5,17 +5,21 @@ signs; those that are not combinatorially finite (or have a zero column)
 are filtered out. Degrees are semigroup elements of small weight, plus
 shifts of them that usually leave the semigroup.
 """
+import copy
+import json
+
 from hypothesis import assume, given, strategies as st
 
 from toricsyz import DEGREVLEX, Config, ResolutionEngine, Semigroup, SemigroupError
+from toricsyz.serialize import dumps, fragment_to_json, gid_to_json, verify_fragment_json
 
 FIELDS = ("rational", 32003)
 
 
 @st.composite
-def presentations(draw):
-    d = draw(st.integers(1, 3))
-    r = draw(st.integers(2, 5))
+def presentations(draw, max_dim=3, max_gens=5, min_codim=None):
+    d = draw(st.integers(1, max_dim))
+    r = draw(st.integers(2 if min_codim is None else d + min_codim, max_gens))
     # small entries give relations, hence homology, at small weights
     columns = draw(st.lists(st.lists(st.integers(-1, 3), min_size=d, max_size=d),
                             min_size=r, max_size=r))
@@ -52,3 +56,32 @@ def test_betti_delta_matches_fiber_complex(data):
             for j in range(sg.num_generators):
                 assert engine.betti_delta(m, j) == engine.multigraded_betti(m, j), \
                     (sg, m, j, field)
+
+
+@given(data=st.data())
+def test_engine_and_file_verify_give_one_report(data):
+    # codimension >= 2, so first syzygies occur at low weight
+    sg = data.draw(presentations(max_dim=2, max_gens=4, min_codim=2))
+    engine = ResolutionEngine(sg, Config())
+    degrees = [m for m in sg.degrees_up_to(6) if len(sg.fiber(m, DEGREVLEX)) <= 12]
+    for m in degrees:
+        fragment = engine.harvest(m, 1)
+    doc = json.loads(dumps(fragment_to_json(fragment, engine)))
+    report = engine.verify_fragment(fragment)
+    assert report["passed"], report
+    assert report == fragment.report == verify_fragment_json(doc, engine)
+    if 1 not in fragment.levels:
+        return
+    # bump one coefficient of the first level-1 record on both sides
+    broken = copy.deepcopy(fragment)
+    rec = broken.levels[1][0]
+    gid2 = min(rec.value)
+    mono = min(rec.value[gid2])
+    rec.value[gid2][mono] += 1
+    entry = next(g for g in doc["generators"] if g["id"] == gid_to_json(rec.gid))
+    term = next(t for v in entry["value"] if v["generator"] == gid_to_json(gid2)
+                for t in v["coefficient"] if tuple(t["monomial"]) == mono)
+    term["coeff"] = engine.field.to_str(rec.value[gid2][mono])
+    broken_report = engine.verify_fragment(broken)
+    assert not broken_report["passed"]
+    assert broken_report == verify_fragment_json(doc, engine)

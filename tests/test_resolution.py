@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from oracles import oracle_v0
 
 from toricsyz import (
     Binomial,
@@ -11,10 +12,11 @@ from toricsyz import (
     NotHomogeneous,
     NotInIdeal,
     ResolutionEngine,
+    ResolutionFragment,
     Semigroup,
 )
 from toricsyz.resolution import (
-    poly_add_scaled,
+    phi_image,
     poly_mono_mul,
     poly_mul,
     syz_add_scaled,
@@ -52,8 +54,8 @@ def syzygy_45_7(gens):
 def reconstruct_binomial(engine, result):
     total = {}
     for rec, poly in result.entries:
-        prod = poly_mul(poly, rec.value.as_polynomial(engine.field), None)
-        poly_add_scaled(total, prod, 1, None)
+        prod = poly_mul(poly, rec.value.as_polynomial(engine.field), engine.field)
+        engine.field.axpy(total, prod, 1)
     return total
 
 
@@ -162,7 +164,7 @@ class TestPsiOnFaces:
         # every level-1 generator in the support is itself a syzygy
         for gid in vec:
             rec = engine.registry.get(gid)
-            assert engine._phi_image(1, rec.value) == {}
+            assert phi_image(rec.value, engine.registry.value, engine.field) == {}
 
     def test_diagram_commutes_in_debug_mode(self, debug_engine):
         cx = debug_engine.nabla((52, 8))
@@ -202,7 +204,7 @@ class TestLift:
         # and psi reproduces g exactly (checked internally, re-checked here)
         recon = {}
         for face, coeff in chain.items():
-            syz_add_scaled(recon, engine._psi_face((45, 7), 1, face), coeff, None)
+            syz_add_scaled(recon, engine._psi_face((45, 7), 1, face), coeff, engine.field)
         assert recon == g
 
     def test_single_term_edge_construction(self, engine):
@@ -265,7 +267,7 @@ class TestMinimalizeSyzygy:
         assert coeffs[(26, 4)] in ({(0, 1, 2, 0): 1}, {(0, 1, 2, 0): -1})
         # each returned generator is itself a syzygy
         for rec, _poly in result.entries:
-            assert engine._phi_image(1, rec.value) == {}
+            assert phi_image(rec.value, engine.registry.value, engine.field) == {}
 
     def test_registered_generator_decomposes_to_itself(self, engine):
         gens = register_generators(engine)
@@ -385,22 +387,63 @@ class TestVerifyFragment:
         assert not report["passed"]
         assert any("annihilate" in v or "nonzero" in v for v in report["violations"])
 
+    # the in-memory and the file path share one checker, so each check
+    # either path made before now runs on both
+
+    def test_missing_reference_flagged_in_memory(self, engine):
+        fragment = engine.harvest((60, 10), 1)
+        broken = ResolutionFragment(fragment.degree, 1, {1: fragment.levels[1]})
+        report = engine.verify_fragment(broken)
+        assert not report["passed"]
+        assert all("references missing generator" in v for v in report["violations"])
+        assert len(report["violations"]) == sum(len(r.value) for r in fragment.levels[1])
+
+    def test_declared_degree_flagged_in_memory(self, engine):
+        import copy
+
+        broken = copy.deepcopy(engine.harvest((60, 10), 1))
+        rec = broken.levels[1][0]
+        rec.degree = (rec.degree[0] + 1, rec.degree[1])
+        report = engine.verify_fragment(broken)
+        assert [v for v in report["violations"] if v.startswith(str(rec.gid))] == [
+            f"{rec.gid}: inhomogeneous entry on {gid2}" for gid2 in rec.value]
+
+    def test_stored_zero_polynomial_flagged_by_both_paths(self, engine):
+        import copy
+        import json
+
+        from toricsyz.serialize import (
+            dumps, fragment_to_json, gid_to_json, verify_fragment_json)
+
+        fragment = engine.harvest((60, 10), 1)
+        doc = json.loads(dumps(fragment_to_json(fragment, engine)))
+        broken = copy.deepcopy(fragment)
+        rec = broken.levels[1][0]
+        gid2 = min(rec.value)
+        rec.value[gid2] = {}
+        entry = next(g for g in doc["generators"] if g["id"] == gid_to_json(rec.gid))
+        term = next(v for v in entry["value"] if v["generator"] == gid_to_json(gid2))
+        term["coefficient"] = []
+        report = engine.verify_fragment(broken)
+        assert f"{rec.gid}: stored zero polynomial on {gid2}" in report["violations"]
+        assert report == verify_fragment_json(doc, engine)
+
 
 class TestOracle:
     def test_12_2(self, engine):
-        assert engine.oracle_v0((12, 2)) == 1
+        assert oracle_v0(engine, (12, 2)) == 1
 
     def test_52_8(self, engine):
-        assert engine.oracle_v0((52, 8)) == 0
-        assert engine.oracle_v0((52, 8)) == engine.multigraded_betti((52, 8), 0)
+        assert oracle_v0(engine, (52, 8)) == 0
+        assert oracle_v0(engine, (52, 8)) == engine.multigraded_betti((52, 8), 0)
 
     def test_generator_degree(self, engine):
-        assert engine.oracle_v0((4, 1)) == 0
+        assert oracle_v0(engine, (4, 1)) == 0
 
     def test_nonzero_degrees_up_to_weight_4(self, engine):
         hits = [
             m for m in engine.semigroup.degrees_up_to(4)
-            if engine.oracle_v0(m) > 0
+            if oracle_v0(engine, m) > 0
         ]
         assert hits == [(12, 2), (15, 3), (18, 3), (21, 3)]
 
@@ -534,7 +577,7 @@ class TestThreeFourFive:
         }
         assert syzygy_degrees == {(13,): 1, (14,): 1}
         for m in sg.degrees_up_to(8):
-            assert engine.multigraded_betti(m, 0) == engine.oracle_v0(m)
+            assert engine.multigraded_betti(m, 0) == oracle_v0(engine, m)
 
     def test_harvest_recovers_hilbert_burch_columns(self):
         sg = Semigroup(1, [[3], [4], [5]])
@@ -552,7 +595,7 @@ class TestThreeFourFive:
             frozenset({(2, 1, 0), (0, 0, 2)}),   # x1^2x2 - x3^2
         }
         for rec in fragment.levels[1]:
-            assert engine._phi_image(1, rec.value) == {}
+            assert phi_image(rec.value, engine.registry.value, engine.field) == {}
             assert all(len(poly) == 1 for poly in rec.value.values())
 
 
@@ -578,7 +621,7 @@ class TestNonCohenMacaulayCurve:
         }
         assert gens == {(4, 4), (6, 6), (3, 9), (9, 3)}
         for m in sg.degrees_up_to(4):
-            assert engine.multigraded_betti(m, 0) == engine.oracle_v0(m)
+            assert engine.multigraded_betti(m, 0) == oracle_v0(engine, m)
             for j in range(sg.num_generators):
                 assert engine.multigraded_betti(m, j) == engine.betti_delta(m, j)
 

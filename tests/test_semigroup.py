@@ -188,9 +188,7 @@ def test_matrix_rank(example_semigroup, numerical_semigroup):
 
 class TestOtherShapes:
     def test_validate_presentation_function(self):
-        from toricsyz.semigroup import validate_presentation
-
-        assert validate_presentation(2, [[4, 1], [5, 1], [7, 1], [8, 1]]) == \
+        assert Semigroup(2, [[4, 1], [5, 1], [7, 1], [8, 1]]).grading == \
             (Fraction(0), Fraction(1))
 
     def test_single_generator(self):
