@@ -8,12 +8,10 @@ assembled into verified fragments of the minimal free resolution.
 """
 
 from .complexes import (
-    DegreeMismatch,
     DeltaComplex,
     NablaComplex,
     build_delta,
     build_nabla,
-    restrict_nabla,
 )
 from .config import Config
 from .homology import (
@@ -61,7 +59,6 @@ __all__ = [
     "Config",
     "DEGREVLEX",
     "DecompositionResult",
-    "DegreeMismatch",
     "DeltaComplex",
     "FieldError",
     "GeneratorRecord",
@@ -93,5 +90,4 @@ __all__ = [
     "gauss_reduce",
     "get_field",
     "mono_str",
-    "restrict_nabla",
 ]

@@ -22,18 +22,12 @@ from itertools import combinations
 from .orders import (
     Monomial,
     TermOrder,
-    mono_div,
-    mono_divides,
     mono_gcd,
     mono_is_unit,
 )
 from .semigroup import Degree, Semigroup
 
 Face = tuple[int, ...]
-
-
-class DegreeMismatch(ValueError):
-    """The restricting monomial's degree does not divide the complex degree."""
 
 
 class NablaComplex:
@@ -139,25 +133,6 @@ class NablaComplex:
 def build_nabla(semigroup: Semigroup, m: Degree, order: TermOrder) -> NablaComplex:
     vertices = semigroup.fiber(m, order)
     return NablaComplex(semigroup, m, order, vertices)
-
-
-def restrict_nabla(complex_: NablaComplex, beta: Monomial) -> NablaComplex:
-    """Divide out a monomial of the fiber of m - m'.
-
-    The vertices divisible by beta, each divided by beta, form exactly the
-    fiber of the reduced degree; faces restrict accordingly.  The result is
-    rebuilt directly so it compares equal to a fresh construction.
-    """
-    sg = complex_.semigroup
-    beta = tuple(beta)
-    target = sg.sub_degree(complex_.degree, sg.degree_of(beta))
-    if not sg.member(target):
-        raise DegreeMismatch(
-            f"degree of {beta} does not divide {complex_.degree} inside the semigroup"
-        )
-    reduced = [mono_div(v, beta) for v in complex_.vertices if mono_divides(beta, v)]
-    vertices = tuple(complex_.order.sort_decreasing(reduced))
-    return NablaComplex(sg, target, complex_.order, vertices)
 
 
 class DeltaComplex:

@@ -8,11 +8,14 @@ to bottom then columns left to right) produces invertible P and Q with
     P^-1 A Q = [[I_r, 0], [0, 0]],
 
 so the last columns of Q are a cycle basis and the images of the first
-columns of Q under the boundary map are a boundary basis.  Extending the
-boundary basis greedily through the cycle basis yields, per degree and
-dimension, one fixed basis of the cycle space whose tail represents
-homology classes.  Every choice here is load bearing: the resolution
-machinery is only well defined relative to these bases.
+columns of Q under the boundary map are a boundary basis.  One more
+reduction, of the matrix [boundary basis | cycle basis], picks the
+homology representatives: its pivot columns are the first columns
+independent of all columns before them, so they are the whole boundary
+basis followed by the first cycle-basis columns that extend it.  This
+gives, per degree and dimension, one fixed basis of the cycle space whose
+tail represents homology classes.  Every choice here is load bearing: the
+resolution machinery is only well defined relative to these bases.
 
 Elimination is sparse: the rows of A, the columns of Q and the rows of
 P^-1 are dicts holding only nonzeros, and column swaps are kept as a
@@ -245,15 +248,18 @@ class GaussDecomposition:
     """Result of gauss_reduce: rank, Q as sparse columns, P^-1 as sparse rows.
 
     ``q_cols[k]`` and ``p_inv_rows[i]`` are dicts index -> nonzero scalar.
+    ``pivots`` lists the input columns of the pivots in ascending order:
+    the columns independent of all input columns to their left.
     """
 
-    def __init__(self, field, nrows, ncols, rank, p_inv_rows, q_cols):
+    def __init__(self, field, nrows, ncols, rank, p_inv_rows, q_cols, pivots):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
         self.rank = rank
         self.p_inv_rows = p_inv_rows
         self.q_cols = q_cols
+        self.pivots = pivots
 
     def kernel_columns(self):
         """Last ncols - rank columns of Q: a basis of the kernel."""
@@ -349,29 +355,19 @@ def gauss_reduce(rows, ncols: int, field) -> GaussDecomposition:
                 axpy(q_cols[pos_of[k]], qt, -v)
         M[t] = None
         t += 1
-    return GaussDecomposition(field, m, ncols, t, p_inv, q_cols)
+    return GaussDecomposition(field, m, ncols, t, p_inv, q_cols, col_at[:t])
 
 
-class _EchelonTracker:
-    """Incremental independence test over a field."""
+def _reduce_columns(columns, nrows: int, field) -> GaussDecomposition:
+    """gauss_reduce of the matrix whose columns are the sparse vectors given.
 
-    def __init__(self, field):
-        self.field = field
-        self.rows = {}  # pivot position -> normalized row (dict pos -> scalar)
-
-    def add(self, vec: dict) -> bool:
-        """Reduce a sparse vector against the stored rows; keep and report if independent."""
-        field = self.field
-        work = dict(vec)
-        while work:
-            piv = min(work)
-            row = self.rows.get(piv)
-            if row is None:
-                inv = field.div(field.one, work[piv])
-                self.rows[piv] = {k: field.of(v * inv) for k, v in work.items()}
-                return True
-            field.axpy(work, row, -work[piv])
-        return False
+    Each column is a dict row index -> scalar.
+    """
+    rows = [[field.zero] * len(columns) for _ in range(nrows)]
+    for k, col in enumerate(columns):
+        for i, v in col.items():
+            rows[i][k] = v
+    return gauss_reduce(rows, len(columns), field)
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +412,13 @@ class ChainBasis:
         return vec
 
     def _get_solver(self):
+        """Reduction of [homology | boundary cycles], built on first use."""
         if self._solver is None:
-            cols = [self._dense(ch) for ch in self.homology]
-            cols += [self._dense(ch) for ch, _ in self.boundary]
-            rows = [
-                [col[i] for col in cols]
-                for i in range(len(self.faces))
-            ]
-            self._solver = gauss_reduce(rows, len(cols), self.field)
+            index = self.face_index
+            chains = self.homology + [ch for ch, _ in self.boundary]
+            self._solver = _reduce_columns(
+                [{index[f]: c for f, c in ch.items()} for ch in chains],
+                len(self.faces), self.field)
         return self._solver
 
     def express(self, chain: Chain):
@@ -499,23 +494,23 @@ def fixed_cycle_basis(complex_, j: int, field, g_down=None, g_up=None) -> ChainB
     """
     faces = complex_.faces_of_dim(j)
     up_faces = complex_.faces_of_dim(j + 1)
+    order_name = complex_.order.kind if hasattr(complex_, "order") else "index"
     if not faces:
-        return ChainBasis(complex_.degree, j, complex_.order.kind
-                          if hasattr(complex_, "order") else "index",
-                          field, (), up_faces, [], [], 0, 0)
+        return ChainBasis(complex_.degree, j, order_name, field, (), up_faces,
+                          [], [], 0, 0)
     face_index = {f: i for i, f in enumerate(faces)}
     if g_down is None:
         g_down = gauss_reduce(boundary_matrix(complex_, j).data, len(faces), field)
     if g_up is None:
         g_up = gauss_reduce(boundary_matrix(complex_, j + 1).data, len(up_faces), field)
 
-    tracker = _EchelonTracker(field)
-    boundary = []
+    cycles, preimages = [], []
     # the boundary of each up-face, by face index, is built once and shared
     # by every preimage column it appears in
     up_boundary = {}
     for qcol in g_up.q_cols[:g_up.rank]:
         preimage = {k: qcol[k] for k in sorted(qcol)}
+        preimages.append(preimage)
         vec = {}
         for k, v in preimage.items():
             col = up_boundary.get(k)
@@ -526,16 +521,19 @@ def fixed_cycle_basis(complex_, j: int, field, g_down=None, g_up=None) -> ChainB
                     for p in range(len(face))
                 }
             field.axpy(vec, col, v)
-        if not tracker.add(vec):
-            raise ArithmeticError("boundary basis vectors are dependent")
-        boundary.append(({faces[i]: c for i, c in vec.items()}, preimage))
+        cycles.append(vec)
 
-    homology = []
-    for col in g_down.kernel_columns():
-        if tracker.add(col):
-            homology.append({faces[k]: col[k] for k in sorted(col)})
-
-    order_name = complex_.order.kind if hasattr(complex_, "order") else "index"
+    # the pivot columns of [boundary | kernel] are the boundary columns,
+    # when independent, then the kernel columns that extend them
+    kernel = g_down.kernel_columns()
+    nb = len(cycles)
+    pivots = _reduce_columns(cycles + kernel, len(faces), field).pivots
+    if pivots[:nb] != list(range(nb)):
+        raise ArithmeticError("boundary basis vectors are dependent")
+    boundary = [({faces[i]: c for i, c in vec.items()}, preimage)
+                for vec, preimage in zip(cycles, preimages)]
+    homology = [{faces[k]: col[k] for k in sorted(col)}
+                for col in (kernel[p - nb] for p in pivots[nb:])]
     return ChainBasis(complex_.degree, j, order_name, field, faces, up_faces,
                       boundary, homology, g_down.rank, g_up.rank)
 
@@ -575,8 +573,9 @@ def load_cached_basis(cache_dir, key, field, complex_, j):
     An entry that cannot be read back counts as a miss: invalid JSON,
     missing keys, bad scalars, a degree, dimension or face list that is
     not that of complex_ in dimension j, a chain off those faces or with
-    nonzero boundary, or a boundary cycle that is not the boundary of its
-    preimage.
+    nonzero boundary, a boundary cycle that is not the boundary of its
+    preimage, chain counts that do not match the stored ranks, or chains
+    that are dependent.
     """
     path = os.path.join(cache_dir, f"basis-{key}.json")
     try:
@@ -602,6 +601,12 @@ def load_cached_basis(cache_dir, key, field, complex_, j):
     for chain in basis.homology:
         if not chain.keys() <= basis.face_index.keys() or chain_boundary(chain, field):
             return None
+    if (len(basis.boundary) != basis.rank_up
+            or len(basis.faces) - basis.cycle_dim != basis.rank_down):
+        return None
+    # independence; the reduction is the one express solves with
+    if basis._get_solver().rank < basis.cycle_dim:
+        return None
     return basis
 
 

@@ -71,10 +71,6 @@ def mono_gcd(*monos: Monomial) -> Monomial:
     return tuple(min(es) for es in zip(*monos))
 
 
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
 def mono_is_unit(a: Monomial) -> bool:
     return not any(a)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import product
 from math import lcm
 
 from .homology import RationalField, gauss_reduce
@@ -257,23 +256,6 @@ class Semigroup:
         if not find_all:
             return bool(solutions)
         return solutions
-
-    def brute_force_fiber(self, m: Degree) -> set[Monomial]:
-        """Independent boxed enumeration of the fiber, for cross-checking.
-
-        Scans the full box 0 <= a_i <= w.m / w.n_i coordinate by coordinate
-        with no pruning or early solving.
-        """
-        m = tuple(m)
-        wm = self.weight(m)
-        if wm < 0:
-            return set()
-        ranges = [range(int(wm / self.weight(n)) + 1) for n in self.generators]
-        return {
-            alpha
-            for alpha in product(*ranges)
-            if self.degree_of(alpha) == m
-        }
 
     def degrees_up_to(self, w_bound) -> list[Degree]:
         """All semigroup elements of weight at most w_bound, canonically ordered."""

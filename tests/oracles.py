@@ -1,7 +1,76 @@
 """Independent test oracles, kept apart from the engine they check."""
 from __future__ import annotations
 
-from toricsyz.orders import mono_mul
+from itertools import product
+
+from toricsyz.complexes import NablaComplex
+from toricsyz.orders import mono_div, mono_mul
+
+
+class DegreeMismatch(ValueError):
+    """The restricting monomial's degree does not divide the complex degree."""
+
+
+def brute_force_fiber(sg, m) -> set:
+    """Independent boxed enumeration of the fiber of m, for cross-checking.
+
+    Scans the full box 0 <= a_i <= w.m / w.n_i coordinate by coordinate
+    with no pruning or early solving.
+    """
+    m = tuple(m)
+    wm = sg.weight(m)
+    if wm < 0:
+        return set()
+    ranges = [range(int(wm / sg.weight(n)) + 1) for n in sg.generators]
+    return {alpha for alpha in product(*ranges) if sg.degree_of(alpha) == m}
+
+
+def restrict_nabla(complex_, beta) -> NablaComplex:
+    """Divide out a monomial of the fiber of m - m'.
+
+    The vertices divisible by beta, each divided by beta, form exactly the
+    fiber of the reduced degree; faces restrict accordingly.  The result is
+    rebuilt directly so it compares equal to a fresh construction.
+    """
+    sg = complex_.semigroup
+    beta = tuple(beta)
+    target = sg.sub_degree(complex_.degree, sg.degree_of(beta))
+    if not sg.member(target):
+        raise DegreeMismatch(
+            f"degree of {beta} does not divide {complex_.degree} inside the semigroup"
+        )
+    reduced = [mono_div(v, beta) for v in complex_.vertices
+               if all(b <= e for b, e in zip(beta, v))]
+    vertices = tuple(complex_.order.sort_decreasing(reduced))
+    return NablaComplex(sg, target, complex_.order, vertices)
+
+
+def greedy_extension(field, boundary, candidates):
+    """The candidates that extend the span of boundary, kept greedily.
+
+    Vectors are sparse dicts index -> scalar.  Each vector is reduced
+    against the rows kept so far, one pivot at a time; a nonzero rest is
+    independent and is kept.  Raises ArithmeticError when the boundary
+    vectors are themselves dependent.  Incremental, so it shares no
+    elimination code with the engine.
+    """
+    rows = {}  # pivot index -> row normalized to 1 there
+
+    def add(vec):
+        work = dict(vec)
+        while work:
+            piv = min(work)
+            row = rows.get(piv)
+            if row is None:
+                inv = field.div(field.one, work[piv])
+                rows[piv] = {k: field.of(v * inv) for k, v in work.items()}
+                return True
+            field.axpy(work, row, -work[piv])
+        return False
+
+    if not all(add(vec) for vec in boundary):
+        raise ArithmeticError("boundary vectors are dependent")
+    return [vec for vec in candidates if add(vec)]
 
 
 def oracle_v0(engine, m) -> int:

@@ -197,6 +197,24 @@ class TestDeterminism:
         assert main(["--field", "six", "betti", semigroup_file, "-m", "21,3"]) == 2
 
 
+class TestCorruptCacheEntry:
+    def test_dependent_homology_chain_is_recomputed(self, capsys, semigroup_file,
+                                                    tmp_path):
+        cache = tmp_path / "cache"
+        argv = ["harvest", semigroup_file, "-m", "21,3", "--max-level", "1",
+                "--cache", str(cache)]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        [path] = [p for p in cache.iterdir()
+                  if json.loads(p.read_text(encoding="utf-8"))["dim"] == 0]
+        original = path.read_bytes()
+        data = json.loads(original)
+        data["homology"].append(data["homology"][0])
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert run(capsys, *argv) == (0, out)
+        assert path.read_bytes() == original
+
+
 class TestFaceCapFlag:
     def test_capped_harvest_still_verifies(self, capsys, semigroup_file):
         code, out = run(capsys, "--format", "json", "harvest", semigroup_file,
@@ -348,7 +366,15 @@ class TestInternalCheckFailures:
         assert err.startswith("error: internal check failed: ")
 
     def test_dependent_basis_exits_one(self, capsys, semigroup_file, monkeypatch):
-        monkeypatch.setattr(homology._EchelonTracker, "add", lambda self, vec: False)
+        original = homology.gauss_reduce
+
+        def first_column_dependent(rows, ncols, field):
+            decomp = original(rows, ncols, field)
+            decomp.pivots = [c for c in decomp.pivots if c != 0]
+            return decomp
+
+        # column 0 of the selection matrix is the first boundary cycle
+        monkeypatch.setattr(homology, "gauss_reduce", first_column_dependent)
         code, err = self._minimalize(capsys, semigroup_file)
         assert code == 1
         assert err == "error: internal check failed: boundary basis vectors are dependent\n"

@@ -2,13 +2,12 @@ import random
 from itertools import combinations
 
 import pytest
+from oracles import DegreeMismatch, restrict_nabla
 
 from toricsyz import (
     DEGREVLEX,
-    DegreeMismatch,
     build_delta,
     build_nabla,
-    restrict_nabla,
 )
 from toricsyz.orders import mono_gcd, mono_is_unit
 

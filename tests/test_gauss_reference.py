@@ -83,3 +83,13 @@ def test_sparse_matches_dense_reference(field):
                 consistent += 1
     assert consistent and inconsistent
 
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_pivots_are_where_prefix_rank_grows(field):
+    rng = random.Random(f"pivots-{field.name}")
+    for m, n, density, rank_cap in shapes(rng):
+        rows = random_matrix(rng, field, m, n, density, rank_cap)
+        ranks = [dense_gauss_reduce([row[:k] for row in rows], k, field).rank
+                 for k in range(n + 1)]
+        expected = [k for k in range(n) if ranks[k + 1] > ranks[k]]
+        assert gauss_reduce([list(r) for r in rows], n, field).pivots == expected, rows

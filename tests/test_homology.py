@@ -338,10 +338,16 @@ class TestDeterminismAndCache:
             *data["boundary"][1:]]}),
         lambda text, data: json.dumps({**data, "boundary": [
             {**data["boundary"][0], "preimage": [[-1, "1/1"]]}, *data["boundary"][1:]]}),
+        lambda text, data: json.dumps({**data, "rank_up": data["rank_up"] + 1}),
+        lambda text, data: json.dumps({**data, "rank_down": data["rank_down"] - 1}),
+        # counts consistent with the ranks, but one boundary entry repeated
+        lambda text, data: json.dumps({
+            **data, "boundary": data["boundary"] + data["boundary"][:1],
+            "rank_up": data["rank_up"] + 1, "rank_down": data["rank_down"] - 1}),
     ], ids=["truncated", "not-utf8", "missing-key", "not-an-object", "zero-denominator",
             "bad-scalar", "faces", "up-faces", "dim", "degree", "homology-not-a-cycle",
             "cycle-not-boundary-of-preimage", "preimage-index-too-large",
-            "preimage-index-negative"])
+            "preimage-index-negative", "rank-up", "rank-down", "dependent-chains"])
     def test_corrupt_entry_is_a_miss(self, tmp_path, example_semigroup, corrupt):
         cx = build_nabla(example_semigroup, (36, 6), DEGREVLEX)
         basis = fixed_cycle_basis(cx, 1, Q)

@@ -9,8 +9,20 @@ import copy
 import json
 
 from hypothesis import assume, given, strategies as st
+from oracles import brute_force_fiber, greedy_extension
 
-from toricsyz import DEGREVLEX, Config, ResolutionEngine, Semigroup, SemigroupError
+from toricsyz import (
+    DEGREVLEX,
+    Config,
+    ResolutionEngine,
+    Semigroup,
+    SemigroupError,
+    boundary_matrix,
+    build_nabla,
+    fixed_cycle_basis,
+    gauss_reduce,
+    get_field,
+)
 from toricsyz.serialize import dumps, fragment_to_json, gid_to_json, verify_fragment_json
 
 FIELDS = ("rational", 32003)
@@ -40,7 +52,7 @@ def test_fiber_search_matches_brute_force(data):
     # member runs its own search first; fiber would fill its cache
     member = sg.member(m)
     fiber = sg.fiber(m, DEGREVLEX)
-    assert set(fiber) == sg.brute_force_fiber(m)
+    assert set(fiber) == brute_force_fiber(sg, m)
     assert len(set(fiber)) == len(fiber)
     assert member == bool(fiber)
 
@@ -55,6 +67,24 @@ def test_betti_delta_matches_fiber_complex(data):
         for m in degrees:
             for j in range(sg.num_generators):
                 assert engine.betti_delta(m, j) == engine.multigraded_betti(m, j), \
+                    (sg, m, j, field)
+
+
+@given(data=st.data())
+def test_homology_representatives_are_the_greedy_extension(data):
+    sg = data.draw(presentations())
+    degrees = [m for m in sg.degrees_up_to(6) if len(sg.fiber(m, DEGREVLEX)) <= 12]
+    for field in map(get_field, FIELDS):
+        for m in degrees:
+            cx = build_nabla(sg, m, DEGREVLEX)
+            for j in range(sg.num_generators):
+                basis = fixed_cycle_basis(cx, j, field)
+                index = basis.face_index
+                boundary = [{index[f]: c for f, c in ch.items()} for ch, _ in basis.boundary]
+                kernel = gauss_reduce(boundary_matrix(cx, j).data, len(basis.faces),
+                                      field).kernel_columns()
+                homology = [{index[f]: c for f, c in ch.items()} for ch in basis.homology]
+                assert homology == greedy_extension(field, boundary, kernel), \
                     (sg, m, j, field)
 
 

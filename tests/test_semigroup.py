@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import brute_force_fiber
 
 from toricsyz import (
     DEGREVLEX,
@@ -144,7 +145,7 @@ class TestFiber:
     def test_matches_boxed_brute_force(self, example_semigroup):
         sg = example_semigroup
         for m in sg.degrees_up_to(5):
-            assert set(sg.fiber(m, DEGREVLEX)) == sg.brute_force_fiber(m)
+            assert set(sg.fiber(m, DEGREVLEX)) == brute_force_fiber(sg, m)
 
     def test_strictly_decreasing_and_stable(self, example_semigroup):
         fiber = example_semigroup.fiber((52, 8), DEGREVLEX)
@@ -159,7 +160,7 @@ class TestDivisibilityOrder:
     def test_comparable_pair(self, example_semigroup):
         # the difference (31, 5) has a nonempty fiber, found by brute force
         diff = (31, 5)
-        assert example_semigroup.brute_force_fiber(diff)
+        assert brute_force_fiber(example_semigroup, diff)
         assert example_semigroup.s_less((21, 3), (52, 8))
 
     def test_reflexive(self, example_semigroup):
@@ -201,7 +202,7 @@ class TestOtherShapes:
         sg = Semigroup(2, [[1, -1], [0, 1]])
         assert all(sg.weight(n) >= 1 for n in sg.generators)
         for m in sg.degrees_up_to(4):
-            assert set(sg.fiber(m, DEGREVLEX)) == sg.brute_force_fiber(m)
+            assert set(sg.fiber(m, DEGREVLEX)) == brute_force_fiber(sg, m)
 
     def test_numerical_semigroup_fibers(self, numerical_semigroup):
         sg = numerical_semigroup
