@@ -58,8 +58,8 @@ def _field_value(text: str):
 
 
 def _add_global_options(parser, suppress: bool):
-    # registered on the main parser and again on every subcommand, so the
-    # flags are accepted on either side of the command word
+    # registered on the main parser and on the parent of every subcommand,
+    # so the flags are accepted on either side of the command word
     default = (lambda v: argparse.SUPPRESS if suppress else v)
     parser.add_argument("--order", default=default("degrevlex"),
                         choices=["degrevlex", "lex"])
@@ -81,11 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact minimal generators and syzygies of semigroup algebras",
     )
     _add_global_options(parser, suppress=False)
+    # one registration shared by every subcommand; its SUPPRESS defaults
+    # leave the main parser's values in place when a flag is not repeated
+    common = argparse.ArgumentParser(add_help=False)
+    _add_global_options(common, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        _add_global_options(p, suppress=True)
+        p = sub.add_parser(name, help=help_text, parents=[common])
         p.add_argument("semigroup", help="semigroup JSON file")
         return p
 

@@ -32,9 +32,6 @@ class TermOrder:
             return (sum(mono), tuple(-e for e in reversed(mono)))
         return tuple(mono)
 
-    def greater(self, a: Monomial, b: Monomial) -> bool:
-        return self.key(a) > self.key(b)
-
     def sort_decreasing(self, monos) -> list[Monomial]:
         return sorted(monos, key=self.key, reverse=True)
 

@@ -295,6 +295,11 @@ class ResolutionEngine:
             )
             basis = load_cached_basis(cache_dir, disk_key, self.field,
                                       self.nabla(m), j)
+            # a loaded entry whose stored ranks hide a wrong homology count
+            # is a miss; the comparison complex gives the count without a
+            # fiber elimination
+            if basis is not None and len(basis.homology) != self.betti_delta(m, j):
+                basis = None
         if basis is None:
             cx = self.nabla(m)
             g_down = self._gauss_at(m, j)

@@ -6,12 +6,21 @@ finitely many factorizations per element, which is certified here by a
 rational weight vector w with w.n_i >= 1 for every generator: such a w
 exists exactly when no nonzero nonnegative combination of the columns
 vanishes.  The weight also bounds every fiber enumeration.
+
+w is found by Fourier-Motzkin elimination on {w.n_i >= 1} that drops only
+rows the other rows imply: each row is divided by the gcd of its
+coefficients and right-hand side (never rounded, since integer tightening
+would change the rational polyhedron and so w), duplicates are merged,
+and Chernikov's rule drops combinations of too many generators.  Every
+projection is the one plain elimination gives, and w is rebuilt from the
+projections alone, so it is plain elimination's point; w shows in
+`validate` output, in weight bounds and in degree order.
 """
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .homology import RationalField, gauss_reduce
 from .orders import Monomial, TermOrder
@@ -35,39 +44,85 @@ def _dot(w, v):
     return sum(a * b for a, b in zip(w, v))
 
 
+def _pruned(rows, eliminated: int):
+    """The rows of one projected system with the redundant ones removed.
+
+    Each row is (coeffs, rhs, history), the history being a bitmask of the
+    original rows it combines.  Every dropped row is implied by the kept
+    ones, so the system still describes the same polyhedron:
+    - a row whose history has more than eliminated + 1 members is dropped
+      (Chernikov's rule): its multipliers are no extreme combination, so
+      the rows of the extreme ones, which this rule keeps, imply it;
+    - each row is divided by the gcd of its coefficients and rhs, and rows
+      then equal are merged, keeping the smaller history where one history
+      contains the other; duplicates with incomparable histories all stay,
+      since each may be the row of an extreme combination and its history
+      is what later steps test;
+    - all-zero rows are kept as they are, for the infeasibility checks.
+    """
+    limit = eliminated + 1
+    kept: dict[tuple, list[int]] = {}
+    zero_rows = []
+    for coeffs, rhs, history in rows:
+        if not any(coeffs):
+            zero_rows.append((coeffs, rhs, history))
+            continue
+        if history.bit_count() > limit:
+            continue
+        g = gcd(*coeffs, rhs)
+        if g > 1:  # exact division: rounding rhs would change the polyhedron
+            coeffs, rhs = tuple(c // g for c in coeffs), rhs // g
+        histories = kept.setdefault((coeffs, rhs), [])
+        if any(h & ~history == 0 for h in histories):
+            continue  # a kept duplicate's history is a subset of this one
+        histories[:] = [h for h in histories if h & ~history] + [history]
+    return [(c, b, h) for (c, b), hs in kept.items() for h in hs] + zero_rows
+
+
 def _fourier_motzkin_point(rows: list[tuple[tuple[int, ...], int]], dim: int):
     """Feasible rational point for the system {coeffs . x >= rhs}, or None.
 
     Variables are eliminated from the last index down to index 1, then the
     point is rebuilt front to back, clamping 0 into the admissible interval
     of each variable.  Deterministic by construction.
+
+    Plain Fourier-Motzkin elimination can square the row count at every
+    step, so each projected system is pruned (`_pruned`): rows are divided
+    by the gcd of their coefficients and right-hand side, duplicates with
+    nested histories are merged, and after k eliminations a combined row
+    built from more than k + 1 original rows is dropped (Chernikov's rule;
+    S. N. Chernikov, 1965; J.-L. Imbert, 1993).  Only implied rows go, so
+    every projected system describes the same polyhedron as the unpruned
+    one.  The interval each coordinate is clamped into is the fiber of that
+    projection over the coordinates already fixed, which redundant rows do
+    not narrow, so the point is the one plain elimination would give.
     """
-    systems = [rows]
+    # row i's history is the bit 1 << i
+    systems = [_pruned([(c, b, 1 << i) for i, (c, b) in enumerate(rows)], 0)]
     for var in range(dim - 1, 0, -1):
         current = systems[-1]
-        lower, upper, rest = [], [], []
-        for coeffs, rhs in current:
-            c = coeffs[var]
+        lower, upper, combined = [], [], []
+        for row in current:
+            c = row[0][var]
             if c > 0:
-                lower.append((coeffs, rhs))
+                lower.append(row)
             elif c < 0:
-                upper.append((coeffs, rhs))
+                upper.append(row)
             else:
-                rest.append((coeffs, rhs))
-        combined = list(rest)
-        for pc, prhs in lower:
-            for nc, nrhs in upper:
+                combined.append(row)
+        for pc, prhs, ph in lower:
+            for nc, nrhs, nh in upper:
                 a, b = pc[var], -nc[var]
                 # a*(upper row) + b*(lower row): positive combination, var cancels
                 coeffs = tuple(a * nc[i] + b * pc[i] for i in range(dim))
-                combined.append((coeffs, a * nrhs + b * prhs))
-        systems.append(combined)
+                combined.append((coeffs, a * nrhs + b * prhs, ph | nh))
+        systems.append(_pruned(combined, dim - var))
 
     point: list[Fraction] = []
     for var in range(dim):
         current = systems[dim - 1 - var]
         lo = hi = None
-        for coeffs, rhs in current:
+        for coeffs, rhs, _ in current:
             c = coeffs[var]
             residual = Fraction(rhs) - sum(
                 coeffs[i] * point[i] for i in range(var)
@@ -181,10 +236,6 @@ class Semigroup:
         result = self._search(m, find_all=False) is True
         self._member_cache[m] = result
         return result
-
-    def s_less(self, mp: Degree, m: Degree) -> bool:
-        """The divisibility partial order: mp precedes m iff m - mp is in S."""
-        return self.member(self.sub_degree(m, mp))
 
     def fiber(self, m: Degree, order: TermOrder) -> tuple[Monomial, ...]:
         """All monomials of degree m, sorted decreasing in the term order."""

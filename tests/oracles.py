@@ -1,6 +1,7 @@
 """Independent test oracles, kept apart from the engine they check."""
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 from toricsyz.complexes import NablaComplex
@@ -23,6 +24,69 @@ def brute_force_fiber(sg, m) -> set:
         return set()
     ranges = [range(int(wm / sg.weight(n)) + 1) for n in sg.generators]
     return {alpha for alpha in product(*ranges) if sg.degree_of(alpha) == m}
+
+
+def s_less(sg, mp, m) -> bool:
+    """The divisibility partial order of S: mp precedes m iff m - mp is in S."""
+    return sg.member(sg.sub_degree(m, mp))
+
+
+def fourier_motzkin_point(rows: list[tuple[tuple[int, ...], int]], dim: int):
+    """Feasible rational point for the system {coeffs . x >= rhs}, or None.
+
+    Plain Fourier-Motzkin elimination with no redundancy removal, the
+    reference the engine's pruned elimination must reproduce exactly.
+    Variables are eliminated from the last index down to index 1, then the
+    point is rebuilt front to back, clamping 0 into the admissible interval
+    of each variable.  Deterministic by construction.
+    """
+    systems = [rows]
+    for var in range(dim - 1, 0, -1):
+        current = systems[-1]
+        lower, upper, rest = [], [], []
+        for coeffs, rhs in current:
+            c = coeffs[var]
+            if c > 0:
+                lower.append((coeffs, rhs))
+            elif c < 0:
+                upper.append((coeffs, rhs))
+            else:
+                rest.append((coeffs, rhs))
+        combined = list(rest)
+        for pc, prhs in lower:
+            for nc, nrhs in upper:
+                a, b = pc[var], -nc[var]
+                # a*(upper row) + b*(lower row): positive combination, var cancels
+                coeffs = tuple(a * nc[i] + b * pc[i] for i in range(dim))
+                combined.append((coeffs, a * nrhs + b * prhs))
+        systems.append(combined)
+
+    point: list[Fraction] = []
+    for var in range(dim):
+        current = systems[dim - 1 - var]
+        lo = hi = None
+        for coeffs, rhs in current:
+            c = coeffs[var]
+            residual = Fraction(rhs) - sum(
+                coeffs[i] * point[i] for i in range(var)
+            )
+            if c > 0:
+                bound = residual / c
+                lo = bound if lo is None else max(lo, bound)
+            elif c < 0:
+                bound = residual / c
+                hi = bound if hi is None else min(hi, bound)
+            elif residual > 0:
+                return None
+        if lo is not None and hi is not None and lo > hi:
+            return None
+        x = Fraction(0)
+        if lo is not None:
+            x = max(x, lo)
+        if hi is not None:
+            x = min(x, hi)
+        point.append(x)
+    return point
 
 
 def restrict_nabla(complex_, beta) -> NablaComplex:

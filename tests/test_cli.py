@@ -214,6 +214,26 @@ class TestCorruptCacheEntry:
         assert run(capsys, *argv) == (0, out)
         assert path.read_bytes() == original
 
+    def test_missing_homology_with_consistent_ranks_is_recomputed(
+            self, capsys, semigroup_file, tmp_path):
+        # emptying homology and raising rank_down keeps the stored counts
+        # consistent; only the Betti count at that degree shows the loss
+        cache = tmp_path / "cache"
+        argv = ["harvest", semigroup_file, "-m", "21,3", "--max-level", "1",
+                "--cache", str(cache)]
+        code, out = run(capsys, *argv)
+        assert code == 0 and "level 0: 1 generator(s)" in out
+        [path] = [p for p in cache.iterdir()
+                  if json.loads(p.read_text(encoding="utf-8"))["dim"] == 0]
+        original = path.read_bytes()
+        data = json.loads(original)
+        assert data["homology"]
+        data["homology"] = []
+        data["rank_down"] += 1
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert run(capsys, *argv) == (0, out)
+        assert path.read_bytes() == original
+
 
 class TestFaceCapFlag:
     def test_capped_harvest_still_verifies(self, capsys, semigroup_file):

@@ -1,4 +1,4 @@
-"""Byte-exact goldens: CLI artifacts and one on-disk basis file.
+"""Byte-exact goldens: CLI artifacts, one on-disk basis file and the help.
 
 Each case runs one command through ``toricsyz.cli.main`` and compares what
 it writes with a file under ``tests/golden/`` byte for byte. Tests that only
@@ -18,10 +18,11 @@ import io
 import json
 import os
 import sys
+from unittest import mock
 
 import pytest
 
-from toricsyz.cli import main
+from toricsyz.cli import _HANDLERS, main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 EXAMPLE = os.path.join(GOLDEN, "example.json")
@@ -54,6 +55,10 @@ OUTPUTS = {
 CACHE_ARGV = ["betti", EXAMPLE, "-m", "60,10", "--jmax", "2", "--delta-crosscheck"]
 CACHE_FILE = "basis-c17308e3c3a72635a2b4fd0001168cec53fc77e4146adbf3ea0a258556cdbe45.json"
 CACHE_GOLDEN = "basis_60_10_dim2_rational.json"
+
+# argparse lays help out differently across Python minor versions, so the
+# help golden is per version; it is taken at a fixed 80-column width
+HELP_GOLDEN = "help_py{}{}.txt".format(*sys.version_info[:2])
 
 
 def _run(argv):
@@ -115,6 +120,26 @@ def test_wrong_cached_coefficient_is_a_miss(tmp_path):
     assert path.read_bytes() == original
 
 
+def _help_text():
+    """The --help output of the main parser and of every subcommand."""
+    pages = []
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for argv in [[]] + [[name] for name in _HANDLERS]:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                with pytest.raises(SystemExit) as exit_info:
+                    main(argv + ["--help"])
+            assert exit_info.value.code == 0, argv
+            pages.append(f"$ toricsyz {' '.join(argv + ['--help'])}\n{out.getvalue()}")
+    return "".join(pages).encode("utf-8")
+
+
+def test_help_matches_golden():
+    path = os.path.join(GOLDEN, HELP_GOLDEN)
+    if not os.path.exists(path):
+        pytest.skip(f"no help golden for this Python version ({HELP_GOLDEN})")
+    assert _help_text() == _read(path)
+
+
 def regenerate():
     for name, argv in OUTPUTS.items():
         _run(argv + ["--output", os.path.join(GOLDEN, name)])
@@ -124,6 +149,8 @@ def regenerate():
     for leftover in os.listdir(cache):
         os.remove(os.path.join(cache, leftover))
     os.rmdir(cache)
+    with open(os.path.join(GOLDEN, HELP_GOLDEN), "wb") as fh:
+        fh.write(_help_text())
 
 
 if __name__ == "__main__":

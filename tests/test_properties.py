@@ -3,17 +3,21 @@
 Presentations have d <= 3 rows and r <= 5 columns with entries of both
 signs; those that are not combinatorially finite (or have a zero column)
 are filtered out. Degrees are semigroup elements of small weight, plus
-shifts of them that usually leave the semigroup.
+shifts of them that usually leave the semigroup.  The grading certificate
+is checked on its own columns (d <= 4, r <= 7 plus some negated copies),
+which are kept whether or not a grading exists.
 """
 import copy
 import json
 
-from hypothesis import assume, given, strategies as st
-from oracles import brute_force_fiber, greedy_extension
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+from oracles import brute_force_fiber, fourier_motzkin_point, greedy_extension
 
 from toricsyz import (
     DEGREVLEX,
     Config,
+    NotCombinatoriallyFinite,
     ResolutionEngine,
     Semigroup,
     SemigroupError,
@@ -23,6 +27,7 @@ from toricsyz import (
     gauss_reduce,
     get_field,
 )
+from toricsyz.semigroup import _fourier_motzkin_point
 from toricsyz.serialize import dumps, fragment_to_json, gid_to_json, verify_fragment_json
 
 FIELDS = ("rational", 32003)
@@ -39,6 +44,35 @@ def presentations(draw, max_dim=3, max_gens=5, min_codim=None):
         return Semigroup(d, columns)
     except SemigroupError:  # NotCombinatoriallyFinite or ZeroGenerator
         assume(False)
+
+
+@st.composite
+def generator_columns(draw, max_dim=4, max_gens=7):
+    """Nonzero mixed-sign columns, some followed by their negatives."""
+    d = draw(st.integers(1, max_dim))
+    column = st.lists(st.integers(-2, 3), min_size=d, max_size=d).filter(any)
+    columns = []
+    for col in draw(st.lists(column, min_size=1, max_size=max_gens)):
+        columns.append(col)
+        # a +- pair admits no positive grading
+        if draw(st.integers(0, 5)) == 0:
+            columns.append([-x for x in col])
+    return d, columns
+
+
+@settings(max_examples=200)
+@given(generator_columns())
+def test_pruned_elimination_gives_the_reference_point(case):
+    d, columns = case
+    rows = [(tuple(col), 1) for col in columns]
+    point = fourier_motzkin_point(rows, d)
+    assert _fourier_motzkin_point(rows, d) == point, columns
+    if point is None:
+        with pytest.raises(NotCombinatoriallyFinite):
+            Semigroup(d, columns)
+    else:
+        scale = min(sum(a * b for a, b in zip(point, col)) for col in columns)
+        assert Semigroup(d, columns).grading == tuple(x / scale for x in point)
 
 
 @given(data=st.data())
