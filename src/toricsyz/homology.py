@@ -12,10 +12,15 @@ columns of Q under the boundary map are a boundary basis.  One more
 reduction, of the matrix [boundary basis | cycle basis], picks the
 homology representatives: its pivot columns are the first columns
 independent of all columns before them, so they are the whole boundary
-basis followed by the first cycle-basis columns that extend it.  This
-gives, per degree and dimension, one fixed basis of the cycle space whose
-tail represents homology classes.  Every choice here is load bearing: the
-resolution machinery is only well defined relative to these bases.
+basis followed by the first cycle-basis columns that extend it.  Each
+cycle-basis column has coefficient 1 at one free (non-pivot) column of
+A and its other support on pivot columns, so projecting onto the free
+columns is injective on cycles and turns the cycle basis into unit
+vectors; the selection reduces that projection, which has the same pivot
+columns and n - r rows instead of n.  This gives, per degree and
+dimension, one fixed basis of the cycle space whose tail represents
+homology classes.  Every choice here is load bearing: the resolution
+machinery is only well defined relative to these bases.
 
 Elimination is sparse: the rows of A, the columns of Q and the rows of
 P^-1 are dicts holding only nonzeros, and column swaps are kept as a
@@ -23,7 +28,8 @@ permutation.  Boundary matrices are 0/+-1 with j+1 nonzeros per column,
 so this keeps time and memory near the fill-in instead of m^2 + n^2.  The
 pivot rule and every row and column operation are those of the dense
 elimination, in exact arithmetic, so Q, P^-1 and therefore the bases are
-unchanged.
+unchanged.  Each call tracks only what its caller reads: Q for the
+fixed bases, P^-1 and Q for solving, neither for rank and pivots.
 """
 from __future__ import annotations
 
@@ -247,9 +253,11 @@ def chain_boundary(chain: Chain, field=_RATIONALS) -> Chain:
 class GaussDecomposition:
     """Result of gauss_reduce: rank, Q as sparse columns, P^-1 as sparse rows.
 
-    ``q_cols[k]`` and ``p_inv_rows[i]`` are dicts index -> nonzero scalar.
-    ``pivots`` lists the input columns of the pivots in ascending order:
-    the columns independent of all input columns to their left.
+    ``q_cols[k]`` and ``p_inv_rows[i]`` are dicts index -> nonzero scalar,
+    or None where gauss_reduce was told not to keep them, so a reader of
+    a matrix that was not tracked fails at once.  ``pivots`` lists the
+    input columns of the pivots in ascending order: the columns
+    independent of all input columns to their left.
     """
 
     def __init__(self, field, nrows, ncols, rank, p_inv_rows, q_cols, pivots):
@@ -269,7 +277,7 @@ class GaussDecomposition:
         """One solution x of A x = vec as a dense list, or None when inconsistent.
 
         Uses x = Q . [(P^-1 vec)_{1..r}; 0], which is deterministic and
-        linear in vec.
+        linear in vec; needs both P^-1 and Q.
         """
         field = self.field
         support = {k: v for k, v in enumerate(vec) if v}
@@ -289,7 +297,7 @@ class GaussDecomposition:
         return dense
 
 
-def gauss_reduce(rows, ncols: int, field) -> GaussDecomposition:
+def gauss_reduce(rows, ncols: int, field, keep: str = "pq") -> GaussDecomposition:
     """Reduce a matrix to the block identity form with fixed pivoting.
 
     ``rows`` are dense lists; only their nonzeros are kept.  Pivot rule:
@@ -298,7 +306,14 @@ def gauss_reduce(rows, ncols: int, field) -> GaussDecomposition:
     into the block's next position.  Rows are cleared top to bottom, then
     columns left to right; the column swaps are kept as a permutation, and
     Q's columns are listed in the permuted order.
+
+    ``keep`` names the transforms to track: "p" for P^-1, "q" for Q.
+    Neither changes a pivot, so rank and pivots are the same in every
+    mode, and a kept P^-1 or Q is the same with or without the other.
     """
+    if not set(keep) <= {"p", "q"}:
+        raise ValueError(f"keep must name only 'p' and 'q', not {keep!r}")
+    keep_p, keep_q = "p" in keep, "q" in keep
     m = len(rows)
     fo = field.one
     of = field.of
@@ -312,8 +327,8 @@ def gauss_reduce(rows, ncols: int, field) -> GaussDecomposition:
                 if v:
                     entries[k] = v
         M.append(entries)
-    p_inv = [{i: fo} for i in range(m)]
-    q_cols = [{k: fo} for k in range(ncols)]
+    p_inv = [{i: fo} for i in range(m)] if keep_p else None
+    q_cols = [{k: fo} for k in range(ncols)] if keep_q else None
     col_at = list(range(ncols))  # position -> column of the input
     pos_of = list(range(ncols))  # column of the input -> position
     t = 0
@@ -328,37 +343,40 @@ def gauss_reduce(rows, ncols: int, field) -> GaussDecomposition:
         piv = hits[0]
         if piv != t:
             M[t], M[piv] = M[piv], M[t]
-            p_inv[t], p_inv[piv] = p_inv[piv], p_inv[t]
+            if keep_p:
+                p_inv[t], p_inv[piv] = p_inv[piv], p_inv[t]
         if c != t:
             moved = col_at[t]
             col_at[t], col_at[c] = c, moved
             pos_of[c], pos_of[moved] = t, c
-            q_cols[t], q_cols[c] = q_cols[c], q_cols[t]
+            if keep_q:
+                q_cols[t], q_cols[c] = q_cols[c], q_cols[t]
         src = M[t]
-        src_inv = p_inv[t]
         pivot = src[c]
         if pivot != fo:
             inv = field.div(fo, pivot)
-            for row in (src, src_inv):
+            for row in (src, p_inv[t]) if keep_p else (src,):
                 for k, v in row.items():
                     row[k] = of(v * inv)
         # hits[1:] keep their indices: the swap only moved rows t and piv
         for i in hits[1:]:
             f = -M[i][c]
             axpy(M[i], src, f)
-            axpy(p_inv[i], src_inv, f)
-        # column c is now e_t, so clearing row t by column operations is
-        # bookkeeping on Q only; the row itself is no longer needed
-        qt = q_cols[t]
-        for k, v in src.items():
-            if k != c:
-                axpy(q_cols[pos_of[k]], qt, -v)
+            if keep_p:
+                axpy(p_inv[i], p_inv[t], f)
+        if keep_q:
+            # column c is now e_t, so clearing row t by column operations
+            # is bookkeeping on Q only; the row itself is no longer needed
+            qt = q_cols[t]
+            for k, v in src.items():
+                if k != c:
+                    axpy(q_cols[pos_of[k]], qt, -v)
         M[t] = None
         t += 1
     return GaussDecomposition(field, m, ncols, t, p_inv, q_cols, col_at[:t])
 
 
-def _reduce_columns(columns, nrows: int, field) -> GaussDecomposition:
+def _reduce_columns(columns, nrows: int, field, keep: str = "pq") -> GaussDecomposition:
     """gauss_reduce of the matrix whose columns are the sparse vectors given.
 
     Each column is a dict row index -> scalar.
@@ -367,7 +385,7 @@ def _reduce_columns(columns, nrows: int, field) -> GaussDecomposition:
     for k, col in enumerate(columns):
         for i, v in col.items():
             rows[i][k] = v
-    return gauss_reduce(rows, len(columns), field)
+    return gauss_reduce(rows, len(columns), field, keep=keep)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +508,8 @@ def fixed_cycle_basis(complex_, j: int, field, g_down=None, g_up=None) -> ChainB
     """The fixed basis of cycles in dimension j, boundaries listed first.
 
     Precomputed reductions of the two relevant boundary matrices may be
-    passed in; they must come from gauss_reduce on this complex's faces.
+    passed in; they must come from gauss_reduce on this complex's faces
+    and keep Q.
     """
     faces = complex_.faces_of_dim(j)
     up_faces = complex_.faces_of_dim(j + 1)
@@ -500,9 +519,11 @@ def fixed_cycle_basis(complex_, j: int, field, g_down=None, g_up=None) -> ChainB
                           [], [], 0, 0)
     face_index = {f: i for i, f in enumerate(faces)}
     if g_down is None:
-        g_down = gauss_reduce(boundary_matrix(complex_, j).data, len(faces), field)
+        g_down = gauss_reduce(boundary_matrix(complex_, j).data, len(faces), field,
+                              keep="q")
     if g_up is None:
-        g_up = gauss_reduce(boundary_matrix(complex_, j + 1).data, len(up_faces), field)
+        g_up = gauss_reduce(boundary_matrix(complex_, j + 1).data, len(up_faces), field,
+                            keep="q")
 
     cycles, preimages = [], []
     # the boundary of each up-face, by face index, is built once and shared
@@ -523,11 +544,25 @@ def fixed_cycle_basis(complex_, j: int, field, g_down=None, g_up=None) -> ChainB
             field.axpy(vec, col, v)
         cycles.append(vec)
 
-    # the pivot columns of [boundary | kernel] are the boundary columns,
-    # when independent, then the kernel columns that extend them
+    # Each kernel column of Q has coefficient 1 at one free (non-pivot)
+    # column of d_j and its other support on pivot columns, so projecting
+    # onto the free columns sends kernel column i to the unit vector e_i
+    # and is injective on cycles.  The pivot columns of [boundary | kernel]
+    # (the boundary columns, when independent, then the kernel columns
+    # that extend them) are therefore those of the projected matrix.
     kernel = g_down.kernel_columns()
+    pivot_set = set(g_down.pivots)
+    free_row = {}
+    for i, col in enumerate(kernel):
+        free = [(k, v) for k, v in col.items() if k not in pivot_set]
+        if len(free) != 1 or free[0][1] != field.one or free[0][0] in free_row:
+            raise ArithmeticError("kernel column is not in normal form")
+        free_row[free[0][0]] = i
+    projected = [{free_row[k]: v for k, v in vec.items() if k in free_row}
+                 for vec in cycles]
+    projected += [{i: field.one} for i in range(len(kernel))]
     nb = len(cycles)
-    pivots = _reduce_columns(cycles + kernel, len(faces), field).pivots
+    pivots = _reduce_columns(projected, len(kernel), field, keep="").pivots
     if pivots[:nb] != list(range(nb)):
         raise ArithmeticError("boundary basis vectors are dependent")
     boundary = [({faces[i]: c for i, c in vec.items()}, preimage)
@@ -538,8 +573,20 @@ def fixed_cycle_basis(complex_, j: int, field, g_down=None, g_up=None) -> ChainB
                       boundary, homology, g_down.rank, g_up.rank)
 
 
-def betti_reduced(complex_, j: int, field) -> int:
-    """Rank of reduced homology in dimension j (j = -1 supported)."""
+def boundary_rank(complex_, j: int, field) -> int:
+    """Rank of the j-th boundary map; 0 where there are no j-faces."""
+    faces = complex_.faces_of_dim(j)
+    if not faces:
+        return 0
+    return gauss_reduce(boundary_matrix(complex_, j).data, len(faces), field, keep="").rank
+
+
+def betti_reduced(complex_, j: int, field, rank=None) -> int:
+    """Rank of reduced homology in dimension j (j = -1 supported).
+
+    ``rank(i)`` gives the rank of the i-th boundary map; by default it is
+    boundary_rank, computed afresh on each call.
+    """
     if j < 0:
         if j == -1:
             return 1 if complex_.is_irrelevant else 0
@@ -547,12 +594,10 @@ def betti_reduced(complex_, j: int, field) -> int:
     faces = complex_.faces_of_dim(j)
     if not faces:
         return 0
-    g_down = gauss_reduce(boundary_matrix(complex_, j).data, len(faces), field)
-    up = complex_.faces_of_dim(j + 1)
-    rank_up = 0
-    if up:
-        rank_up = gauss_reduce(boundary_matrix(complex_, j + 1).data, len(up), field).rank
-    return (len(faces) - g_down.rank) - rank_up
+    if rank is None:
+        def rank(i):
+            return boundary_rank(complex_, i, field)
+    return len(faces) - rank(j) - rank(j + 1)
 
 
 # ---------------------------------------------------------------------------

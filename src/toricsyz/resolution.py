@@ -26,6 +26,8 @@ from .homology import (
     basis_cache_key,
     betti_reduced,
     boundary_matrix,
+    boundary_rank,
+    chain_boundary,
     fixed_cycle_basis,
     gauss_reduce,
     get_field,
@@ -249,6 +251,7 @@ class ResolutionEngine:
         self._delta: dict[Degree, DeltaComplex] = {}
         self._bases: dict[tuple, ChainBasis] = {}
         self._gauss: dict[tuple, GaussDecomposition] = {}
+        self._delta_ranks: dict[tuple, int] = {}
         self._psi: dict[tuple, SyzygyVector] = {}
         self._binomials: dict[tuple, SyzygyVector] = {}
         self._lifts: dict[tuple, tuple] = {}
@@ -272,12 +275,17 @@ class ResolutionEngine:
         return cx
 
     def _gauss_at(self, m: Degree, j: int) -> GaussDecomposition:
-        """Reduction of the fiber complex's boundary matrix at m in dim j."""
+        """Reduction of the fiber complex's boundary matrix at m in dim j.
+
+        Keeps Q only: its readers take the kernel, the preimage columns
+        and the rank.
+        """
         key = (tuple(m), j)
         decomp = self._gauss.get(key)
         if decomp is None:
             matrix = boundary_matrix(self.nabla(m), j)
-            decomp = gauss_reduce(matrix.data, len(matrix.col_faces), self.field)
+            decomp = gauss_reduce(matrix.data, len(matrix.col_faces), self.field,
+                                  keep="q")
             self._gauss[key] = decomp
         return decomp
 
@@ -328,9 +336,20 @@ class ResolutionEngine:
         The comparison complex minus its empty face is the nerve of the
         fiber complex's cover by one simplex per variable, so by the nerve
         theorem both have the same reduced homology; this one has at most
-        2^r faces and needs no fiber.
+        2^r faces and needs no fiber.  Boundary ranks are kept per
+        (degree, dimension), so neighbouring dimensions share them.
         """
-        return betti_reduced(self.delta(m), j, self.field)
+        m = tuple(m)
+        cx = self.delta(m)
+
+        def rank(i):
+            key = (m, i)
+            value = self._delta_ranks.get(key)
+            if value is None:
+                value = self._delta_ranks[key] = boundary_rank(cx, i, self.field)
+            return value
+
+        return betti_reduced(cx, j, self.field, rank)
 
     # -- level 0 ------------------------------------------------------------
 
@@ -711,24 +730,42 @@ class ResolutionEngine:
 
     def verify_fragment(self, fragment: ResolutionFragment) -> dict:
         """The check_entries report of the fragment's records."""
-        return self.check_entries({rec.gid: (rec.level, rec.degree, rec.value)
+        return self.check_entries({rec.gid: (rec.level, rec.degree, rec.value, rec.witness)
                                    for rec in fragment.all_records()})
 
     def check_entries(self, entries: dict) -> dict:
-        """Exact checks on a {gid: (level, degree, value)} map; the fragment report.
+        """Exact checks on a {gid: (level, degree, value, witness)} map; the fragment report.
 
         Binomials must be homogeneous of their degree and constant-free.  A
         syzygy entry must reference a generator of the map one level down
         and be a nonzero, constant-free polynomial of the record's degree;
-        each record must compose to zero with the level below.  No (level,
-        degree) may hold more generators than the homology rank from the
-        comparison complex, which shares nothing with the fixed bases the
-        generators came from.
+        each record must compose to zero with the level below.  Each
+        witness must be a nonzero cycle on the level-faces of the fiber
+        complex at the record's degree, with coefficient 1 at its last face
+        in the fixed order, as every fixed homology representative has.  No
+        (level, degree) may hold more generators than the homology rank
+        from the comparison complex, which shares nothing with the fixed
+        bases the generators came from.
         """
         sg = self.semigroup
         unit = (0,) * sg.num_generators
         violations = []
-        for gid, (level, degree, value) in sorted(entries.items()):
+        face_indices: dict = {}
+        for gid, (level, degree, value, witness) in sorted(entries.items()):
+            key = (degree, level)
+            index = face_indices.get(key)
+            if index is None:
+                faces = self.nabla(degree).faces_of_dim(level)
+                index = face_indices[key] = {f: i for i, f in enumerate(faces)}
+            if not witness:
+                violations.append(f"{gid}: witness is empty")
+            elif not witness.keys() <= index.keys():
+                violations.append(f"{gid}: witness has a face that is not a "
+                                  f"{level}-face at degree {degree}")
+            elif chain_boundary(witness, self.field):
+                violations.append(f"{gid}: witness is not a cycle")
+            elif witness[max(witness, key=index.__getitem__)] != self.field.one:
+                violations.append(f"{gid}: witness coefficient at its last face is not 1")
             if level == 0:
                 if any(sg.degree_of(mono) != degree for mono in (value.lead, value.trail)):
                     violations.append(f"{gid}: binomial is not homogeneous")
@@ -755,7 +792,7 @@ class ResolutionEngine:
             if phi_image(usable, lambda g: entries[g][2], self.field):
                 violations.append(f"{gid}: composition with previous level is nonzero")
         counts: dict = {}
-        for level, degree, _value in entries.values():
+        for level, degree, _value, _witness in entries.values():
             counts[(level, degree)] = counts.get((level, degree), 0) + 1
         ranks: dict = {}
         for (level, degree), count in sorted(counts.items()):

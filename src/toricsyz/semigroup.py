@@ -331,7 +331,7 @@ class Semigroup:
             [self.generators[i][j] for i in range(self.num_generators)]
             for j in range(self.dim)
         ]
-        return gauss_reduce(rows, self.num_generators, RationalField()).rank
+        return gauss_reduce(rows, self.num_generators, RationalField(), keep="").rank
 
     def __repr__(self):
         return f"Semigroup(dim={self.dim}, generators={list(self.generators)})"

@@ -141,8 +141,14 @@ def _gid(item, dim) -> tuple:
             _int(item[2], "generator index"))
 
 
+def _face(item) -> tuple:
+    if not isinstance(item, list) or not all(type(x) is int for x in item):
+        raise _malformed(f"witness face {item!r} is not a list of integers")
+    return tuple(item)
+
+
 def _entry(gen, sg, field):
-    """(gid, (level, degree, value)) of one generator object."""
+    """(gid, (level, degree, value, witness)) of one generator object."""
     if not isinstance(gen, dict):
         raise _malformed(f"generator entry {gen!r} is not an object")
     gid = _gid(gen["id"], sg.dim)
@@ -161,15 +167,22 @@ def _entry(gen, sg, field):
                 _monomial(t["monomial"], r): field.from_str(t["coeff"])
                 for t in item["coefficient"]
             }
-    return gid, (level, degree, value)
+    witness = {}
+    for face, coeff in gen["witness"]:
+        face = _face(face)
+        if face in witness:
+            raise _malformed(f"witness face {list(face)} is listed twice")
+        witness[face] = field.from_str(coeff)
+    return gid, (level, degree, value, witness)
 
 
 def fragment_entries(data, engine: ResolutionEngine) -> dict:
-    """The {gid: (level, degree, value)} map of a parsed fragment document.
+    """The {gid: (level, degree, value, witness)} map of a parsed fragment document.
 
     Raises MalformedFragment where the document does not have the shape
     harvest writes: a missing key, a non-object document or entry, a
-    degree, id or monomial of the wrong length, or an unreadable scalar.
+    degree, id or monomial of the wrong length, a witness face that is not
+    a list of integers or is listed twice, or an unreadable scalar.
     """
     if not isinstance(data, dict):
         raise _malformed("the document is not an object")

@@ -116,17 +116,23 @@ def dense_gauss_reduce(rows, ncols, field) -> DenseDecomposition:
 
 
 def densify(g) -> DenseDecomposition:
-    """Dense copy of a sparse GaussDecomposition (dict rows and columns)."""
+    """Dense copy of a sparse GaussDecomposition (dict rows and columns).
+
+    A P^-1 or Q the decomposition did not keep stays None.
+    """
     fz = g.field.zero
 
-    def dense(vec, size):
-        out = [fz] * size
-        for k, v in vec.items():
-            out[k] = v
+    def dense(vecs, size):
+        if vecs is None:
+            return None
+        out = []
+        for vec in vecs:
+            out.append([fz] * size)
+            for k, v in vec.items():
+                out[-1][k] = v
         return out
 
     return DenseDecomposition(
         g.field, g.nrows, g.ncols, g.rank,
-        [dense(row, g.nrows) for row in g.p_inv_rows],
-        [dense(col, g.ncols) for col in g.q_cols],
+        dense(g.p_inv_rows, g.nrows), dense(g.q_cols, g.ncols),
     )

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -139,6 +140,29 @@ class TestHarvestAndVerify:
         code, out = run(capsys, "verify", semigroup_file, str(frag_path))
         assert code == 1
         assert "FAILED" in out
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda w: [[[0, 1], "7/1"]], "witness is not a cycle"),
+        (lambda w: [], "witness is empty"),
+        (lambda w: w + [[[0, 999], "1/1"]], "witness has a face that is not a 1-face"),
+        (lambda w: [[face, str(2 * Fraction(c))] for face, c in w],
+         "witness coefficient at its last face is not 1"),
+    ], ids=["not-a-cycle", "empty", "off-the-faces", "doubled"])
+    def test_verify_reads_witnesses(self, capsys, semigroup_file, tmp_path,
+                                    corrupt, message):
+        frag_path = tmp_path / "fragment.json"
+        run(capsys, "--format", "json", "harvest", semigroup_file,
+            "-m", "60,10", "--max-level", "1", "--output", str(frag_path))
+        data = json.loads(frag_path.read_text(encoding="utf-8"))
+        level_one = [gen for gen in data["generators"] if gen["level"] == 1]
+        assert level_one
+        for gen in level_one:
+            gen["witness"] = corrupt(gen["witness"])
+        frag_path.write_text(json.dumps(data), encoding="utf-8")
+        code, out = run(capsys, "verify", semigroup_file, str(frag_path))
+        assert code == 1
+        assert out.startswith("verification: FAILED\n")
+        assert out.count(message) == len(level_one), out
 
 
 class TestScan:
@@ -324,7 +348,8 @@ class TestFieldModulus:
 # a one-generator fragment, as harvest writes it at degree (12, 2)
 GOOD_FRAGMENT = {"generators": [{
     "id": [0, [12, 2], 0], "level": 0, "degree": [12, 2],
-    "value": {"lead": [0, 1, 1, 0], "trail": [1, 0, 0, 1]}, "witness": [],
+    "value": {"lead": [0, 1, 1, 0], "trail": [1, 0, 0, 1]},
+    "witness": [[[0], "-1/1"], [[1], "1/1"]],
 }]}
 
 
@@ -351,9 +376,12 @@ class TestMalformedFragment:
                                                "coefficient": [{"monomial": [0, 0, 0, 0],
                                                                 "coeff": "1/0"}]}]),
         {"generators": GOOD_FRAGMENT["generators"] * 2},
+        _with_first_generator(witness=[[["0"], "-1/1"], [[1], "1/1"]]),
+        _with_first_generator(witness=[[[1], "-1/1"], [[1], "1/1"]]),
     ], ids=["missing-key", "not-an-object", "entry-not-an-object", "no-generators",
             "degree-length", "id-degree-length", "level-not-int", "monomial-length",
-            "zero-denominator", "duplicate-id"])
+            "zero-denominator", "duplicate-id", "witness-face-not-ints",
+            "duplicate-witness-face"])
     def test_exits_two_without_traceback(self, capsys, semigroup_file, tmp_path, doc):
         path = tmp_path / "fragment.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -388,8 +416,8 @@ class TestInternalCheckFailures:
     def test_dependent_basis_exits_one(self, capsys, semigroup_file, monkeypatch):
         original = homology.gauss_reduce
 
-        def first_column_dependent(rows, ncols, field):
-            decomp = original(rows, ncols, field)
+        def first_column_dependent(rows, ncols, field, keep="pq"):
+            decomp = original(rows, ncols, field, keep=keep)
             decomp.pivots = [c for c in decomp.pivots if c != 0]
             return decomp
 

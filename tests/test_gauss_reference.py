@@ -3,6 +3,8 @@
 Both use the same pivot rule and the same row and column operations in
 exact arithmetic, so rank, every column of Q, every row of P^-1 and every
 ``solve`` result (None included) must be equal, not just equivalent.
+Every keep mode of gauss_reduce is checked: rank and pivots never depend
+on it, a kept P^-1 or Q equals the reference and one not kept is None.
 """
 import random
 from fractions import Fraction
@@ -13,6 +15,7 @@ from dense_gauss import dense_gauss_reduce, densify
 from toricsyz import PrimeField, RationalField, gauss_reduce
 
 FIELDS = [RationalField(), PrimeField(5), PrimeField(32003)]
+KEEPS = ["pq", "q", "p", ""]
 
 
 def random_matrix(rng, field, m, n, density, rank_cap=None):
@@ -66,17 +69,20 @@ def test_sparse_matches_dense_reference(field):
     for m, n, density, rank_cap in shapes(rng):
         rows = random_matrix(rng, field, m, n, density, rank_cap)
         ref = dense_gauss_reduce([list(r) for r in rows], n, field)
-        sparse = gauss_reduce([list(r) for r in rows], n, field)
-        dense = densify(sparse)
-        assert sparse.rank == ref.rank, rows
-        assert dense.q_cols == ref.q_cols, rows
-        assert dense.p_inv_rows == ref.p_inv_rows, rows
-        # readers copy these dicts into chains, so a stored zero would show
-        assert all(v for vec in sparse.q_cols + sparse.p_inv_rows for v in vec.values())
+        decomps = {keep: gauss_reduce([list(r) for r in rows], n, field, keep=keep)
+                   for keep in KEEPS}
+        for keep, sparse in decomps.items():
+            dense = densify(sparse)
+            assert sparse.rank == ref.rank, (rows, keep)
+            assert dense.q_cols == (ref.q_cols if "q" in keep else None), (rows, keep)
+            assert dense.p_inv_rows == (ref.p_inv_rows if "p" in keep else None), (rows, keep)
+            # readers copy these dicts into chains, so a stored zero would show
+            kept = (sparse.q_cols or []) + (sparse.p_inv_rows or [])
+            assert all(v for vec in kept for v in vec.values())
         for _ in range(4):
             vec = random_target(rng, field, rows, m)
             expected = ref.solve(vec)
-            assert sparse.solve(vec) == expected, (rows, vec)
+            assert decomps["pq"].solve(vec) == expected, (rows, vec)
             if expected is None:
                 inconsistent += 1
             else:
@@ -92,4 +98,11 @@ def test_pivots_are_where_prefix_rank_grows(field):
         ranks = [dense_gauss_reduce([row[:k] for row in rows], k, field).rank
                  for k in range(n + 1)]
         expected = [k for k in range(n) if ranks[k + 1] > ranks[k]]
-        assert gauss_reduce([list(r) for r in rows], n, field).pivots == expected, rows
+        for keep in KEEPS:
+            decomp = gauss_reduce([list(r) for r in rows], n, field, keep=keep)
+            assert decomp.pivots == expected, (rows, keep)
+
+
+def test_unknown_keep_mode_is_rejected():
+    with pytest.raises(ValueError):
+        gauss_reduce([[1]], 1, RationalField(), keep="pqx")

@@ -216,6 +216,19 @@ class TestFixedCycleBasis:
             assert len(basis.homology) == basis.cycle_dim - basis.rank_up
             assert len(basis.homology) == betti_reduced(cx, j, Q)
 
+    def test_kernel_column_off_normal_form_is_rejected(self, example_semigroup):
+        cx = build_nabla(example_semigroup, (60, 10), DEGREVLEX)
+        faces = cx.faces_of_dim(1)
+        g_down = gauss_reduce(boundary_matrix(cx, 1).data, len(faces), Q, keep="q")
+        fixed_cycle_basis(cx, 1, Q, g_down=g_down)
+        # doubling the free coefficient keeps a cycle but breaks the normal
+        # form the free-coordinate selection relies on
+        column = g_down.kernel_columns()[0]
+        free = next(k for k in column if k not in g_down.pivots)
+        column[free] *= 2
+        with pytest.raises(ArithmeticError, match="normal form"):
+            fixed_cycle_basis(cx, 1, Q, g_down=g_down)
+
 
 class TestBetti:
     def test_known_betti_values(self, engine):

@@ -30,7 +30,7 @@ from toricsyz import (
 from toricsyz.semigroup import _fourier_motzkin_point
 from toricsyz.serialize import dumps, fragment_to_json, gid_to_json, verify_fragment_json
 
-FIELDS = ("rational", 32003)
+FIELDS = ("rational", 5, 32003)
 
 
 @st.composite

@@ -429,6 +429,25 @@ class TestVerifyFragment:
         assert report == verify_fragment_json(doc, engine)
 
 
+class TestDeltaRankMemo:
+    def test_neighbouring_dimensions_share_boundary_ranks(self, engine, monkeypatch):
+        from toricsyz import homology
+
+        calls = []
+        original = homology.gauss_reduce
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(homology, "gauss_reduce", counted)
+        # the comparison complex at (60, 10) is the full simplex on 4 vertices
+        ranks = [engine.betti_delta((60, 10), j) for j in range(3)]
+        assert len(calls) == 4  # d_0 .. d_3, each once
+        assert [engine.betti_delta((60, 10), j) for j in range(3)] == ranks
+        assert len(calls) == 4
+
+
 class TestOracle:
     def test_12_2(self, engine):
         assert oracle_v0(engine, (12, 2)) == 1
