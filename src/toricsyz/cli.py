@@ -11,10 +11,14 @@ betti and scan read their ranks off the comparison complex of each degree;
 the two disagree.  The --cache directory holds fixed bases, which only the
 generator-making commands (minimalize, harvest) and the cross-check read
 or write.
+
+The argument parser is built once per process, on the first main() call,
+and reused by later calls; building it costs more than a small command.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -141,12 +145,12 @@ def _engine(args) -> ResolutionEngine:
 def _cmd_validate(args):
     engine = _engine(args)
     sg = engine.semigroup
-    w = tuple(str(x) for x in sg.grading)
+    w = [str(x) for x in sg.grading]
     payload = {
         "config": engine.config.describe(),
         "kind": "validate",
         "combinatorially_finite": True,
-        "grading": [str(x) for x in sg.grading],
+        "grading": w,
     }
     text = f"combinatorially finite, w = ({', '.join(w)})"
     return 0, text, payload
@@ -329,9 +333,19 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built by the first main() call.
+
+    parse_args leaves the parser as it was and fills a fresh namespace on
+    every call, and help is laid out when it is printed, so nothing carries
+    over from one call to the next.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code, text, payload = _HANDLERS[args.command](args)
     except (CheckFailed, ArithmeticError) as exc:

@@ -618,9 +618,11 @@ def load_cached_basis(cache_dir, key, field, complex_, j):
     An entry that cannot be read back counts as a miss: invalid JSON,
     missing keys, bad scalars, a degree, dimension or face list that is
     not that of complex_ in dimension j, a chain off those faces or with
-    nonzero boundary, a boundary cycle that is not the boundary of its
-    preimage, chain counts that do not match the stored ranks, or chains
-    that are dependent.
+    nonzero boundary, a homology chain whose coefficient at its last face
+    is not 1 or whose last face is another homology chain's last face (the
+    fixed representatives never are), a boundary cycle that is not the
+    boundary of its preimage, chain counts that do not match the stored
+    ranks, or chains that are dependent.
     """
     path = os.path.join(cache_dir, f"basis-{key}.json")
     try:
@@ -643,9 +645,15 @@ def load_cached_basis(cache_dir, key, field, complex_, j):
         pre_chain = {basis.up_faces[k]: v for k, v in preimage.items()}
         if chain_boundary(pre_chain, field) != cycle:
             return None
+    last_faces = set()
     for chain in basis.homology:
         if not chain.keys() <= basis.face_index.keys() or chain_boundary(chain, field):
             return None
+        # normal form: coefficient 1 at the last face, no last face shared
+        last = max(chain, key=basis.face_index.__getitem__, default=None)
+        if last is None or chain[last] != field.one or last in last_faces:
+            return None
+        last_faces.add(last)
     if (len(basis.boundary) != basis.rank_up
             or len(basis.faces) - basis.cycle_dim != basis.rank_down):
         return None

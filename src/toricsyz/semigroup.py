@@ -15,12 +15,23 @@ and Chernikov's rule drops combinations of too many generators.  Every
 projection is the one plain elimination gives, and w is rebuilt from the
 projections alone, so it is plain elimination's point; w shows in
 `validate` output, in weight bounds and in degree order.
+
+The rebuild and the scaling to min w.n_i = 1 run in integers: the point
+is kept as numerators over one common denominator, bounds are compared by
+cross-multiplication, and each coordinate is reduced once.  This gives
+the same w as rational arithmetic, and the numerators are also the
+integer weights of the fiber search.
+
+Presentations are read strictly: dim and every generator entry must be
+ints (not bools), so a float, string or null in a JSON input is an error
+that names the entry rather than a silently truncated matrix.
 """
 from __future__ import annotations
 
 import json
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .homology import RationalField, gauss_reduce
 from .orders import Monomial, TermOrder
@@ -42,6 +53,11 @@ class NotCombinatoriallyFinite(SemigroupError):
 
 def _dot(w, v):
     return sum(a * b for a, b in zip(w, v))
+
+
+def _shown(x) -> str:
+    """x as it reads in a JSON input."""
+    return json.dumps(x, default=repr)
 
 
 def _pruned(rows, eliminated: int):
@@ -79,12 +95,14 @@ def _pruned(rows, eliminated: int):
     return [(c, b, h) for (c, b), hs in kept.items() for h in hs] + zero_rows
 
 
-def _fourier_motzkin_point(rows: list[tuple[tuple[int, ...], int]], dim: int):
+def _fourier_motzkin_numerators(rows: list[tuple[tuple[int, ...], int]], dim: int):
     """Feasible rational point for the system {coeffs . x >= rhs}, or None.
 
-    Variables are eliminated from the last index down to index 1, then the
-    point is rebuilt front to back, clamping 0 into the admissible interval
-    of each variable.  Deterministic by construction.
+    The point is returned as (nums, den): integer numerators over the
+    lcm den of its coordinates' denominators.  Variables are eliminated
+    from the last index down to index 1, then the point is rebuilt front to
+    back, clamping 0 into the admissible interval of each variable.
+    Deterministic by construction.
 
     Plain Fourier-Motzkin elimination can square the row count at every
     step, so each projected system is pruned (`_pruned`): rows are divided
@@ -96,6 +114,10 @@ def _fourier_motzkin_point(rows: list[tuple[tuple[int, ...], int]], dim: int):
     one.  The interval each coordinate is clamped into is the fiber of that
     projection over the coordinates already fixed, which redundant rows do
     not narrow, so the point is the one plain elimination would give.
+
+    The rebuild runs in integers: the residuals are numerators over den,
+    bounds are compared by cross-multiplication, and each coordinate is
+    reduced once, when it is fixed.
     """
     # row i's history is the bit 1 << i
     systems = [_pruned([(c, b, 1 << i) for i, (c, b) in enumerate(rows)], 0)]
@@ -118,32 +140,49 @@ def _fourier_motzkin_point(rows: list[tuple[tuple[int, ...], int]], dim: int):
                 combined.append((coeffs, a * nrhs + b * prhs, ph | nh))
         systems.append(_pruned(combined, dim - var))
 
-    point: list[Fraction] = []
+    nums: list[int] = []  # the coordinates fixed so far, times den
+    den = 1
     for var in range(dim):
-        current = systems[dim - 1 - var]
+        # each bound is (n, c) with c > 0, standing for n / (c * den)
         lo = hi = None
-        for coeffs, rhs, _ in current:
+        for coeffs, rhs, _ in systems[dim - 1 - var]:
             c = coeffs[var]
-            residual = Fraction(rhs) - sum(
-                coeffs[i] * point[i] for i in range(var)
-            )
+            # den * (rhs - coeffs . point) over the coordinates already fixed
+            residual = rhs * den - sum(map(mul, coeffs, nums))
             if c > 0:
-                bound = residual / c
-                lo = bound if lo is None else max(lo, bound)
+                if lo is None or residual * lo[1] > lo[0] * c:
+                    lo = (residual, c)
             elif c < 0:
-                bound = residual / c
-                hi = bound if hi is None else min(hi, bound)
+                if hi is None or residual * hi[1] > hi[0] * c:
+                    hi = (-residual, -c)
             elif residual > 0:
                 return None
-        if lo is not None and hi is not None and lo > hi:
+        if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
             return None
-        x = Fraction(0)
-        if lo is not None:
-            x = max(x, lo)
-        if hi is not None:
-            x = min(x, hi)
-        point.append(x)
-    return point
+        x = (0, 1)
+        if lo is not None and lo[0] > 0:
+            x = lo
+        if hi is not None and hi[0] * x[1] < x[0] * hi[1]:
+            x = hi
+        # the coordinate n / d in lowest terms; den becomes the lcm of them all
+        g = gcd(x[0], x[1] * den)
+        n, d = x[0] // g, x[1] * den // g
+        new_den = lcm(den, d)
+        if new_den != den:
+            step = new_den // den
+            nums = [v * step for v in nums]
+            den = new_den
+        nums.append(n * (den // d))
+    return nums, den
+
+
+def _fourier_motzkin_point(rows: list[tuple[tuple[int, ...], int]], dim: int):
+    """The point of `_fourier_motzkin_numerators` as Fractions, or None."""
+    found = _fourier_motzkin_numerators(rows, dim)
+    if found is None:
+        return None
+    nums, den = found
+    return [Fraction(v, den) for v in nums]
 
 
 class Semigroup:
@@ -154,11 +193,25 @@ class Semigroup:
     """
 
     def __init__(self, dim: int, generators):
+        # type(x) is int: JSON true and false load as bools, a subclass
+        if type(dim) is not int:
+            raise SemigroupError(f"dim is {_shown(dim)}, not an integer")
         if dim < 1:
             raise SemigroupError("dimension must be positive")
-        gens = tuple(tuple(int(x) for x in col) for col in generators)
-        if not gens:
+        if not isinstance(generators, (list, tuple)):
+            raise SemigroupError(
+                f"generators is {_shown(generators)}, not a list of columns")
+        if not generators:
             raise SemigroupError("at least one generator required")
+        for i, col in enumerate(generators):
+            if not isinstance(col, (list, tuple)):
+                raise SemigroupError(
+                    f"generators[{i}] is {_shown(col)}, not a list of integers")
+            for k, x in enumerate(col):
+                if type(x) is not int:
+                    raise SemigroupError(
+                        f"generators[{i}][{k}] is {_shown(x)}, not an integer")
+        gens = tuple(tuple(col) for col in generators)
         for col in gens:
             if len(col) != dim:
                 raise SemigroupError(f"generator {col} does not have length {dim}")
@@ -167,11 +220,9 @@ class Semigroup:
         self.dim = dim
         self.generators = gens
         self.num_generators = len(gens)
-        self.grading = self._positive_grading()
-        # the grading scaled to integers, for the fiber and membership search
-        scale = lcm(*(x.denominator for x in self.grading))
-        self._int_grading = tuple(int(x * scale) for x in self.grading)
-        self._wdots = tuple(_dot(self._int_grading, n) for n in gens)
+        # the grading, and a positive integer multiple of it with its
+        # products with the generators, for the fiber and membership search
+        self.grading, self._int_grading, self._wdots = self._positive_grading()
         self._member_cache: dict[Degree, bool] = {}
         self._fiber_cache: dict[tuple, tuple[Monomial, ...]] = {}
 
@@ -196,17 +247,23 @@ class Semigroup:
     def to_dict(self):
         return {"dim": self.dim, "generators": [list(col) for col in self.generators]}
 
-    def _positive_grading(self) -> tuple[Fraction, ...]:
-        """The certificate w: w.n_i >= 1 for every generator, min exactly 1."""
-        rows = [(col, 1) for col in self.generators]
-        point = _fourier_motzkin_point(rows, self.dim)
-        if point is None:
+    def _positive_grading(self):
+        """The certificate w: w.n_i >= 1 for every generator, min exactly 1.
+
+        Returned with the point's numerators v (w = v / min_k v.n_k) and
+        the products v.n_i, all integers.
+        """
+        found = _fourier_motzkin_numerators(
+            [(col, 1) for col in self.generators], self.dim)
+        if found is None:
             raise NotCombinatoriallyFinite(
                 "no positive grading exists: a nonzero nonnegative combination "
                 "of generators is zero"
             )
-        scale = min(_dot(point, n) for n in self.generators)
-        return tuple(x / scale for x in point)
+        nums = tuple(found[0])
+        dots = tuple(_dot(nums, n) for n in self.generators)
+        scale = min(dots)
+        return tuple(Fraction(v, scale) for v in nums), nums, dots
 
     def weight(self, m: Degree) -> Fraction:
         return _dot(self.grading, m)
@@ -254,10 +311,11 @@ class Semigroup:
 
         Any solution alpha satisfies sum(a_i * w.n_i) = w.m with every
         w.n_i >= 1, so each exponent is bounded by the residual weight.
-        The weights are those of w scaled by the lcm L of its denominators,
-        so they are ints with L.w.n_i >= L; the residual weight never goes
-        negative, so floor division gives the bounds of the rational
-        quotient and the search visits the same nodes in the same order.
+        The weights are the certificate's numerators v = L.w, where the
+        positive integer L is min_k v.n_k, so they are ints with
+        L.w.n_i >= L; the residual weight never goes negative, so floor
+        division gives the bounds of the rational quotient and the search
+        visits the same nodes in the same order.
         The last coordinate is solved exactly instead of scanned.
         """
         r = self.num_generators

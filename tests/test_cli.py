@@ -42,6 +42,26 @@ class TestValidate:
     def test_rejects_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("text, entry", [
+        ('{"dim": 2, "generators": [[1.5, 1], [2, 1]]}', "generators[0][0] is 1.5"),
+        ('{"dim": 2, "generators": [[1, 1], [true, 1]]}', "generators[1][0] is true"),
+        ('{"dim": 2, "generators": [[1, "3"], [2, 1]]}', 'generators[0][1] is "3"'),
+        ('{"dim": 2, "generators": [[1, 1], [2, null]]}', "generators[1][1] is null"),
+        ('{"dim": 2, "generators": [[1, 1], null]}', "generators[1] is null"),
+        ('{"dim": 2, "generators": 5}', "generators is 5"),
+        ('{"dim": "2", "generators": [[1, 1], [2, 1]]}', 'dim is "2"'),
+        ('{"dim": true, "generators": [[1], [2]]}', "dim is true"),
+    ], ids=["float", "bool", "string", "null-entry", "null-column", "scalar-generators",
+            "string-dim", "bool-dim"])
+    def test_non_integer_input_exits_two(self, capsys, tmp_path, text, entry):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and entry in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestFiber:
     def test_degree_21_3(self, capsys, semigroup_file):
@@ -193,6 +213,34 @@ class TestScan:
             tuple(r["degree"]) for r in data["rows"] if r["ranks"][0]
         }
         assert nonzero == {(12, 2), (15, 3), (18, 3), (21, 3)}
+
+
+class TestParserReuse:
+    """main() reuses one parser per process; no call may leak into the next."""
+
+    def test_options_do_not_carry_over(self, capsys, semigroup_file, tmp_path):
+        output = tmp_path / "out.json"
+        code, out = run(capsys, "--field", "32003", "--format", "json",
+                        "--output", str(output), "validate", semigroup_file)
+        assert code == 0 and json.loads(out)["config"]["field"] == "prime:32003"
+        first = out
+        code, out = run(capsys, "validate", semigroup_file)
+        assert code == 0 and out == "combinatorially finite, w = (0, 1)\n"
+        code, out = run(capsys, "validate", semigroup_file, "--format", "json")
+        assert code == 0 and json.loads(out)["config"] == {
+            "order": "degrevlex", "field": "rational"}
+        assert output.read_text(encoding="utf-8") == first
+
+    def test_parse_error_then_good_call(self, capsys, semigroup_file):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["validate"])
+        assert exit_info.value.code == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--order", "revlex", "validate", semigroup_file])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+        code, out = run(capsys, "--order", "lex", "validate", semigroup_file)
+        assert code == 0 and out == "combinatorially finite, w = (0, 1)\n"
 
 
 class TestDeterminism:

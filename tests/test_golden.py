@@ -22,6 +22,7 @@ from unittest import mock
 
 import pytest
 
+from toricsyz import cli
 from toricsyz.cli import _HANDLERS, main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -120,6 +121,46 @@ def test_wrong_cached_coefficient_is_a_miss(tmp_path):
     assert path.read_bytes() == original
 
 
+def test_scaled_cached_homology_chain_is_a_miss(tmp_path):
+    # still a cycle on the right faces, but not the fixed representative,
+    # whose coefficient at its last face is 1
+    argv = ["harvest", EXAMPLE, "-m", "21,3"]
+    cache = tmp_path / "cache"
+    first = _run(argv + ["--cache", str(cache)])
+    (path,) = [p for p in cache.iterdir() if json.loads(p.read_bytes())["homology"]]
+    original = path.read_bytes()
+    data = json.loads(original)
+    assert data["dim"] == 0
+    (chain,) = data["homology"]
+    assert sorted(c for _face, c in chain) == ["-1/1", "1/1"]
+    for term in chain:
+        term[1] = {"-1/1": "-2/1", "1/1": "2/1"}[term[1]]
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert _run(argv + ["--cache", str(cache)]) == first
+    assert path.read_bytes() == original
+
+
+def test_cached_homology_chains_sharing_a_last_face_are_a_miss(tmp_path):
+    # x1^5, x2^3, x3^2 are the whole fiber of 30 in <6,10,15>: three points,
+    # two homology chains v1 - v0 and v2 - v0.  Their sum in place of the
+    # first is independent of the second and a cycle, but both chains then
+    # end at v2, which no pair of fixed representatives does.
+    semigroup = tmp_path / "s61015.json"
+    semigroup.write_text('{"dim": 1, "generators": [[6], [10], [15]]}', encoding="utf-8")
+    argv = ["harvest", str(semigroup), "-m", "30"]
+    cache = tmp_path / "cache"
+    first = _run(argv + ["--cache", str(cache)])
+    (path,) = [p for p in cache.iterdir() if json.loads(p.read_bytes())["homology"]]
+    original = path.read_bytes()
+    data = json.loads(original)
+    assert data["homology"] == [[[[0], "-1/1"], [[1], "1/1"]],
+                                [[[0], "-1/1"], [[2], "1/1"]]]
+    data["homology"][0] = [[[0], "-2/1"], [[1], "1/1"], [[2], "1/1"]]
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert _run(argv + ["--cache", str(cache)]) == first
+    assert path.read_bytes() == original
+
+
 def _help_text():
     """The --help output of the main parser and of every subcommand."""
     pages = []
@@ -138,6 +179,15 @@ def test_help_matches_golden():
     if not os.path.exists(path):
         pytest.skip(f"no help golden for this Python version ({HELP_GOLDEN})")
     assert _help_text() == _read(path)
+
+
+def test_help_matches_golden_after_a_narrow_first_call():
+    # the parser is built once per process; help must still be laid out
+    # at the width in force when it is printed
+    cli._parser.cache_clear()
+    with mock.patch.dict(os.environ, {"COLUMNS": "40"}):
+        _run(["validate", EXAMPLE])
+    test_help_matches_golden()
 
 
 def regenerate():

@@ -75,6 +75,26 @@ def test_pruned_elimination_gives_the_reference_point(case):
         assert Semigroup(d, columns).grading == tuple(x / scale for x in point)
 
 
+@given(generator_columns())
+def test_grading_is_the_reference_point_over_its_minimum(case):
+    # the certificate's scaling to min w.n_i = 1, and the integer weights
+    # the fiber search divides by, against plain elimination
+    d, columns = case
+    point = fourier_motzkin_point([(tuple(col), 1) for col in columns], d)
+    if point is None:
+        with pytest.raises(NotCombinatoriallyFinite):
+            Semigroup(d, columns)
+        return
+    sg = Semigroup(d, columns)
+    scale = min(sum(a * b for a, b in zip(point, col)) for col in columns)
+    assert sg.grading == tuple(x / scale for x in point), columns
+    assert min(sg.weight(col) for col in sg.generators) == 1
+    factor = sg._wdots[0] / sg.weight(sg.generators[0])
+    assert factor > 0
+    assert sg._int_grading == tuple(x * factor for x in sg.grading)
+    assert sg._wdots == tuple(sg.weight(col) * factor for col in sg.generators)
+
+
 @given(data=st.data())
 def test_fiber_search_matches_brute_force(data):
     sg = data.draw(presentations())
@@ -149,3 +169,30 @@ def test_engine_and_file_verify_give_one_report(data):
     broken_report = engine.verify_fragment(broken)
     assert not broken_report["passed"]
     assert broken_report == verify_fragment_json(doc, engine)
+
+
+@given(data=st.data())
+def test_minimalize_reconstructs_the_binomial(data):
+    sg = data.draw(presentations(max_dim=2, max_gens=4, min_codim=1))
+    degrees = [m for m in sg.degrees_up_to(5) if 2 <= len(sg.fiber(m, DEGREVLEX)) <= 12]
+    assume(degrees)
+    m = data.draw(st.sampled_from(degrees))
+    lead, trail = data.draw(st.lists(st.sampled_from(sg.fiber(m, DEGREVLEX)),
+                                     min_size=2, max_size=2, unique=True))
+    engine = ResolutionEngine(sg, Config(field=data.draw(st.sampled_from(FIELDS))))
+    field = engine.field
+    result = engine.minimalize_binomial(lead, trail)
+    gamma = tuple(map(min, lead, trail))
+    # sum of coefficient * (x^lead_g - x^trail_g), multiplied out here
+    total = {}
+    minus_one = field.neg(field.one)
+    for rec, poly in result.entries:
+        assert rec.level == 0 and engine.betti_delta(rec.degree, 0) > 0, rec
+        binomial = rec.value
+        for mono, coeff in poly.items():
+            assert all(g <= e for g, e in zip(gamma, mono)), (mono, gamma)
+            assert sg.sub_degree(m, sg.degree_of(mono)) == rec.degree
+            for term, sign in ((binomial.lead, field.one), (binomial.trail, minus_one)):
+                product = tuple(a + b for a, b in zip(mono, term))
+                field.axpy(total, {product: coeff}, sign)
+    assert total == {lead: field.one, trail: minus_one}, (sg, lead, trail)
