@@ -698,9 +698,12 @@ class ResolutionEngine:
 
         Homology representatives at m itself become generators directly;
         the walk over low-dimensional faces then lets the recursion find
-        generators at the strictly smaller degrees it visits.  face_cap,
-        when given, truncates the walk to that many faces per dimension
-        (the fixed face order makes the truncation deterministic).
+        generators at the strictly smaller degrees it visits.  The fixed
+        basis at (m, j) is built only where the comparison complex has
+        homology: by the nerve theorem the fiber complex has the same
+        reduced homology, so elsewhere the basis would yield no generator.
+        face_cap, when given, truncates the walk to that many faces per
+        dimension (the fixed face order makes the truncation deterministic).
         """
         m = tuple(m)
         if not self.semigroup.member(m):
@@ -709,8 +712,9 @@ class ResolutionEngine:
             return fragment
         cx = self.nabla(m)
         for j in range(max_level + 1):
-            basis = self.chain_basis(m, j)
-            for idx in range(len(basis.homology)):
+            if not self.betti_delta(m, j):
+                continue
+            for idx in range(len(self.chain_basis(m, j).homology)):
                 self._ensure_generator(j, m, idx)
         for dim in range(1, max_level + 2):
             faces = cx.faces_of_dim(dim)

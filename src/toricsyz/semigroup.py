@@ -176,15 +176,6 @@ def _fourier_motzkin_numerators(rows: list[tuple[tuple[int, ...], int]], dim: in
     return nums, den
 
 
-def _fourier_motzkin_point(rows: list[tuple[tuple[int, ...], int]], dim: int):
-    """The point of `_fourier_motzkin_numerators` as Fractions, or None."""
-    found = _fourier_motzkin_numerators(rows, dim)
-    if found is None:
-        return None
-    nums, den = found
-    return [Fraction(v, den) for v in nums]
-
-
 class Semigroup:
     """Validated presentation of a combinatorially finite semigroup.
 

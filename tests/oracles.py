@@ -6,6 +6,8 @@ from itertools import product
 
 from toricsyz.complexes import NablaComplex
 from toricsyz.orders import mono_div, mono_mul
+from toricsyz.resolution import ResolutionFragment
+from toricsyz.semigroup import _fourier_motzkin_numerators
 
 
 class DegreeMismatch(ValueError):
@@ -87,6 +89,46 @@ def fourier_motzkin_point(rows: list[tuple[tuple[int, ...], int]], dim: int):
             x = min(x, hi)
         point.append(x)
     return point
+
+
+def pruned_fourier_motzkin_point(rows: list[tuple[tuple[int, ...], int]], dim: int):
+    """The engine's pruned elimination point as Fractions, or None."""
+    found = _fourier_motzkin_numerators(rows, dim)
+    if found is None:
+        return None
+    nums, den = found
+    return [Fraction(v, den) for v in nums]
+
+
+def harvest_every_basis(engine, m, max_level) -> ResolutionFragment:
+    """ResolutionEngine.harvest as it was before it skipped bases.
+
+    Builds the fixed basis at (m, j) for every j up to max_level and takes
+    the generator count from its homology, whether or not the comparison
+    complex has homology there; then runs the same face walk.
+    """
+    m = tuple(m)
+    if not engine.semigroup.member(m):
+        fragment = ResolutionFragment(m, max_level, {})
+        fragment.report = engine.verify_fragment(fragment)
+        return fragment
+    cx = engine.nabla(m)
+    for j in range(max_level + 1):
+        basis = engine.chain_basis(m, j)
+        for idx in range(len(basis.homology)):
+            engine._ensure_generator(j, m, idx)
+    for dim in range(1, max_level + 2):
+        for face in cx.faces_of_dim(dim):
+            engine._psi_face(m, dim, face)
+    levels = {}
+    for level in sorted(engine.registry.by_level):
+        if level <= max_level:
+            records = engine.registry.level_records(level, engine.semigroup)
+            if records:
+                levels[level] = records
+    fragment = ResolutionFragment(m, max_level, levels)
+    fragment.report = engine.verify_fragment(fragment)
+    return fragment
 
 
 def restrict_nabla(complex_, beta) -> NablaComplex:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricsyz import ChainBasis, ResolutionEngine, homology
+from toricsyz import ChainBasis, ResolutionEngine, Semigroup, homology
 from toricsyz.cli import main
 
 EXAMPLE = {"dim": 2, "generators": [[4, 1], [5, 1], [7, 1], [8, 1]]}
@@ -335,6 +335,26 @@ class TestRanksWithoutBases:
                       "--cache", str(cache))
         assert code == 0
         assert list(cache.iterdir()) == []
+
+
+class TestHarvestStoresOnlyBasesWithHomology:
+    def test_no_basis_file_where_the_degree_has_no_homology(self, capsys, semigroup_file,
+                                                           tmp_path):
+        # every reduced Betti number at (60, 10) is 0, so harvest builds no
+        # basis there; the degrees the face walk visits still store theirs
+        argv = ["--format", "json", "harvest", semigroup_file, "-m", "60,10",
+                "--max-level", "3"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        cache = tmp_path / "cache"
+        assert run(capsys, *argv, "--cache", str(cache)) == (0, out)
+        names = {p.name for p in cache.iterdir()}
+        assert names
+        engine = ResolutionEngine(Semigroup(EXAMPLE["dim"], EXAMPLE["generators"]))
+        for j in range(4):
+            key = homology.basis_cache_key(engine.semigroup, (60, 10), j,
+                                           engine.order.kind, engine.field.name)
+            assert f"basis-{key}.json" not in names
 
 
 class TestCrosscheckDisagreement:

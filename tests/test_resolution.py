@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -326,6 +327,21 @@ class TestHarvest:
             assert coeff in (1, -1)
             seen_vars.add(mono)
         assert len(seen_vars) == 4
+
+    def test_no_fiber_basis_where_the_degree_has_no_homology(self, engine, capsys,
+                                                             tmp_path):
+        from toricsyz.cli import main
+        from toricsyz.serialize import dumps, fragment_to_json
+
+        m = (60, 10)
+        fragment = engine.harvest(m, 3)
+        assert [engine.betti_delta(m, j) for j in range(4)] == [0, 0, 0, 0]
+        assert not [key for key in (*engine._bases, *engine._gauss) if key[0] == m]
+        path = tmp_path / "semigroup.json"
+        path.write_text(json.dumps(engine.semigroup.to_dict()), encoding="utf-8")
+        assert main(["--format", "json", "harvest", str(path), "-m", "60,10",
+                     "--max-level", "3"]) == 0
+        assert dumps(fragment_to_json(fragment, engine)) == capsys.readouterr().out
 
     def test_harvest_nonmember_is_empty(self, engine):
         fragment = engine.harvest((1, 0), 2)
