@@ -51,14 +51,12 @@ def _parse_exponents(text: str, r: int):
     return parts
 
 
-def _field_value(text: str):
-    if text == "rational":
-        return "rational"
-    cleaned = text.removeprefix("prime:")
-    try:
-        return int(cleaned)
-    except ValueError as exc:
-        raise SemigroupError(f"bad field {text!r}") from exc
+def _jmax(args, sg: Semigroup) -> int:
+    if args.jmax is None:
+        return sg.num_generators - 1
+    if args.jmax < 0:
+        raise SemigroupError(f"--jmax must be nonnegative, got {args.jmax}")
+    return args.jmax
 
 
 def _add_global_options(parser, suppress: bool):
@@ -136,7 +134,7 @@ def _engine(args) -> ResolutionEngine:
     sg = Semigroup.from_file(args.semigroup)
     config = Config(
         term_order=args.order,
-        field=_field_value(args.field),
+        field=args.field,
         cache_dir=args.cache,
     )
     return ResolutionEngine(sg, config)
@@ -201,7 +199,7 @@ def _cmd_delta(args):
 def _cmd_betti(args):
     engine = _engine(args)
     m = _parse_degree(args.degree, engine.semigroup.dim)
-    jmax = args.jmax if args.jmax is not None else engine.semigroup.num_generators - 1
+    jmax = _jmax(args, engine.semigroup)
     ranks = {j: engine.betti_delta(m, j) for j in range(jmax + 1)}
     payload = {
         "config": engine.config.describe(),
@@ -261,7 +259,7 @@ def _cmd_scan(args):
         Fraction(args.w_bound)
     except (ValueError, ZeroDivisionError) as exc:
         raise SemigroupError(f"bad weight bound {args.w_bound!r}") from exc
-    jmax = args.jmax if args.jmax is not None else sg.num_generators - 1
+    jmax = _jmax(args, sg)
     obstruction_dim = sg.num_generators - sg.matrix_rank()
     rows = []
     disagreements = []

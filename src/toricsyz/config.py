@@ -3,13 +3,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .homology import get_field
+
 
 @dataclass(frozen=True)
 class Config:
     """Term order, coefficient field, cache location and debug checks.
 
-    ``field`` is either the string "rational" or a prime given as an int
-    or as "prime:p".  Identical configs yield byte-identical artifacts.
+    ``field`` is either the string "rational" or a prime given as an int,
+    as "p" or as "prime:p"; ``homology.get_field`` reads it.  Identical
+    configs yield byte-identical artifacts.
     """
 
     term_order: str = "degrevlex"
@@ -17,12 +20,5 @@ class Config:
     cache_dir: str | None = None
     debug_checks: bool = False
 
-    def field_name(self) -> str:
-        if self.field in (None, "rational"):
-            return "rational"
-        if isinstance(self.field, int):
-            return f"prime:{self.field}"
-        return str(self.field)
-
     def describe(self) -> dict:
-        return {"order": self.term_order, "field": self.field_name()}
+        return {"order": self.term_order, "field": get_field(self.field).name}

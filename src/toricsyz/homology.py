@@ -195,15 +195,21 @@ _RATIONALS = RationalField()
 
 
 def get_field(spec):
-    """Field from a config value: 'rational', an int, or 'prime:p'."""
+    """Field from a config value: 'rational', an int, or 'p' / 'prime:p' text.
+
+    The one reader of field specs; text that names no field raises
+    FieldError.
+    """
     if spec is None or spec == "rational":
         return RationalField()
-    if isinstance(spec, int):
-        return PrimeField(spec)
     if isinstance(spec, str):
-        text = spec.removeprefix("prime:")
-        return PrimeField(int(text))
-    raise ValueError(f"unrecognized field spec {spec!r}")
+        try:
+            spec = int(spec.removeprefix("prime:"))
+        except ValueError:
+            raise FieldError(f"unrecognized field spec {spec!r}") from None
+    if not isinstance(spec, int):
+        raise FieldError(f"unrecognized field spec {spec!r}")
+    return PrimeField(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Minimal generators and syzygies extracted from single degrees.
 
-The engine in this module walks the recursion that underlies the whole
-library.  A homogeneous binomial is decomposed by factoring out the gcd
-of its two monomials, expressing the resulting pair of vertices in the
-fixed cycle basis of the reduced-degree fiber complex, harvesting the
-homology coordinates as minimal generators and pushing the boundary
-coordinates onto edges, which recurse at strictly smaller degrees.  The
-same scheme one homological level up decomposes syzygy vectors: factor
-the monomial content, lift to a cycle, split against the fixed basis,
-recurse through the preimage faces.
+The engine in this module walks one recursion step, the same at every
+homological level.  Its input is a polynomial at level 0 (a binomial) and
+a syzygy vector over the level-below generators above that.  The step
+factors out the monomial content, lifts what remains to a cycle of the
+fiber complex at the reduced degree (at level 0 each monomial is a
+vertex), splits that cycle against the fixed basis there, harvests the
+homology coordinates as minimal generators and pushes the boundary
+coordinates onto their preimage faces one dimension up.  The value of a
+face is the step applied to the image of its boundary; the monomials of a
+face share a variable, so that image has nontrivial content and the step
+recurses at a strictly smaller degree.
 
 Every generator is identified by (level, degree, index of its homology
 representative in the fixed basis), which makes results of independent
@@ -119,9 +121,14 @@ def syz_mono_mul(g: SyzygyVector, mono: Monomial) -> SyzygyVector:
     return {gid: poly_mono_mul(p, mono) for gid, p in g.items()}
 
 
-def syz_content(g: SyzygyVector) -> Monomial:
-    monos = [m for p in g.values() for m in p]
-    return mono_gcd(*monos)
+def monomial_content(level: int, g) -> Monomial:
+    """gcd of the monomials of g: a polynomial at level 0, a syzygy vector above."""
+    return mono_gcd(*(g if level == 0 else [m for p in g.values() for m in p]))
+
+
+def _shifted(semigroup: Semigroup, mono: Monomial, degree: Degree) -> Degree:
+    """Degree of x^mono times a generator of the given degree."""
+    return tuple(a + b for a, b in zip(semigroup.degree_of(mono), degree))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +260,6 @@ class ResolutionEngine:
         self._gauss: dict[tuple, GaussDecomposition] = {}
         self._delta_ranks: dict[tuple, int] = {}
         self._psi: dict[tuple, SyzygyVector] = {}
-        self._binomials: dict[tuple, SyzygyVector] = {}
         self._lifts: dict[tuple, tuple] = {}
 
     # -- cached geometry ----------------------------------------------------
@@ -351,7 +357,7 @@ class ResolutionEngine:
 
         return betti_reduced(cx, j, self.field, rank)
 
-    # -- level 0 ------------------------------------------------------------
+    # -- one recursion step, every level ----------------------------------
 
     def psi0(self, chain: dict, m: Degree) -> Polynomial:
         """Linear extension of vertex -> monomial on 0-chains at degree m."""
@@ -377,51 +383,62 @@ class ResolutionEngine:
             )
         if lead == trail:
             raise NotInIdeal("the two monomials coincide; the binomial is zero")
-        coeffs = self._decompose_binomial(lead, trail)
-        self._check_reconstruction(coeffs, Binomial(lead, trail).as_polynomial(self.field),
-                                   mono_gcd(lead, trail))
-        return self._finish_result(m, coeffs)
+        return self._minimalize(0, Binomial(lead, trail).as_polynomial(self.field), m)
 
-    def _decompose_binomial(self, alpha: Monomial, beta: Monomial) -> SyzygyVector:
-        key = (alpha, beta)
-        cached = self._binomials.get(key)
-        if cached is not None:
-            return cached
+    def minimalize_syzygy(self, level: int, g: SyzygyVector) -> DecompositionResult:
+        """Decompose a level-th syzygy over minimal generators of that level."""
+        if not g:
+            return DecompositionResult(self.semigroup.zero_degree(), [])
+        return self._minimalize(level, g, self._validate_syzygy(level, g))
+
+    def _minimalize(self, level: int, g, m: Degree) -> DecompositionResult:
+        """Decompose, check the reconstruction, sort the entries canonically."""
+        coeffs = self._decompose(level, g, m)
+        self._check_reconstruction(coeffs, g, monomial_content(level, g))
+        entries = [(self.registry.get(gid), dict(poly))
+                   for gid, poly in coeffs.items() if poly]
+        entries.sort(key=lambda item: item[0].sort_key(self.semigroup))
+        return DecompositionResult(tuple(m), entries)
+
+    def _decompose(self, level: int, g, m: Degree) -> SyzygyVector:
+        """Coefficients of g over the level-th minimal generators.
+
+        g is a polynomial at level 0 and a syzygy vector above, homogeneous
+        of degree m.  Its monomial content is factored out, the rest lifted
+        to a cycle of the fiber complex at the reduced degree and split
+        against the fixed basis there: homology coordinates are generators,
+        boundary coordinates recurse through the preimage faces one
+        dimension up, at that same reduced degree.
+        """
+        if not g:
+            return {}
         field = self.field
-        gamma = mono_gcd(alpha, beta)
-        a_red = mono_div(alpha, gamma)
-        b_red = mono_div(beta, gamma)
-        m_red = self.semigroup.degree_of(a_red)
-        cx = self.nabla(m_red)
-        basis = self.chain_basis(m_red, 0)
-        ia = cx.vertex_index[a_red]
-        ib = cx.vertex_index[b_red]
-        z = {(ia,): field.one, (ib,): field.neg(field.one)}
-        lam, mu = basis.express(z)
+        c = monomial_content(level, g)
+        if mono_is_unit(c):
+            reduced, m_red = g, tuple(m)
+        else:
+            reduced = (poly_mono_div(g, c) if level == 0
+                       else {gid: poly_mono_div(p, c) for gid, p in g.items()})
+            m_red = self.semigroup.sub_degree(m, self.semigroup.degree_of(c))
+        basis = self.chain_basis(m_red, level)
+        lam, mu = basis.express(self._lift(level, reduced, m_red))
         out: SyzygyVector = {}
+        unit = (0,) * self.semigroup.num_generators
         for idx, lv in enumerate(lam):
-            if not lv:
-                continue
-            rec = self._ensure_generator(0, m_red, idx)
-            syz_add_scaled(out, {rec.gid: {(0,) * len(alpha): rec.orientation}}, lv, field)
-        self._push_boundary_part(out, basis, mu, m_red, 1)
-        if not mono_is_unit(gamma):
-            out = syz_mono_mul(out, gamma)
-        self._binomials[key] = out
-        return out
-
-    def _push_boundary_part(self, out, basis, mu, m_red, dim) -> None:
-        """Convert boundary coordinates to face coefficients and recurse."""
-        if not any(mu):
-            return
-        field = self.field
+            if lv:
+                rec = self._ensure_generator(level, m_red, idx)
+                syz_add_scaled(out, {rec.gid: {unit: rec.orientation}}, lv, field)
         nu: dict[int, object] = {}
         for j, mv in enumerate(mu):
             field.axpy(nu, basis.boundary[j][1], mv)
         for k in sorted(nu):
-            face = basis.up_faces[k]
-            sub = self._psi_face(m_red, dim, face)
-            syz_add_scaled(out, sub, nu[k], field)
+            syz_add_scaled(out, self._psi_face(m_red, level + 1, basis.up_faces[k]),
+                           nu[k], field)
+        if not mono_is_unit(c):
+            out = syz_mono_mul(out, c)
+        if self.config.debug_checks:
+            self._check_reconstruction(out, g, c)
+        return out
 
     def _ensure_generator(self, level: int, m: Degree, idx: int) -> GeneratorRecord:
         gid = (level, tuple(m), idx)
@@ -436,11 +453,8 @@ class ResolutionEngine:
                 raise CheckFailed("0-dimensional witness is not a vertex pair")
             top = max(raw, key=self.order.key)
             other = next(mono for mono in raw if mono != top)
-            if raw[top] == field.one:
-                orientation = field.one
-            elif raw[top] == field.neg(field.one):
-                orientation = field.neg(field.one)
-            else:
+            orientation = raw[top]
+            if orientation not in (field.one, field.neg(field.one)):
                 raise CheckFailed("witness pair has non-unit coefficients")
             record = GeneratorRecord(gid, 0, tuple(m), Binomial(top, other),
                                      dict(witness), orientation)
@@ -454,100 +468,121 @@ class ResolutionEngine:
         self.registry.add(record)
         return record
 
+    def _check_reconstruction(self, coeffs: SyzygyVector, expected, divisor: Monomial) -> None:
+        """Every coefficient is divisible by divisor and phi(coeffs) == expected."""
+        for gid, poly in coeffs.items():
+            if any(any(d > e for d, e in zip(divisor, mono)) for mono in poly):
+                raise CheckFailed(
+                    f"coefficient of {gid} is not divisible by {mono_str(divisor)}"
+                )
+        if phi_image(coeffs, self.registry.value, self.field) != expected:
+            raise CheckFailed("decomposition does not reconstruct its input")
+
     # -- psi on faces ---------------------------------------------------------
 
     def psi(self, level: int, face, m: Degree) -> SyzygyVector:
         """Evaluate the level-th comparison map on a vertex tuple at degree m.
 
         Defined by decomposing the image of the tuple's boundary one level
-        down; on actual faces this makes the resolution diagrams commute.
+        down; on actual faces this makes the resolution diagrams commute,
+        which debug mode checks: phi(psi(F)) must equal psi(boundary F).
         """
         if level < 1:
             raise ResolutionError("psi is defined for level >= 1")
-        face = tuple(face)
+        face, m = tuple(face), tuple(m)
         cx = self.nabla(m)
         if (len(face) != level + 1 or len(set(face)) != len(face)
                 or list(face) != sorted(face)
                 or any(not 0 <= i < len(cx.vertices) for i in face)):
             raise NotAFace(f"{face} is not a valid {level}-dimensional vertex tuple")
-        result = self._psi_face(tuple(m), level, face)
-        if self.config.debug_checks:
-            self._check_diagram(level, face, m, result)
+        result = self._psi_face(m, level, face)
+        if (self.config.debug_checks and phi_image(result, self.registry.value, self.field)
+                != self._boundary_image(m, level, face)):
+            raise CheckFailed(f"diagram check failed for face {face} at {m}")
         return result
 
     def _psi_face(self, m: Degree, dim: int, face) -> SyzygyVector:
         key = (m, dim, face)
         cached = self._psi.get(key)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._psi[key] = self._decompose(
+                dim - 1, self._boundary_image(m, dim, face), m)
+        return cached
+
+    def _boundary_image(self, m: Degree, dim: int, face):
+        """psi_{dim-1} of the boundary of a face: for an edge its binomial,
+        above that the signed sum of the facets' psi values."""
+        field = self.field
         if dim == 1:
             cx = self.nabla(m)
-            va = cx.vertices[face[0]]
-            vb = cx.vertices[face[1]]
-            result = self._decompose_binomial(vb, va)
-        else:
-            g: SyzygyVector = {}
-            one = self.field.one
-            neg = self.field.neg(one)
-            for pos in range(len(face)):
-                sub_face = face[:pos] + face[pos + 1:]
-                sub = self._psi_face(m, dim - 1, sub_face)
-                syz_add_scaled(g, sub, one if pos % 2 == 0 else neg, self.field)
-            result = self._decompose_syzygy(dim - 1, g, m)
-        self._psi[key] = result
-        return result
+            return Binomial(cx.vertices[face[1]], cx.vertices[face[0]]).as_polynomial(field)
+        out: SyzygyVector = {}
+        one, neg = field.one, field.neg(field.one)
+        for pos in range(len(face)):
+            sub = self._psi_face(m, dim - 1, face[:pos] + face[pos + 1:])
+            syz_add_scaled(out, sub, one if pos % 2 == 0 else neg, field)
+        return out
 
-    def _check_diagram(self, level, face, m, result) -> None:
-        """phi(psi(F)) must equal psi(boundary F); exercised in debug mode."""
-        field = self.field
-        if level == 1:
-            cx = self.nabla(m)
-            low = Binomial(cx.vertices[face[1]], cx.vertices[face[0]]).as_polynomial(field)
-        else:
-            low = {}
-            neg = field.neg(field.one)
-            for pos in range(len(face)):
-                sub = self._psi_face(m, level - 1, face[:pos] + face[pos + 1:])
-                syz_add_scaled(low, sub, field.one if pos % 2 == 0 else neg, field)
-        if phi_image(result, self.registry.value, field) != low:
-            raise CheckFailed(f"diagram check failed for face {face} at {m}")
+    # -- syzygy input ---------------------------------------------------------
 
-    # -- higher levels --------------------------------------------------------
+    def _syzygy_faults(self, level: int, degree, value: SyzygyVector, entry_of):
+        """(exception type, message) for each fault of a level-th syzygy entry.
 
-    def _validate_syzygy(self, level: int, g: SyzygyVector) -> Degree:
+        entry_of(gid) gives (level, degree, value, ...) of a referenced
+        generator, or None.  Each term must reference a generator one level
+        down with a nonzero, constant-free polynomial of total degree
+        `degree`, and the vector must compose to zero with the level below.
+        """
+        sg = self.semigroup
+        unit = (0,) * sg.num_generators
+        usable = {}
+        for gid, poly in value.items():
+            ref = entry_of(gid)
+            if ref is None:
+                yield UnknownGenerator, f"references missing generator {gid}"
+                continue
+            if not poly:
+                yield ResolutionError, f"stored zero polynomial on {gid}"
+            if unit in poly:
+                yield ResolutionError, f"constant coefficient on {gid}"
+            if ref[0] != level - 1:
+                yield ResolutionError, f"level mismatch against {gid}"
+                continue
+            if any(_shifted(sg, mono, ref[1]) != degree for mono in poly):
+                yield NotHomogeneous, f"inhomogeneous entry on {gid}"
+            usable[gid] = poly
+        if phi_image(usable, lambda gid: entry_of(gid)[2], self.field):
+            yield NotASyzygy, "composition with previous level is nonzero"
+
+    def _validate_syzygy(self, level: int, g: SyzygyVector, m: Degree | None = None) -> Degree:
+        """Raise the first fault of g as a level-th syzygy of degree m; return m.
+
+        Without m, the degree is that of g's first term.
+        """
         if level < 1:
             raise ResolutionError("syzygy levels start at 1")
-        m = None
-        for gid, f in g.items():
-            rec = self.registry.get(gid)
-            if rec.level != level - 1:
-                raise ResolutionError(
-                    f"{gid} has level {rec.level}, expected {level - 1}"
-                )
-            if not f:
-                raise ResolutionError(f"stored zero polynomial on {gid}")
-            for mono in f:
-                dm = tuple(
-                    a + b for a, b in zip(self.semigroup.degree_of(mono), rec.degree)
-                )
-                if m is None:
-                    m = dm
-                elif m != dm:
-                    raise NotHomogeneous(
-                        f"mixed degrees {m} and {dm} in syzygy vector"
-                    )
-        if phi_image(g, self.registry.value, self.field):
-            raise NotASyzygy("vector does not annihilate the previous level")
+        records = self.registry.records
+
+        def entry_of(gid):
+            rec = records.get(gid)
+            return None if rec is None else (rec.level, rec.degree, rec.value)
+
+        if m is None:
+            gid, poly = next(iter(g.items()))
+            if gid in records and poly:
+                m = _shifted(self.semigroup, next(iter(poly)), records[gid].degree)
+        else:
+            m = tuple(m)
+        # a first term without a degree is itself the first fault
+        for exc_type, message in self._syzygy_faults(level, m, g, entry_of):
+            raise exc_type(message)
         return m
 
     def lift_to_cycle(self, level: int, g: SyzygyVector, m: Degree | None = None) -> dict:
         """Cycle in the fiber complex whose psi image is g; verified."""
         if not g:
             return {}
-        found = self._validate_syzygy(level, g)
-        m = tuple(m) if m is not None else found
-        if found != m:
-            raise NotHomogeneous(f"vector has degree {found}, not {m}")
+        m = self._validate_syzygy(level, g, m)
         chain = self._lift(level, g, m)
         recon: SyzygyVector = {}
         for face, coeff in chain.items():
@@ -556,8 +591,11 @@ class ResolutionEngine:
             raise LiftFailed("psi of the lifted chain does not reconstruct the input")
         return chain
 
-    def _lift(self, level: int, g: SyzygyVector, m: Degree) -> dict:
+    def _lift(self, level: int, g, m: Degree) -> dict:
         """Cycle c with psi_level(c) = g, deterministic.
+
+        Level 0 is the vertex lift: each monomial of the polynomial g is a
+        vertex of the fiber complex at its degree.
 
         Level 1 is the classical edge lift: a term x^delta on a binomial
         generator pulls back to the edge joining the delta-shifts of its
@@ -573,6 +611,11 @@ class ResolutionEngine:
         """
         field = self.field
         cx = self.nabla(m)
+        if level == 0:
+            try:
+                return {(cx.vertex_index[mono],): coeff for mono, coeff in g.items()}
+            except KeyError as exc:
+                raise LiftFailed(f"monomial {exc} is not in the fiber of {m}") from exc
         if level == 1:
             chain: dict = {}
             for gid, f in g.items():
@@ -633,63 +676,6 @@ class ResolutionEngine:
         self._lifts[key] = cached
         return cached
 
-    def minimalize_syzygy(self, level: int, g: SyzygyVector) -> DecompositionResult:
-        """Decompose a level-th syzygy over minimal generators of that level."""
-        if not g:
-            return DecompositionResult(self.semigroup.zero_degree(), [])
-        m = self._validate_syzygy(level, g)
-        coeffs = self._decompose_syzygy(level, g, m)
-        self._check_reconstruction(coeffs, g, syz_content(g))
-        return self._finish_result(m, coeffs)
-
-    def _decompose_syzygy(self, level: int, g: SyzygyVector, m: Degree) -> SyzygyVector:
-        if not g:
-            return {}
-        field = self.field
-        content = syz_content(g)
-        if mono_is_unit(content):
-            reduced = g
-            m_red = tuple(m)
-        else:
-            reduced = {gid: poly_mono_div(p, content) for gid, p in g.items()}
-            m_red = self.semigroup.sub_degree(m, self.semigroup.degree_of(content))
-        basis = self.chain_basis(m_red, level)
-        chain = self._lift(level, reduced, m_red)
-        lam, mu = basis.express(chain)
-        out: SyzygyVector = {}
-        unit = (0,) * self.semigroup.num_generators
-        for idx, lv in enumerate(lam):
-            if not lv:
-                continue
-            rec = self._ensure_generator(level, m_red, idx)
-            syz_add_scaled(out, {rec.gid: {unit: field.one}}, lv, field)
-        self._push_boundary_part(out, basis, mu, m_red, level + 1)
-        if not mono_is_unit(content):
-            out = syz_mono_mul(out, content)
-        if self.config.debug_checks:
-            self._check_reconstruction(out, g, content)
-        return out
-
-    # -- result assembly ------------------------------------------------------
-
-    def _finish_result(self, m: Degree, coeffs: SyzygyVector) -> DecompositionResult:
-        entries = []
-        for gid, poly in coeffs.items():
-            if poly:
-                entries.append((self.registry.get(gid), dict(poly)))
-        entries.sort(key=lambda item: item[0].sort_key(self.semigroup))
-        return DecompositionResult(tuple(m), entries)
-
-    def _check_reconstruction(self, coeffs: SyzygyVector, expected, divisor: Monomial) -> None:
-        """Every coefficient is divisible by divisor and phi(coeffs) == expected."""
-        for gid, poly in coeffs.items():
-            if any(any(d > e for d, e in zip(divisor, mono)) for mono in poly):
-                raise CheckFailed(
-                    f"coefficient of {gid} is not divisible by {mono_str(divisor)}"
-                )
-        if phi_image(coeffs, self.registry.value, self.field) != expected:
-            raise CheckFailed("decomposition does not reconstruct its input")
-
     # -- harvesting -----------------------------------------------------------
 
     def harvest(self, m: Degree, max_level: int,
@@ -705,6 +691,10 @@ class ResolutionEngine:
         face_cap, when given, truncates the walk to that many faces per
         dimension (the fixed face order makes the truncation deterministic).
         """
+        if max_level < 0:
+            raise ResolutionError(f"--max-level must be nonnegative, got {max_level}")
+        if face_cap is not None and face_cap < 0:
+            raise ResolutionError(f"--face-cap must be nonnegative, got {face_cap}")
         m = tuple(m)
         if not self.semigroup.member(m):
             fragment = ResolutionFragment(m, max_level, {})
@@ -752,7 +742,6 @@ class ResolutionEngine:
         bases the generators came from.
         """
         sg = self.semigroup
-        unit = (0,) * sg.num_generators
         violations = []
         face_indices: dict = {}
         for gid, (level, degree, value, witness) in sorted(entries.items()):
@@ -776,25 +765,8 @@ class ResolutionEngine:
                 if mono_is_unit(value.lead) or mono_is_unit(value.trail):
                     violations.append(f"{gid}: constant term in binomial")
                 continue
-            usable = {}
-            for gid2, poly in value.items():
-                ref = entries.get(gid2)
-                if ref is None:
-                    violations.append(f"{gid}: references missing generator {gid2}")
-                    continue
-                if not poly:
-                    violations.append(f"{gid}: stored zero polynomial on {gid2}")
-                if unit in poly:
-                    violations.append(f"{gid}: constant coefficient on {gid2}")
-                if ref[0] != level - 1:
-                    violations.append(f"{gid}: level mismatch against {gid2}")
-                    continue
-                if any(tuple(a + b for a, b in zip(sg.degree_of(mono), ref[1])) != degree
-                       for mono in poly):
-                    violations.append(f"{gid}: inhomogeneous entry on {gid2}")
-                usable[gid2] = poly
-            if phi_image(usable, lambda g: entries[g][2], self.field):
-                violations.append(f"{gid}: composition with previous level is nonzero")
+            violations += [f"{gid}: {message}" for _type, message
+                           in self._syzygy_faults(level, degree, value, entries.get)]
         counts: dict = {}
         for level, degree, _value, _witness in entries.values():
             counts[(level, degree)] = counts.get((level, degree), 0) + 1

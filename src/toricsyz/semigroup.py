@@ -360,6 +360,8 @@ class Semigroup:
     def degrees_up_to(self, w_bound) -> list[Degree]:
         """All semigroup elements of weight at most w_bound, canonically ordered."""
         bound = Fraction(w_bound)
+        if bound < 0:
+            return []
         zero = self.zero_degree()
         seen = {zero}
         frontier = [zero]

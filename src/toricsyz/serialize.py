@@ -88,20 +88,6 @@ def decomposition_to_json(result: DecompositionResult, engine: ResolutionEngine,
     }
 
 
-def registry_to_json(engine: ResolutionEngine):
-    records = []
-    for level in sorted(engine.registry.by_level):
-        records.extend(
-            record_to_json(rec, engine.field)
-            for rec in engine.registry.level_records(level, engine.semigroup)
-        )
-    return {
-        "config": engine.config.describe(),
-        "kind": "registry",
-        "generators": records,
-    }
-
-
 def dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 

@@ -8,6 +8,7 @@ from toricsyz.complexes import NablaComplex
 from toricsyz.orders import mono_div, mono_mul
 from toricsyz.resolution import ResolutionFragment
 from toricsyz.semigroup import _fourier_motzkin_numerators
+from toricsyz.serialize import record_to_json
 
 
 class DegreeMismatch(ValueError):
@@ -223,3 +224,18 @@ def oracle_v0(engine, m) -> int:
             reduced.append((piv, vec))
             rank += 1
     return (t - 1) - rank
+
+
+def registry_to_json(engine):
+    """Every registered generator, in canonical order, as one JSON document."""
+    records = []
+    for level in sorted(engine.registry.by_level):
+        records.extend(
+            record_to_json(rec, engine.field)
+            for rec in engine.registry.level_records(level, engine.semigroup)
+        )
+    return {
+        "config": engine.config.describe(),
+        "kind": "registry",
+        "generators": records,
+    }

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 from dense_gauss import densify
-from oracles import brute_force_fiber, oracle_v0, restrict_nabla
+from oracles import brute_force_fiber, oracle_v0, registry_to_json, restrict_nabla
 
 from toricsyz import (
     Config,
@@ -26,7 +26,7 @@ from toricsyz import (
     get_field,
 )
 from toricsyz.resolution import phi_image, poly_mul
-from toricsyz.serialize import dumps, fragment_to_json, registry_to_json
+from toricsyz.serialize import dumps, fragment_to_json
 
 EXAMPLE = [[4, 1], [5, 1], [7, 1], [8, 1]]
 NUMERICAL = [[2], [3]]

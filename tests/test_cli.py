@@ -268,6 +268,21 @@ class TestDeterminism:
     def test_bad_field_rejected(self, semigroup_file):
         assert main(["--field", "six", "betti", semigroup_file, "-m", "21,3"]) == 2
 
+    @pytest.mark.parametrize("spec", ["six", "prime:", "prime:x7", "3.5"])
+    def test_bad_field_error_names_the_spec(self, capsys, semigroup_file, spec):
+        assert main(["--field", spec, "betti", semigroup_file, "-m", "21,3"]) == 2
+        assert capsys.readouterr().err == f"error: unrecognized field spec {spec!r}\n"
+
+    @pytest.mark.parametrize("spec, name", [
+        ("rational", "rational"), ("32003", "prime:32003"),
+        ("prime:32003", "prime:32003"), ("prime:0032003", "prime:32003"),
+    ])
+    def test_config_header_names_the_field(self, capsys, semigroup_file, spec, name):
+        code, out = run(capsys, "--format", "json", "--field", spec,
+                        "fiber", semigroup_file, "-m", "21,3")
+        assert code == 0
+        assert json.loads(out)["config"] == {"order": "degrevlex", "field": name}
+
 
 class TestCorruptCacheEntry:
     def test_dependent_homology_chain_is_recomputed(self, capsys, semigroup_file,
@@ -314,6 +329,37 @@ class TestFaceCapFlag:
         assert code == 0
         data = json.loads(out)
         assert data["verification"]["passed"]
+
+
+class TestOutOfRangeFlags:
+    @pytest.mark.parametrize("argv, flag", [
+        (["harvest", "-m", "60,10", "--face-cap", "-1"], "--face-cap"),
+        (["harvest", "-m", "60,10", "--max-level", "-1"], "--max-level"),
+        (["betti", "-m", "21,3", "--jmax", "-1"], "--jmax"),
+        (["scan", "--w-bound", "8", "--jmax", "-1"], "--jmax"),
+    ], ids=["harvest-face-cap", "harvest-max-level", "betti-jmax", "scan-jmax"])
+    def test_negative_value_exits_two_naming_the_flag(self, capsys, semigroup_file,
+                                                      argv, flag):
+        code = main([argv[0], semigroup_file, *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and flag in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["harvest", "-m", "60,10", "--max-level", "0", "--face-cap", "0"],
+        ["betti", "-m", "21,3", "--jmax", "0"],
+        ["scan", "--w-bound", "8", "--jmax", "0"],
+    ], ids=["harvest", "betti", "scan"])
+    def test_zero_is_accepted(self, capsys, semigroup_file, argv):
+        assert main([argv[0], semigroup_file, *argv[1:]]) == 0
+
+
+def test_negative_weight_bound_scans_no_degree(capsys, semigroup_file):
+    code, out = run(capsys, "--format", "json", "scan", semigroup_file,
+                    "--w-bound", "-1")
+    assert code == 0
+    assert json.loads(out)["rows"] == []
 
 
 def test_bad_weight_bound_exits_two(tmp_path):

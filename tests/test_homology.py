@@ -419,6 +419,12 @@ class TestFieldModes:
         with pytest.raises(ValueError):
             get_field("prime:6")
 
+    @pytest.mark.parametrize("spec", ["six", "prime:", "", 2.5, [5]])
+    def test_unparsable_spec_raises_field_error_naming_it(self, spec):
+        with pytest.raises(FieldError, match="unrecognized field spec") as info:
+            get_field(spec)
+        assert repr(spec) in str(info.value)
+
     def test_miller_rabin_primality(self):
         assert PrimeField(2 ** 61 - 1).modulus == 2 ** 61 - 1
         assert PrimeField(2).one == 1

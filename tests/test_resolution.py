@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from oracles import oracle_v0
+from oracles import oracle_v0, registry_to_json
 
 from toricsyz import (
     Binomial,
@@ -13,9 +13,11 @@ from toricsyz import (
     NotHomogeneous,
     NotInIdeal,
     ResolutionEngine,
+    ResolutionError,
     ResolutionFragment,
     Semigroup,
 )
+from toricsyz.resolution import UnknownGenerator
 from toricsyz.resolution import (
     phi_image,
     poly_mono_mul,
@@ -305,6 +307,47 @@ class TestMinimalizeSyzygy:
             engine.minimalize_syzygy(1, bad)
 
 
+def _bad_syzygies(gens):
+    """(name, level, degree, vector, fault type) of six faulty syzygy vectors."""
+    g12 = gens[(12, 2)].gid
+    valid = syzygy_45_7(gens)
+    unknown = {**valid, (0, (12, 2), 7): {(0, 1, 4, 0): 1}}
+    zero = {**valid, gens[(18, 3)].gid: {}}
+    return [
+        ("unknown-generator", 1, (45, 7), unknown, UnknownGenerator),
+        ("wrong-level", 2, (45, 7), valid, ResolutionError),
+        ("zero-polynomial", 1, (45, 7), zero, ResolutionError),
+        ("constant-coefficient", 1, (12, 2), {g12: {UNIT: 1}}, ResolutionError),
+        ("inhomogeneous", 1, (27, 4), {g12: {(0, 0, 1, 1): 1, (0, 0, 0, 1): 1}},
+         NotHomogeneous),
+        ("not-a-syzygy", 1, (27, 4), {g12: {(0, 0, 1, 1): 1}}, NotASyzygy),
+    ]
+
+
+class TestOneSyzygyCheck:
+    """The engine's input check and the fragment checker judge a syzygy alike."""
+
+    @pytest.mark.parametrize("case", range(6), ids=[
+        "unknown-generator", "wrong-level", "zero-polynomial",
+        "constant-coefficient", "inhomogeneous", "not-a-syzygy"])
+    def test_same_fault_same_words(self, engine, case):
+        gens = register_generators(engine)
+        _name, level, degree, vector, fault = _bad_syzygies(gens)[case]
+        entries = {rec.gid: (rec.level, rec.degree, rec.value, rec.witness)
+                   for rec in engine.registry.records.values()}
+        gid = (level, degree, 0)
+        entries[gid] = (level, degree, vector, {})
+        violations = engine.check_entries(entries)["violations"]
+        calls = [lambda: engine.minimalize_syzygy(level, vector),
+                 lambda: engine.lift_to_cycle(level, vector, degree),
+                 lambda: engine.lift_to_cycle(level, vector)]
+        for call in calls:
+            with pytest.raises(ResolutionError) as info:
+                call()
+            assert info.type is fault
+            assert f"{gid}: {info.value}" in violations
+
+
 class TestHarvest:
     def test_full_resolution_from_60_10(self, engine):
         fragment = engine.harvest((60, 10), 2)
@@ -485,7 +528,7 @@ class TestOracle:
 
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, example_semigroup):
-        from toricsyz.serialize import dumps, fragment_to_json, registry_to_json
+        from toricsyz.serialize import dumps, fragment_to_json
 
         def run():
             eng = ResolutionEngine(example_semigroup, Config())

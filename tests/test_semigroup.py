@@ -222,6 +222,14 @@ def test_degrees_up_to_enumeration(example_semigroup):
     assert set(degrees) == expected
 
 
+def test_degrees_up_to_negative_bound_is_empty(example_semigroup, numerical_semigroup):
+    # the zero degree has weight 0, which is above a negative bound
+    for sg in (example_semigroup, numerical_semigroup):
+        assert sg.degrees_up_to(-1) == []
+        assert sg.degrees_up_to("-1/2") == []
+        assert sg.degrees_up_to(0) == [sg.zero_degree()]
+
+
 def test_matrix_rank(example_semigroup, numerical_semigroup):
     assert example_semigroup.matrix_rank() == 2
     assert numerical_semigroup.matrix_rank() == 1
