@@ -5,22 +5,23 @@ of the host complex.  Gaussian elimination with a fixed pivot rule (scan
 columns left to right, take the topmost nonzero entry, eliminate rows top
 to bottom then columns left to right) produces invertible P and Q with
 
-    P^-1 A Q = [[I_r, 0], [0, 0]],
+    P^-1 A Q = [[I_r, 0], [0, 0]].
 
-so the last columns of Q are a cycle basis and the images of the first
-columns of Q under the boundary map are a boundary basis.  One more
-reduction, of the matrix [boundary basis | cycle basis], picks the
-homology representatives: its pivot columns are the first columns
-independent of all columns before them, so they are the whole boundary
-basis followed by the first cycle-basis columns that extend it.  Each
-cycle-basis column has coefficient 1 at one free (non-pivot) column of
-A and its other support on pivot columns, so projecting onto the free
-columns is injective on cycles and turns the cycle basis into unit
-vectors; the selection reduces that projection, which has the same pivot
-columns and n - r rows instead of n.  This gives, per degree and
-dimension, one fixed basis of the cycle space whose tail represents
-homology classes.  Every choice here is load bearing: the resolution
-machinery is only well defined relative to these bases.
+Its pivot columns are the first columns independent of all columns to
+their left, the greedy basis of the column matroid, so A restricted to
+them is injective.  The fixed basis of the cycles in dimension j has two
+parts.  Its boundary part is the boundaries of the pivot faces of d_{j+1},
+and the preimage of each is that one face; a boundary therefore has
+exactly one preimage on the pivot faces.  Its homology part is a set of
+kernel columns of Q_j, each with coefficient 1 at one free (non-pivot)
+column of d_j and its other support on pivot columns to its left:
+projecting onto the free columns is injective on cycles and turns these
+normal-form vectors into unit vectors.  The representatives are the
+normal-form vectors at the first free columns whose units extend the
+projected boundary part, found by one reduction of the projection.  They
+exist only where nullity(d_j) > rank(d_{j+1}), so only there is Q_j kept.
+Every choice here is load bearing: the resolution machinery is only well
+defined relative to these bases.
 
 Elimination is sparse: the rows of A, the columns of Q and the rows of
 P^-1 are dicts holding only nonzeros, and column swaps are kept as a
@@ -29,7 +30,8 @@ so this keeps time and memory near the fill-in instead of m^2 + n^2.  The
 pivot rule and every row and column operation are those of the dense
 elimination, in exact arithmetic, so Q, P^-1 and therefore the bases are
 unchanged.  Each call tracks only what its caller reads: Q for the
-fixed bases, P^-1 and Q for solving, neither for rank and pivots.
+homology representatives, P^-1 and Q for solving, neither for rank and
+pivots.
 """
 from __future__ import annotations
 
@@ -401,21 +403,25 @@ def _reduce_columns(columns, nrows: int, field, keep: str = "pq") -> GaussDecomp
 class ChainBasis:
     """Fixed basis of the cycle space in one degree and dimension.
 
-    ``boundary`` holds pairs (cycle, preimage): the cycle is the image of
-    the (j+1)-chain described by the sparse preimage column of Q_{j+1}.
-    ``homology`` holds the cycle-basis columns whose classes form a basis
-    of reduced homology.
+    ``pivots`` lists, in ascending order, the indices into ``up_faces`` of
+    the pivot faces of d_{j+1}.  ``boundary`` holds one pair (cycle,
+    preimage) per pivot face: the face's boundary, and the face as a
+    sparse chain {index: 1}.  ``homology`` holds the normal-form kernel
+    vectors whose classes form a basis of reduced homology.
     """
 
     def __init__(self, degree, dim, order_name, field, faces, up_faces,
-                 boundary, homology, rank_down, rank_up):
+                 pivots, homology, rank_down, rank_up):
         self.degree = tuple(degree)
         self.dim = dim
         self.order_name = order_name
         self.field = field
         self.faces = tuple(faces)
         self.up_faces = tuple(up_faces)
-        self.boundary = boundary
+        self.pivots = list(pivots)
+        one = field.one
+        self.boundary = [(chain_boundary({self.up_faces[k]: one}, field), {k: one})
+                         for k in self.pivots]
         self.homology = homology
         self.rank_down = rank_down
         self.rank_up = rank_up
@@ -461,12 +467,6 @@ class ChainBasis:
         return sol[:t2], sol[t2:]
 
     def to_dict(self):
-        def chain_out(ch):
-            return [
-                [list(face), self.field.to_str(coeff)]
-                for face, coeff in sorted(ch.items())
-            ]
-
         return {
             "degree": list(self.degree),
             "dim": self.dim,
@@ -476,35 +476,34 @@ class ChainBasis:
             "up_faces": [list(f) for f in self.up_faces],
             "rank_down": self.rank_down,
             "rank_up": self.rank_up,
-            "boundary": [
-                {
-                    "cycle": chain_out(ch),
-                    "preimage": [[k, self.field.to_str(v)] for k, v in sorted(pre.items())],
-                }
-                for ch, pre in self.boundary
-            ],
-            "homology": [chain_out(ch) for ch in self.homology],
+            "pivots": self.pivots,
+            "homology": [[[list(face), self.field.to_str(coeff)]
+                          for face, coeff in sorted(ch.items())]
+                         for ch in self.homology],
         }
 
     @classmethod
     def from_dict(cls, data, field):
-        def chain_in(items):
-            return {tuple(face): field.from_str(c) for face, c in items}
+        """The basis a to_dict document describes.
 
-        boundary = [
-            (chain_in(entry["cycle"]),
-             {int(k): field.from_str(v) for k, v in entry["preimage"]})
-            for entry in data["boundary"]
-        ]
+        Raises ValueError unless the pivots are distinct indices into
+        up_faces in ascending order, as every pivot list is.
+        """
+        up_faces = [tuple(f) for f in data["up_faces"]]
+        pivots = data["pivots"]
+        if (not all(type(k) is int for k in pivots) or pivots != sorted(set(pivots))
+                or any(not 0 <= k < len(up_faces) for k in pivots)):
+            raise ValueError("pivots are not ascending indices of up-faces")
         return cls(
             degree=tuple(data["degree"]),
             dim=data["dim"],
             order_name=data["order"],
             field=field,
             faces=[tuple(f) for f in data["faces"]],
-            up_faces=[tuple(f) for f in data["up_faces"]],
-            boundary=boundary,
-            homology=[chain_in(ch) for ch in data["homology"]],
+            up_faces=up_faces,
+            pivots=pivots,
+            homology=[{tuple(face): field.from_str(c) for face, c in ch}
+                      for ch in data["homology"]],
             rank_down=data["rank_down"],
             rank_up=data["rank_up"],
         )
@@ -513,9 +512,10 @@ class ChainBasis:
 def fixed_cycle_basis(complex_, j: int, field, g_down=None, g_up=None) -> ChainBasis:
     """The fixed basis of cycles in dimension j, boundaries listed first.
 
-    Precomputed reductions of the two relevant boundary matrices may be
-    passed in; they must come from gauss_reduce on this complex's faces
-    and keep Q.
+    Reductions of d_j (g_down) and d_{j+1} (g_up) from gauss_reduce on
+    this complex's faces may be passed in.  Only their ranks and pivots are
+    read, and Q of g_down where nullity(d_j) > rank(d_{j+1}); a g_down
+    without Q is reduced again there, keeping it.
     """
     faces = complex_.faces_of_dim(j)
     up_faces = complex_.faces_of_dim(j + 1)
@@ -523,39 +523,34 @@ def fixed_cycle_basis(complex_, j: int, field, g_down=None, g_up=None) -> ChainB
     if not faces:
         return ChainBasis(complex_.degree, j, order_name, field, (), up_faces,
                           [], [], 0, 0)
-    face_index = {f: i for i, f in enumerate(faces)}
-    if g_down is None:
-        g_down = gauss_reduce(boundary_matrix(complex_, j).data, len(faces), field,
-                              keep="q")
+
+    def reduce(dim, keep):
+        matrix = boundary_matrix(complex_, dim)
+        return gauss_reduce(matrix.data, len(matrix.col_faces), field, keep=keep)
+
     if g_up is None:
-        g_up = gauss_reduce(boundary_matrix(complex_, j + 1).data, len(up_faces), field,
-                            keep="q")
+        g_up = reduce(j + 1, "")
+    if g_down is None:
+        g_down = reduce(j, "")
+    homology = []
+    if len(faces) - g_down.rank > g_up.rank:
+        if g_down.q_cols is None:
+            g_down = reduce(j, "q")
+        homology = _homology_representatives(faces, up_faces, g_up.pivots, g_down, field)
+    return ChainBasis(complex_.degree, j, order_name, field, faces, up_faces,
+                      g_up.pivots, homology, g_down.rank, g_up.rank)
 
-    cycles, preimages = [], []
-    # the boundary of each up-face, by face index, is built once and shared
-    # by every preimage column it appears in
-    up_boundary = {}
-    for qcol in g_up.q_cols[:g_up.rank]:
-        preimage = {k: qcol[k] for k in sorted(qcol)}
-        preimages.append(preimage)
-        vec = {}
-        for k, v in preimage.items():
-            col = up_boundary.get(k)
-            if col is None:
-                face = up_faces[k]
-                col = up_boundary[k] = {
-                    face_index[face[:p] + face[p + 1:]]: -1 if p % 2 else 1
-                    for p in range(len(face))
-                }
-            field.axpy(vec, col, v)
-        cycles.append(vec)
 
-    # Each kernel column of Q has coefficient 1 at one free (non-pivot)
-    # column of d_j and its other support on pivot columns, so projecting
-    # onto the free columns sends kernel column i to the unit vector e_i
-    # and is injective on cycles.  The pivot columns of [boundary | kernel]
-    # (the boundary columns, when independent, then the kernel columns
-    # that extend them) are therefore those of the projected matrix.
+def _homology_representatives(faces, up_faces, up_pivots, g_down, field):
+    """Normal-form kernel columns of g_down that extend the boundary part.
+
+    Each kernel column of Q has coefficient 1 at one free column of d_j
+    and its other support on pivot columns, so projecting onto the free
+    columns sends kernel column i to the unit vector e_i and is injective
+    on cycles.  The pivot columns of [boundaries of the up pivot faces |
+    units] (the boundaries, when independent, then the units that extend
+    them) select the representatives.
+    """
     kernel = g_down.kernel_columns()
     pivot_set = set(g_down.pivots)
     free_row = {}
@@ -564,19 +559,23 @@ def fixed_cycle_basis(complex_, j: int, field, g_down=None, g_up=None) -> ChainB
         if len(free) != 1 or free[0][1] != field.one or free[0][0] in free_row:
             raise ArithmeticError("kernel column is not in normal form")
         free_row[free[0][0]] = i
-    projected = [{free_row[k]: v for k, v in vec.items() if k in free_row}
-                 for vec in cycles]
+    face_index = {f: i for i, f in enumerate(faces)}
+    projected = []
+    for k in up_pivots:
+        face = up_faces[k]
+        vec = {}
+        for p in range(len(face)):
+            row = free_row.get(face_index[face[:p] + face[p + 1:]])
+            if row is not None:
+                vec[row] = field.neg(field.one) if p % 2 else field.one
+        projected.append(vec)
+    nb = len(projected)
     projected += [{i: field.one} for i in range(len(kernel))]
-    nb = len(cycles)
     pivots = _reduce_columns(projected, len(kernel), field, keep="").pivots
     if pivots[:nb] != list(range(nb)):
         raise ArithmeticError("boundary basis vectors are dependent")
-    boundary = [({faces[i]: c for i, c in vec.items()}, preimage)
-                for vec, preimage in zip(cycles, preimages)]
-    homology = [{faces[k]: col[k] for k in sorted(col)}
-                for col in (kernel[p - nb] for p in pivots[nb:])]
-    return ChainBasis(complex_.degree, j, order_name, field, faces, up_faces,
-                      boundary, homology, g_down.rank, g_up.rank)
+    return [{faces[k]: col[k] for k in sorted(col)}
+            for col in (kernel[p - nb] for p in pivots[nb:])]
 
 
 def boundary_rank(complex_, j: int, field) -> int:
@@ -622,13 +621,14 @@ def load_cached_basis(cache_dir, key, field, complex_, j):
     """The cached basis of complex_ in dimension j under key, or None on a miss.
 
     An entry that cannot be read back counts as a miss: invalid JSON,
-    missing keys, bad scalars, a degree, dimension or face list that is
-    not that of complex_ in dimension j, a chain off those faces or with
-    nonzero boundary, a homology chain whose coefficient at its last face
-    is not 1 or whose last face is another homology chain's last face (the
-    fixed representatives never are), a boundary cycle that is not the
-    boundary of its preimage, chain counts that do not match the stored
-    ranks, or chains that are dependent.
+    missing keys (an entry in an earlier format has no pivots), bad
+    scalars, a degree, dimension or face list that is not that of complex_
+    in dimension j, pivots that are not ascending indices of up-faces, a
+    homology chain off the faces or with nonzero boundary, a homology chain
+    whose coefficient at its last face is not 1 or whose last face is
+    another homology chain's last face (the fixed representatives never
+    are), chain counts that do not match the stored ranks, or chains that
+    are dependent.
     """
     path = os.path.join(cache_dir, f"basis-{key}.json")
     try:
@@ -643,14 +643,8 @@ def load_cached_basis(cache_dir, key, field, complex_, j):
             or basis.faces != complex_.faces_of_dim(j)
             or basis.up_faces != complex_.faces_of_dim(j + 1)):
         return None
-    # a boundary cycle that is the boundary of its preimage on up_faces is
-    # itself a cycle on faces, so only the homology chains need that check
-    for cycle, preimage in basis.boundary:
-        if any(not 0 <= k < len(basis.up_faces) for k in preimage):
-            return None
-        pre_chain = {basis.up_faces[k]: v for k, v in preimage.items()}
-        if chain_boundary(pre_chain, field) != cycle:
-            return None
+    # the boundary of an up-face is a cycle on faces, so only the homology
+    # chains need that check
     last_faces = set()
     for chain in basis.homology:
         if not chain.keys() <= basis.face_index.keys() or chain_boundary(chain, field):

@@ -280,19 +280,21 @@ class ResolutionEngine:
             self._delta[m] = cx
         return cx
 
-    def _gauss_at(self, m: Degree, j: int) -> GaussDecomposition:
-        """Reduction of the fiber complex's boundary matrix at m in dim j.
+    def _reduced(self, m: Degree, j: int) -> GaussDecomposition:
+        """The fiber complex's d_j at m, reduced once per (degree, dimension).
 
-        Keeps Q only: its readers take the kernel, the preimage columns
-        and the rank.
+        Its readers take rank and pivots.  Q is kept only where the
+        comparison complex has homology in dimension j: by the nerve theorem
+        so does the fiber complex, and the representatives of the fixed
+        basis there are kernel columns of Q.
         """
-        key = (tuple(m), j)
+        key = (m, j)
         decomp = self._gauss.get(key)
         if decomp is None:
             matrix = boundary_matrix(self.nabla(m), j)
-            decomp = gauss_reduce(matrix.data, len(matrix.col_faces), self.field,
-                                  keep="q")
-            self._gauss[key] = decomp
+            decomp = self._gauss[key] = gauss_reduce(
+                matrix.data, len(matrix.col_faces), self.field,
+                keep="q" if self.betti_delta(m, j) else "")
         return decomp
 
     def chain_basis(self, m: Degree, j: int) -> ChainBasis:
@@ -315,10 +317,9 @@ class ResolutionEngine:
             if basis is not None and len(basis.homology) != self.betti_delta(m, j):
                 basis = None
         if basis is None:
-            cx = self.nabla(m)
-            g_down = self._gauss_at(m, j)
-            g_up = self._gauss_at(m, j + 1)
-            basis = fixed_cycle_basis(cx, j, self.field, g_down=g_down, g_up=g_up)
+            basis = fixed_cycle_basis(self.nabla(m), j, self.field,
+                                      g_down=self._reduced(m, j),
+                                      g_up=self._reduced(m, j + 1))
             if cache_dir:
                 store_cached_basis(cache_dir, disk_key, basis)
         self._bases[key] = basis

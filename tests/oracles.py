@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 from toricsyz.complexes import NablaComplex
+from toricsyz.homology import ChainBasis, _reduce_columns, boundary_matrix, gauss_reduce
 from toricsyz.orders import mono_div, mono_mul
 from toricsyz.resolution import ResolutionFragment
 from toricsyz.semigroup import _fourier_motzkin_numerators
@@ -130,6 +131,57 @@ def harvest_every_basis(engine, m, max_level) -> ResolutionFragment:
     fragment = ResolutionFragment(m, max_level, levels)
     fragment.report = engine.verify_fragment(fragment)
     return fragment
+
+
+def q_fixed_cycle_basis(complex_, j, field, g_down=None, g_up=None) -> ChainBasis:
+    """fixed_cycle_basis as it was when the boundary part came from Q.
+
+    Reduces d_j and d_{j+1} afresh, keeping Q, and ignores the reductions
+    passed in.  Each boundary element is the image of one pivot column of
+    Q_{j+1}, with that column as its preimage; the homology representatives
+    are the kernel columns of Q_j whose free coordinates extend the
+    projected boundary cycles.  It differs from the engine's basis only in
+    the boundary cycles, which span the same space, so every coordinate
+    the engine reads (the homology part, and the preimage chain summed over
+    the boundary part) must come out the same.
+    """
+    faces = complex_.faces_of_dim(j)
+    up_faces = complex_.faces_of_dim(j + 1)
+    if not faces:
+        return ChainBasis(complex_.degree, j, complex_.order.kind, field, (), up_faces,
+                          [], [], 0, 0)
+    face_index = {f: i for i, f in enumerate(faces)}
+    g_down = gauss_reduce(boundary_matrix(complex_, j).data, len(faces), field, keep="q")
+    g_up = gauss_reduce(boundary_matrix(complex_, j + 1).data, len(up_faces), field,
+                        keep="q")
+    cycles, preimages = [], []
+    for qcol in g_up.q_cols[:g_up.rank]:
+        preimage = {k: qcol[k] for k in sorted(qcol)}
+        vec = {}
+        for k, v in preimage.items():
+            face = up_faces[k]
+            field.axpy(vec, {face_index[face[:p] + face[p + 1:]]: -1 if p % 2 else 1
+                             for p in range(len(face))}, v)
+        preimages.append(preimage)
+        cycles.append(vec)
+    kernel = g_down.kernel_columns()
+    pivot_set = set(g_down.pivots)
+    free_row = {}
+    for i, col in enumerate(kernel):
+        (free,) = [k for k in col if k not in pivot_set]
+        free_row[free] = i
+    projected = [{free_row[k]: v for k, v in vec.items() if k in free_row} for vec in cycles]
+    projected += [{i: field.one} for i in range(len(kernel))]
+    nb = len(cycles)
+    pivots = _reduce_columns(projected, len(kernel), field, keep="").pivots
+    assert pivots[:nb] == list(range(nb)), "boundary cycles are dependent"
+    homology = [{faces[k]: col[k] for k in sorted(col)}
+                for col in (kernel[p - nb] for p in pivots[nb:])]
+    basis = ChainBasis(complex_.degree, j, complex_.order.kind, field, faces, up_faces,
+                       [], homology, g_down.rank, g_up.rank)
+    basis.boundary = [({faces[i]: c for i, c in vec.items()}, preimage)
+                      for vec, preimage in zip(cycles, preimages)]
+    return basis
 
 
 def restrict_nabla(complex_, beta) -> NablaComplex:

@@ -527,19 +527,29 @@ class TestInternalCheckFailures:
         assert code == 1
         assert err.startswith("error: internal check failed: ")
 
-    def test_dependent_basis_exits_one(self, capsys, semigroup_file, monkeypatch):
-        original = homology.gauss_reduce
+    def test_dependent_basis_exits_one(self, capsys, tmp_path, monkeypatch):
+        original = homology._reduce_columns
 
-        def first_column_dependent(rows, ncols, field, keep="pq"):
-            decomp = original(rows, ncols, field, keep=keep)
-            decomp.pivots = [c for c in decomp.pivots if c != 0]
+        def first_column_dependent(columns, nrows, field, keep="pq"):
+            decomp = original(columns, nrows, field, keep=keep)
+            if keep == "":
+                decomp.pivots = [c for c in decomp.pivots if c != 0]
             return decomp
 
-        # column 0 of the selection matrix is the first boundary cycle
-        monkeypatch.setattr(homology, "gauss_reduce", first_column_dependent)
-        code, err = self._minimalize(capsys, semigroup_file)
+        # The representative selection is the only reduction of columns
+        # that keeps no transform, and it runs only where the fiber complex
+        # has homology.  Column 0 of its matrix is the first boundary: the
+        # fiber x1^3, x1*x3, x2^2 of 6 in <2,3,4> has one edge and two
+        # components, so the selection there has a boundary column.
+        semigroup = tmp_path / "s234.json"
+        semigroup.write_text('{"dim": 1, "generators": [[2], [3], [4]]}', encoding="utf-8")
+        monkeypatch.setattr(homology, "_reduce_columns", first_column_dependent)
+        code = main(["minimalize", str(semigroup), "--lead", "3,0,0", "--trail", "0,2,0"])
+        captured = capsys.readouterr()
+        assert captured.out == ""
         assert code == 1
-        assert err == "error: internal check failed: boundary basis vectors are dependent\n"
+        assert captured.err == ("error: internal check failed: "
+                                "boundary basis vectors are dependent\n")
 
     def test_zero_denominator_weight_bound_exits_two(self, semigroup_file):
         assert main(["scan", semigroup_file, "--w-bound", "1/0"]) == 2

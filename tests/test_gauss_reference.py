@@ -103,6 +103,18 @@ def test_pivots_are_where_prefix_rank_grows(field):
             assert decomp.pivots == expected, (rows, keep)
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_pivot_columns_of_q_are_supported_on_the_pivots(field):
+    # A restricted to its pivot columns is injective, so a chain on them is
+    # fixed by its image: a fixed basis needs the pivots, not Q
+    rng = random.Random(f"gauss-{field.name}")
+    for m, n, density, rank_cap in shapes(rng):
+        rows = random_matrix(rng, field, m, n, density, rank_cap)
+        decomp = gauss_reduce(rows, n, field, keep="q")
+        pivots = set(decomp.pivots)
+        assert all(col.keys() <= pivots for col in decomp.q_cols[:decomp.rank]), rows
+
+
 def test_unknown_keep_mode_is_rejected():
     with pytest.raises(ValueError):
         gauss_reduce([[1]], 1, RationalField(), keep="pqx")

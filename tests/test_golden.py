@@ -48,14 +48,17 @@ OUTPUTS = {
         ["validate", EXAMPLE, "--format", "json"],
 }
 
-# The (60,10) basis in dimension 2 over Q: 154 boundary preimages, entries
-# with denominator 2. Its file name pins the cache key as well. Plain betti
+# The (60,10) basis in dimension 2 over Q: 154 pivot up-faces (the rank of
+# d_3) and no homology. Its file name pins the cache key as well. Plain betti
 # reads its ranks off the comparison complex and builds no basis; the
 # cross-check computes the fiber-complex ranks for j = 0..2, which writes
 # the bases.
 CACHE_ARGV = ["betti", EXAMPLE, "-m", "60,10", "--jmax", "2", "--delta-crosscheck"]
 CACHE_FILE = "basis-c17308e3c3a72635a2b4fd0001168cec53fc77e4146adbf3ea0a258556cdbe45.json"
 CACHE_GOLDEN = "basis_60_10_dim2_rational.json"
+# The same entry in the earlier format, which stored every boundary cycle
+# with a preimage read off Q; it is kept as it was written, never regenerated.
+CACHE_OLD_FORMAT = "basis_60_10_dim2_rational_old_format.json"
 
 # argparse lays help out differently across Python minor versions, so the
 # help golden is per version; it is taken at a fixed 80-column width
@@ -103,6 +106,15 @@ def test_truncated_cache_entries_are_rewritten(tmp_path, argv):
     assert {p: p.read_bytes() for p in cache.iterdir()} == entries
     if argv is CACHE_ARGV:
         assert entries[cache / CACHE_FILE] == _read(os.path.join(GOLDEN, CACHE_GOLDEN))
+
+
+def test_old_format_entry_is_a_miss_and_is_rewritten(tmp_path):
+    cache = tmp_path / "cache"
+    first = _run(CACHE_ARGV)
+    cache.mkdir()
+    (cache / CACHE_FILE).write_bytes(_read(os.path.join(GOLDEN, CACHE_OLD_FORMAT)))
+    assert _run(CACHE_ARGV + ["--cache", str(cache)]) == first
+    assert _read(cache / CACHE_FILE) == _read(os.path.join(GOLDEN, CACHE_GOLDEN))
 
 
 def test_wrong_cached_coefficient_is_a_miss(tmp_path):

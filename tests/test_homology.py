@@ -217,17 +217,19 @@ class TestFixedCycleBasis:
             assert len(basis.homology) == betti_reduced(cx, j, Q)
 
     def test_kernel_column_off_normal_form_is_rejected(self, example_semigroup):
-        cx = build_nabla(example_semigroup, (60, 10), DEGREVLEX)
-        faces = cx.faces_of_dim(1)
-        g_down = gauss_reduce(boundary_matrix(cx, 1).data, len(faces), Q, keep="q")
-        fixed_cycle_basis(cx, 1, Q, g_down=g_down)
+        # the representatives are read off Q only where there is homology:
+        # the two vertices of the fiber of (21,3) in dimension 0
+        cx = build_nabla(example_semigroup, (21, 3), DEGREVLEX)
+        faces = cx.faces_of_dim(0)
+        g_down = gauss_reduce(boundary_matrix(cx, 0).data, len(faces), Q, keep="q")
+        assert len(fixed_cycle_basis(cx, 0, Q, g_down=g_down).homology) == 1
         # doubling the free coefficient keeps a cycle but breaks the normal
         # form the free-coordinate selection relies on
         column = g_down.kernel_columns()[0]
         free = next(k for k in column if k not in g_down.pivots)
         column[free] *= 2
         with pytest.raises(ArithmeticError, match="normal form"):
-            fixed_cycle_basis(cx, 1, Q, g_down=g_down)
+            fixed_cycle_basis(cx, 0, Q, g_down=g_down)
 
 
 class TestBetti:
@@ -343,28 +345,35 @@ class TestDeterminismAndCache:
         lambda text, data: json.dumps({**data, "dim": 0}),
         lambda text, data: json.dumps({**data, "degree": [0, 0]}),
         lambda text, data: json.dumps({**data, "homology": [[[data["faces"][0], "1/1"]]]}),
-        lambda text, data: json.dumps({**data, "boundary": [
-            {**data["boundary"][0], "cycle": data["boundary"][1]["cycle"]},
-            *data["boundary"][1:]]}),
-        lambda text, data: json.dumps({**data, "boundary": [
-            {**data["boundary"][0], "preimage": [[len(data["up_faces"]), "1/1"]]},
-            *data["boundary"][1:]]}),
-        lambda text, data: json.dumps({**data, "boundary": [
-            {**data["boundary"][0], "preimage": [[-1, "1/1"]]}, *data["boundary"][1:]]}),
+        # the preimage of a boundary element is its pivot up-face
+        lambda text, data: json.dumps({
+            **data, "pivots": data["pivots"][:-1] + [len(data["up_faces"])]}),
+        lambda text, data: json.dumps({**data, "pivots": [-1] + data["pivots"][1:]}),
+        lambda text, data: json.dumps({**data, "pivots": ["0"] + data["pivots"][1:]}),
+        lambda text, data: json.dumps({**data, "pivots": data["pivots"][::-1]}),
+        lambda text, data: json.dumps({**data, "pivots": data["pivots"][:-1]}),
         lambda text, data: json.dumps({**data, "rank_up": data["rank_up"] + 1}),
         lambda text, data: json.dumps({**data, "rank_down": data["rank_down"] - 1}),
-        # counts consistent with the ranks, but one boundary entry repeated
+        # counts consistent with the ranks, but one pivot repeated
         lambda text, data: json.dumps({
-            **data, "boundary": data["boundary"] + data["boundary"][:1],
+            **data, "pivots": data["pivots"] + data["pivots"][-1:],
             "rank_up": data["rank_up"] + 1, "rank_down": data["rank_down"] - 1}),
+        # counts consistent, pivots ascending, but the last pivot swapped for
+        # the first free up-face, which depends on the pivots below it
+        lambda text, data: json.dumps({
+            **data, "pivots": sorted(data["pivots"][:-1] + [min(
+                set(range(len(data["up_faces"]))) - set(data["pivots"]))])}),
     ], ids=["truncated", "not-utf8", "missing-key", "not-an-object", "zero-denominator",
             "bad-scalar", "faces", "up-faces", "dim", "degree", "homology-not-a-cycle",
-            "cycle-not-boundary-of-preimage", "preimage-index-too-large",
-            "preimage-index-negative", "rank-up", "rank-down", "dependent-chains"])
+            "preimage-index-too-large", "preimage-index-negative", "pivot-not-an-int",
+            "pivots-descending", "pivot-dropped", "rank-up", "rank-down", "pivot-repeated",
+            "dependent-chains"])
     def test_corrupt_entry_is_a_miss(self, tmp_path, example_semigroup, corrupt):
-        cx = build_nabla(example_semigroup, (36, 6), DEGREVLEX)
+        # at (45,7) in dimension 1 the first free up-face lies below the last
+        # pivot, so the dependent-chains entry is dependent
+        cx = build_nabla(example_semigroup, (45, 7), DEGREVLEX)
         basis = fixed_cycle_basis(cx, 1, Q)
-        key = basis_cache_key(example_semigroup, (36, 6), 1, "degrevlex", Q.name)
+        key = basis_cache_key(example_semigroup, (45, 7), 1, "degrevlex", Q.name)
         store_cached_basis(str(tmp_path), key, basis)
         path = tmp_path / f"basis-{key}.json"
         assert load_cached_basis(str(tmp_path), key, Q, cx, 1) is not None

@@ -9,6 +9,7 @@ which are kept whether or not a grading exists.
 """
 import copy
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,6 +20,7 @@ from oracles import (
     harvest_every_basis,
     oracle_v0,
     pruned_fourier_motzkin_point,
+    q_fixed_cycle_basis,
 )
 
 from toricsyz import (
@@ -34,7 +36,13 @@ from toricsyz import (
     gauss_reduce,
     get_field,
 )
-from toricsyz.serialize import dumps, fragment_to_json, gid_to_json, verify_fragment_json
+from toricsyz.serialize import (
+    decomposition_to_json,
+    dumps,
+    fragment_to_json,
+    gid_to_json,
+    verify_fragment_json,
+)
 
 FIELDS = ("rational", 5, 32003)
 
@@ -229,3 +237,31 @@ def test_oracle_v0_matches_betti_delta(data):
         engine = ResolutionEngine(sg, Config(field=field))
         for m in degrees:
             assert oracle_v0(engine, m) == engine.betti_delta(m, 0), (sg, m, field)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_pivot_bases_give_the_bytes_of_the_q_bases(data):
+    # the preimage pushed into the recursion is the unique chain on the
+    # pivot up-faces with the right boundary, whichever boundary basis of
+    # the same space it is solved against
+    sg = data.draw(presentations(max_dim=2, max_gens=4, min_codim=1))
+    degrees = [m for m in sg.degrees_up_to(5) if len(sg.fiber(m, DEGREVLEX)) <= 10]
+    binomials = [data.draw(st.lists(st.sampled_from(sg.fiber(m, DEGREVLEX)),
+                                    min_size=2, max_size=2, unique=True))
+                 for m in degrees if len(sg.fiber(m, DEGREVLEX)) >= 2]
+    max_level = data.draw(st.integers(1, 2))
+
+    def outputs(engine):
+        out = [dumps(decomposition_to_json(engine.minimalize_binomial(lead, trail),
+                                           engine, [lead, trail]))
+               for lead, trail in binomials]
+        return out + [dumps(fragment_to_json(engine.harvest(m, max_level), engine))
+                      for m in degrees]
+
+    for field in FIELDS:
+        engine = ResolutionEngine(sg, Config(field=field))
+        reference = ResolutionEngine(sg, Config(field=field))
+        with mock.patch("toricsyz.resolution.fixed_cycle_basis", q_fixed_cycle_basis):
+            expected = outputs(reference)
+        assert outputs(engine) == expected, (sg, field)

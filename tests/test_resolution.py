@@ -507,6 +507,38 @@ class TestDeltaRankMemo:
         assert len(calls) == 4
 
 
+class TestNoTransformWithoutAReader:
+    def test_q_is_kept_only_where_the_degree_has_homology(self, monkeypatch):
+        from toricsyz import homology, resolution
+
+        at = [None]  # (degree, dimension) of the boundary matrix built last
+        by_keep = {}
+        kept_q_at = []
+        original_matrix = homology.boundary_matrix
+        original_reduce = homology.gauss_reduce
+
+        def matrix(complex_, j, *args, **kwargs):
+            at[0] = (complex_.degree, j)
+            return original_matrix(complex_, j, *args, **kwargs)
+
+        def reduce(rows, ncols, field, keep="pq"):
+            by_keep[keep] = by_keep.get(keep, 0) + 1
+            if keep == "q":
+                kept_q_at.append(at[0])
+            return original_reduce(rows, ncols, field, keep=keep)
+
+        for module in (homology, resolution):
+            monkeypatch.setattr(module, "boundary_matrix", matrix)
+            monkeypatch.setattr(module, "gauss_reduce", reduce)
+        engine = ResolutionEngine(Semigroup(1, [[3], [5]]), Config())
+        result = engine.minimalize_binomial((100, 0), (0, 60))
+        assert [rec.degree for rec, _poly in result.entries] == [(15,)]
+        # the fiber elimination that keeps Q is the one at x1^5 - x2^3
+        assert kept_q_at == [((15,), 0)]
+        assert [engine.betti_delta(m, j) for m, j in kept_q_at] == [1]
+        assert by_keep[""] > 0 and set(by_keep) <= {"", "q", "pq"}
+
+
 class TestOracle:
     def test_12_2(self, engine):
         assert oracle_v0(engine, (12, 2)) == 1
