@@ -23,7 +23,6 @@ from .orders import (
     Monomial,
     TermOrder,
     mono_gcd,
-    mono_is_unit,
 )
 from .semigroup import Degree, Semigroup
 
@@ -35,7 +34,9 @@ class NablaComplex:
 
     Vertices are stored in decreasing term order; all face lists are
     deterministic for a fixed presentation, degree and order.  Immutable
-    after construction.
+    after construction, except for two memos: the face lists, and the
+    boundary reductions that homology.reduce_boundary keeps in
+    ``_reductions``.
     """
 
     def __init__(self, semigroup: Semigroup, degree: Degree, order: TermOrder,
@@ -51,6 +52,7 @@ class NablaComplex:
             for var in range(r)
         )
         self._faces: dict[int, tuple[Face, ...]] = {}
+        self._reductions: dict = {}  # owned by homology.reduce_boundary
 
     @property
     def is_void(self) -> bool:
@@ -68,12 +70,6 @@ class NablaComplex:
 
     def face_gcd(self, face: Face) -> Monomial:
         return mono_gcd(*(self.vertices[i] for i in face))
-
-    def is_face(self, face: Face) -> bool:
-        face = tuple(face)
-        if not face or any(not 0 <= i < len(self.vertices) for i in face):
-            return False
-        return not mono_is_unit(self.face_gcd(face))
 
     def faces_of_dim(self, j: int) -> tuple[Face, ...]:
         """All j-faces, largest gcd first, ties by ascending index tuple."""
@@ -139,7 +135,10 @@ class DeltaComplex:
     """Complex on variable indices: F is a face iff m - n_F stays in S.
 
     Contains the empty face whenever m itself lies in S.  Faces of each
-    dimension are ordered by ascending index tuple.
+    dimension are ordered by ascending index tuple.  Immutable after
+    construction, except for two memos: the face lists by dimension, and
+    the boundary reductions that homology.reduce_boundary keeps in
+    ``_reductions``.
     """
 
     def __init__(self, semigroup: Semigroup, degree: Degree, faces: frozenset):
@@ -148,6 +147,7 @@ class DeltaComplex:
         self.faces = faces
         self.num_vertices = semigroup.num_generators
         self._by_dim: dict[int, tuple[Face, ...]] = {}
+        self._reductions: dict = {}  # owned by homology.reduce_boundary
 
     @property
     def is_void(self) -> bool:
@@ -160,9 +160,6 @@ class DeltaComplex:
     @property
     def dimension(self) -> int:
         return max((len(f) for f in self.faces), default=0) - 1
-
-    def is_face(self, face: Face) -> bool:
-        return tuple(sorted(face)) in self.faces
 
     def faces_of_dim(self, j: int) -> tuple[Face, ...]:
         cached = self._by_dim.get(j)

@@ -31,15 +31,19 @@ pivot rule and every row and column operation are those of the dense
 elimination, in exact arithmetic, so Q, P^-1 and therefore the bases are
 unchanged.  Each call tracks only what its caller reads: Q for the
 homology representatives, P^-1 and Q for solving, neither for rank and
-pivots.
+pivots.  The rank-and-pivot reduction of a boundary map is made once per
+dimension and field and kept on its complex (reduce_boundary), so Betti
+numbers and fixed bases of one complex share it.
 """
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import os
 from fractions import Fraction
+from itertools import combinations
 
 Face = tuple[int, ...]
 Chain = dict  # Face -> field scalar
@@ -231,6 +235,24 @@ class BoundaryMatrix:
         return (len(self.data), len(self.col_faces))
 
 
+@functools.cache
+def _facet_signs(n: int) -> tuple[int, ...]:
+    """(-1)^p for the facets of an n-vertex face in lexicographic order."""
+    return tuple(-1 if p % 2 else 1 for p in range(n - 1, -1, -1))
+
+
+def face_boundary(face: Face):
+    """The boundary of one face as (facet, sign) pairs, facets in lexicographic order.
+
+    The one sign rule of every boundary map: the facet without the vertex
+    at position p has sign (-1)^p.  A 0-face's facet is the empty face, and
+    the empty face has none.
+    """
+    if not face:
+        return iter(())
+    return zip(combinations(face, len(face) - 1), _facet_signs(len(face)))
+
+
 def boundary_matrix(complex_, j: int, field=None) -> BoundaryMatrix:
     """Matrix of the j-th boundary map; the target of d_0 is the empty face."""
     cols = complex_.faces_of_dim(j)
@@ -238,9 +260,8 @@ def boundary_matrix(complex_, j: int, field=None) -> BoundaryMatrix:
     row_index = {f: i for i, f in enumerate(rows)}
     data = [[0] * len(cols) for _ in rows]
     for k, face in enumerate(cols):
-        for pos in range(len(face)):
-            sub = face[:pos] + face[pos + 1:]
-            data[row_index[sub]][k] = 1 if pos % 2 == 0 else -1
+        for sub, sign in face_boundary(face):
+            data[row_index[sub]][k] = sign
     return BoundaryMatrix(rows, cols, data)
 
 
@@ -249,9 +270,27 @@ def chain_boundary(chain: Chain, field=_RATIONALS) -> Chain:
     out: Chain = {}
     axpy = field.axpy
     for face, coeff in chain.items():
-        axpy(out, {face[:pos] + face[pos + 1:]: -1 if pos % 2 else 1
-                   for pos in range(len(face))}, coeff)
+        axpy(out, dict(face_boundary(face)), coeff)
     return out
+
+
+def representative_fault(chain: Chain, face_index: dict, field, dim: int, degree):
+    """Why chain is off the normal form of a fixed homology representative.
+
+    None when chain is a nonzero cycle on the dim-faces indexed by
+    face_index (the faces at degree) with coefficient 1 at its last face
+    in the fixed order, as every fixed representative is; otherwise the
+    first fault, as a phrase.
+    """
+    if not chain:
+        return "is empty"
+    if not chain.keys() <= face_index.keys():
+        return f"has a face that is not a {dim}-face at degree {degree}"
+    if chain_boundary(chain, field):
+        return "is not a cycle"
+    if chain[max(chain, key=face_index.__getitem__)] != field.one:
+        return "coefficient at its last face is not 1"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +304,11 @@ class GaussDecomposition:
     or None where gauss_reduce was told not to keep them, so a reader of
     a matrix that was not tracked fails at once.  ``pivots`` lists the
     input columns of the pivots in ascending order: the columns
-    independent of all input columns to their left.
+    independent of all input columns to their left.  Complexes keep many
+    of them (reduce_boundary), hence the slots.
     """
+
+    __slots__ = ("field", "nrows", "ncols", "rank", "p_inv_rows", "q_cols", "pivots")
 
     def __init__(self, field, nrows, ncols, rank, p_inv_rows, q_cols, pivots):
         self.field = field
@@ -509,13 +551,31 @@ class ChainBasis:
         )
 
 
-def fixed_cycle_basis(complex_, j: int, field, g_down=None, g_up=None) -> ChainBasis:
+def reduce_boundary(complex_, j: int, field) -> GaussDecomposition:
+    """The j-th boundary map of complex_ reduced keeping no transform.
+
+    Reduced once per (dimension, field) and kept in the complex's
+    ``_reductions``, so every reader of a rank or of pivots shares one
+    elimination.  Without j-faces there is nothing to eliminate: rank 0,
+    no pivots.
+    """
+    key = (j, field.name)
+    decomp = complex_._reductions.get(key)
+    if decomp is None:
+        faces = complex_.faces_of_dim(j)
+        decomp = complex_._reductions[key] = (
+            gauss_reduce(boundary_matrix(complex_, j).data, len(faces), field, keep="")
+            if faces else GaussDecomposition(field, 0, 0, 0, None, None, []))
+    return decomp
+
+
+def fixed_cycle_basis(complex_, j: int, field) -> ChainBasis:
     """The fixed basis of cycles in dimension j, boundaries listed first.
 
-    Reductions of d_j (g_down) and d_{j+1} (g_up) from gauss_reduce on
-    this complex's faces may be passed in.  Only their ranks and pivots are
-    read, and Q of g_down where nullity(d_j) > rank(d_{j+1}); a g_down
-    without Q is reduced again there, keeping it.
+    Ranks and pivots come from reduce_boundary.  There is homology only
+    where nullity(d_j) > rank(d_{j+1}), and only there is d_j reduced a
+    second time, keeping Q, for the representatives; that reduction is
+    read once and not kept.
     """
     faces = complex_.faces_of_dim(j)
     up_faces = complex_.faces_of_dim(j + 1)
@@ -523,34 +583,28 @@ def fixed_cycle_basis(complex_, j: int, field, g_down=None, g_up=None) -> ChainB
     if not faces:
         return ChainBasis(complex_.degree, j, order_name, field, (), up_faces,
                           [], [], 0, 0)
-
-    def reduce(dim, keep):
-        matrix = boundary_matrix(complex_, dim)
-        return gauss_reduce(matrix.data, len(matrix.col_faces), field, keep=keep)
-
-    if g_up is None:
-        g_up = reduce(j + 1, "")
-    if g_down is None:
-        g_down = reduce(j, "")
+    g_down = reduce_boundary(complex_, j, field)
+    g_up = reduce_boundary(complex_, j + 1, field)
     homology = []
     if len(faces) - g_down.rank > g_up.rank:
-        if g_down.q_cols is None:
-            g_down = reduce(j, "q")
-        homology = _homology_representatives(faces, up_faces, g_up.pivots, g_down, field)
+        homology = _homology_representatives(complex_, j, g_up.pivots, field)
     return ChainBasis(complex_.degree, j, order_name, field, faces, up_faces,
                       g_up.pivots, homology, g_down.rank, g_up.rank)
 
 
-def _homology_representatives(faces, up_faces, up_pivots, g_down, field):
-    """Normal-form kernel columns of g_down that extend the boundary part.
+def _homology_representatives(complex_, j, up_pivots, field):
+    """Normal-form kernel columns of Q_j that extend the boundary part.
 
-    Each kernel column of Q has coefficient 1 at one free column of d_j
-    and its other support on pivot columns, so projecting onto the free
-    columns sends kernel column i to the unit vector e_i and is injective
-    on cycles.  The pivot columns of [boundaries of the up pivot faces |
-    units] (the boundaries, when independent, then the units that extend
-    them) select the representatives.
+    d_j is reduced again here, keeping Q.  Each kernel column of Q has
+    coefficient 1 at one free column of d_j and its other support on pivot
+    columns, so projecting onto the free columns sends kernel column i to
+    the unit vector e_i and is injective on cycles.  The pivot columns of
+    [boundaries of the up pivot faces | units] (the boundaries, when
+    independent, then the units that extend them) select the
+    representatives.
     """
+    faces, up_faces = complex_.faces_of_dim(j), complex_.faces_of_dim(j + 1)
+    g_down = gauss_reduce(boundary_matrix(complex_, j).data, len(faces), field, keep="q")
     kernel = g_down.kernel_columns()
     pivot_set = set(g_down.pivots)
     free_row = {}
@@ -562,12 +616,11 @@ def _homology_representatives(faces, up_faces, up_pivots, g_down, field):
     face_index = {f: i for i, f in enumerate(faces)}
     projected = []
     for k in up_pivots:
-        face = up_faces[k]
         vec = {}
-        for p in range(len(face)):
-            row = free_row.get(face_index[face[:p] + face[p + 1:]])
+        for sub, sign in face_boundary(up_faces[k]):
+            row = free_row.get(face_index[sub])
             if row is not None:
-                vec[row] = field.neg(field.one) if p % 2 else field.one
+                vec[row] = sign
         projected.append(vec)
     nb = len(projected)
     projected += [{i: field.one} for i in range(len(kernel))]
@@ -578,19 +631,11 @@ def _homology_representatives(faces, up_faces, up_pivots, g_down, field):
             for col in (kernel[p - nb] for p in pivots[nb:])]
 
 
-def boundary_rank(complex_, j: int, field) -> int:
-    """Rank of the j-th boundary map; 0 where there are no j-faces."""
-    faces = complex_.faces_of_dim(j)
-    if not faces:
-        return 0
-    return gauss_reduce(boundary_matrix(complex_, j).data, len(faces), field, keep="").rank
-
-
-def betti_reduced(complex_, j: int, field, rank=None) -> int:
+def betti_reduced(complex_, j: int, field) -> int:
     """Rank of reduced homology in dimension j (j = -1 supported).
 
-    ``rank(i)`` gives the rank of the i-th boundary map; by default it is
-    boundary_rank, computed afresh on each call.
+    Boundary ranks come from reduce_boundary, so neighbouring dimensions
+    share them.
     """
     if j < 0:
         if j == -1:
@@ -599,10 +644,8 @@ def betti_reduced(complex_, j: int, field, rank=None) -> int:
     faces = complex_.faces_of_dim(j)
     if not faces:
         return 0
-    if rank is None:
-        def rank(i):
-            return boundary_rank(complex_, i, field)
-    return len(faces) - rank(j) - rank(j + 1)
+    return (len(faces) - reduce_boundary(complex_, j, field).rank
+            - reduce_boundary(complex_, j + 1, field).rank)
 
 
 # ---------------------------------------------------------------------------
@@ -624,11 +667,10 @@ def load_cached_basis(cache_dir, key, field, complex_, j):
     missing keys (an entry in an earlier format has no pivots), bad
     scalars, a degree, dimension or face list that is not that of complex_
     in dimension j, pivots that are not ascending indices of up-faces, a
-    homology chain off the faces or with nonzero boundary, a homology chain
-    whose coefficient at its last face is not 1 or whose last face is
-    another homology chain's last face (the fixed representatives never
-    are), chain counts that do not match the stored ranks, or chains that
-    are dependent.
+    homology chain off the normal form (representative_fault) or whose
+    last face is another homology chain's last face (the fixed
+    representatives never are), chain counts that do not match the stored
+    ranks, or chains that are dependent.
     """
     path = os.path.join(cache_dir, f"basis-{key}.json")
     try:
@@ -647,11 +689,11 @@ def load_cached_basis(cache_dir, key, field, complex_, j):
     # chains need that check
     last_faces = set()
     for chain in basis.homology:
-        if not chain.keys() <= basis.face_index.keys() or chain_boundary(chain, field):
+        if representative_fault(chain, basis.face_index, field, j, basis.degree):
             return None
-        # normal form: coefficient 1 at the last face, no last face shared
-        last = max(chain, key=basis.face_index.__getitem__, default=None)
-        if last is None or chain[last] != field.one or last in last_faces:
+        # no last face shared
+        last = max(chain, key=basis.face_index.__getitem__)
+        if last in last_faces:
             return None
         last_faces.add(last)
     if (len(basis.boundary) != basis.rank_up

@@ -24,16 +24,15 @@ from .complexes import DeltaComplex, NablaComplex, build_delta, build_nabla
 from .config import Config
 from .homology import (
     ChainBasis,
-    GaussDecomposition,
     basis_cache_key,
     betti_reduced,
     boundary_matrix,
-    boundary_rank,
-    chain_boundary,
+    face_boundary,
     fixed_cycle_basis,
     gauss_reduce,
     get_field,
     load_cached_basis,
+    representative_fault,
     store_cached_basis,
 )
 from .orders import (
@@ -257,8 +256,6 @@ class ResolutionEngine:
         self._nabla: dict[Degree, NablaComplex] = {}
         self._delta: dict[Degree, DeltaComplex] = {}
         self._bases: dict[tuple, ChainBasis] = {}
-        self._gauss: dict[tuple, GaussDecomposition] = {}
-        self._delta_ranks: dict[tuple, int] = {}
         self._psi: dict[tuple, SyzygyVector] = {}
         self._lifts: dict[tuple, tuple] = {}
 
@@ -280,23 +277,6 @@ class ResolutionEngine:
             self._delta[m] = cx
         return cx
 
-    def _reduced(self, m: Degree, j: int) -> GaussDecomposition:
-        """The fiber complex's d_j at m, reduced once per (degree, dimension).
-
-        Its readers take rank and pivots.  Q is kept only where the
-        comparison complex has homology in dimension j: by the nerve theorem
-        so does the fiber complex, and the representatives of the fixed
-        basis there are kernel columns of Q.
-        """
-        key = (m, j)
-        decomp = self._gauss.get(key)
-        if decomp is None:
-            matrix = boundary_matrix(self.nabla(m), j)
-            decomp = self._gauss[key] = gauss_reduce(
-                matrix.data, len(matrix.col_faces), self.field,
-                keep="q" if self.betti_delta(m, j) else "")
-        return decomp
-
     def chain_basis(self, m: Degree, j: int) -> ChainBasis:
         m = tuple(m)
         key = (m, j)
@@ -317,9 +297,7 @@ class ResolutionEngine:
             if basis is not None and len(basis.homology) != self.betti_delta(m, j):
                 basis = None
         if basis is None:
-            basis = fixed_cycle_basis(self.nabla(m), j, self.field,
-                                      g_down=self._reduced(m, j),
-                                      g_up=self._reduced(m, j + 1))
+            basis = fixed_cycle_basis(self.nabla(m), j, self.field)
             if cache_dir:
                 store_cached_basis(cache_dir, disk_key, basis)
         self._bases[key] = basis
@@ -343,20 +321,10 @@ class ResolutionEngine:
         The comparison complex minus its empty face is the nerve of the
         fiber complex's cover by one simplex per variable, so by the nerve
         theorem both have the same reduced homology; this one has at most
-        2^r faces and needs no fiber.  Boundary ranks are kept per
-        (degree, dimension), so neighbouring dimensions share them.
+        2^r faces and needs no fiber.  The complex keeps its boundary
+        reductions, so neighbouring dimensions share them.
         """
-        m = tuple(m)
-        cx = self.delta(m)
-
-        def rank(i):
-            key = (m, i)
-            value = self._delta_ranks.get(key)
-            if value is None:
-                value = self._delta_ranks[key] = boundary_rank(cx, i, self.field)
-            return value
-
-        return betti_reduced(cx, j, self.field, rank)
+        return betti_reduced(self.delta(m), j, self.field)
 
     # -- one recursion step, every level ----------------------------------
 
@@ -518,10 +486,8 @@ class ResolutionEngine:
             cx = self.nabla(m)
             return Binomial(cx.vertices[face[1]], cx.vertices[face[0]]).as_polynomial(field)
         out: SyzygyVector = {}
-        one, neg = field.one, field.neg(field.one)
-        for pos in range(len(face)):
-            sub = self._psi_face(m, dim - 1, face[:pos] + face[pos + 1:])
-            syz_add_scaled(out, sub, one if pos % 2 == 0 else neg, field)
+        for sub, sign in face_boundary(face):
+            syz_add_scaled(out, self._psi_face(m, dim - 1, sub), sign, field)
         return out
 
     # -- syzygy input ---------------------------------------------------------
@@ -751,15 +717,9 @@ class ResolutionEngine:
             if index is None:
                 faces = self.nabla(degree).faces_of_dim(level)
                 index = face_indices[key] = {f: i for i, f in enumerate(faces)}
-            if not witness:
-                violations.append(f"{gid}: witness is empty")
-            elif not witness.keys() <= index.keys():
-                violations.append(f"{gid}: witness has a face that is not a "
-                                  f"{level}-face at degree {degree}")
-            elif chain_boundary(witness, self.field):
-                violations.append(f"{gid}: witness is not a cycle")
-            elif witness[max(witness, key=index.__getitem__)] != self.field.one:
-                violations.append(f"{gid}: witness coefficient at its last face is not 1")
+            fault = representative_fault(witness, index, self.field, level, degree)
+            if fault:
+                violations.append(f"{gid}: witness {fault}")
             if level == 0:
                 if any(sg.degree_of(mono) != degree for mono in (value.lead, value.trail)):
                     violations.append(f"{gid}: binomial is not homogeneous")

@@ -6,7 +6,7 @@ from itertools import product
 
 from toricsyz.complexes import NablaComplex
 from toricsyz.homology import ChainBasis, _reduce_columns, boundary_matrix, gauss_reduce
-from toricsyz.orders import mono_div, mono_mul
+from toricsyz.orders import mono_div, mono_is_unit, mono_mul
 from toricsyz.resolution import ResolutionFragment
 from toricsyz.semigroup import _fourier_motzkin_numerators
 from toricsyz.serialize import record_to_json
@@ -133,14 +133,14 @@ def harvest_every_basis(engine, m, max_level) -> ResolutionFragment:
     return fragment
 
 
-def q_fixed_cycle_basis(complex_, j, field, g_down=None, g_up=None) -> ChainBasis:
+def q_fixed_cycle_basis(complex_, j, field) -> ChainBasis:
     """fixed_cycle_basis as it was when the boundary part came from Q.
 
-    Reduces d_j and d_{j+1} afresh, keeping Q, and ignores the reductions
-    passed in.  Each boundary element is the image of one pivot column of
-    Q_{j+1}, with that column as its preimage; the homology representatives
-    are the kernel columns of Q_j whose free coordinates extend the
-    projected boundary cycles.  It differs from the engine's basis only in
+    Reduces d_j and d_{j+1} afresh, keeping Q.  Each boundary element is
+    the image of one pivot column of Q_{j+1}, with that column as its
+    preimage; the homology representatives are the kernel columns of Q_j
+    whose free coordinates extend the projected boundary cycles.  It
+    differs from the engine's basis only in
     the boundary cycles, which span the same space, so every coordinate
     the engine reads (the homology part, and the preimage chain summed over
     the boundary part) must come out the same.
@@ -182,6 +182,19 @@ def q_fixed_cycle_basis(complex_, j, field, g_down=None, g_up=None) -> ChainBasi
     basis.boundary = [({faces[i]: c for i, c in vec.items()}, preimage)
                       for vec, preimage in zip(cycles, preimages)]
     return basis
+
+
+def nabla_is_face(complex_, face) -> bool:
+    """Whether a vertex tuple of a fiber complex is a face: its gcd is not 1."""
+    face = tuple(face)
+    if not face or any(not 0 <= i < len(complex_.vertices) for i in face):
+        return False
+    return not mono_is_unit(complex_.face_gcd(face))
+
+
+def delta_is_face(complex_, face) -> bool:
+    """Whether a set of variable indices is a face of a comparison complex."""
+    return tuple(sorted(face)) in complex_.faces
 
 
 def restrict_nabla(complex_, beta) -> NablaComplex:

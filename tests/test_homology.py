@@ -216,20 +216,62 @@ class TestFixedCycleBasis:
             assert len(basis.homology) == basis.cycle_dim - basis.rank_up
             assert len(basis.homology) == betti_reduced(cx, j, Q)
 
-    def test_kernel_column_off_normal_form_is_rejected(self, example_semigroup):
+    def test_kernel_column_off_normal_form_is_rejected(self, example_semigroup,
+                                                       monkeypatch):
         # the representatives are read off Q only where there is homology:
         # the two vertices of the fiber of (21,3) in dimension 0
+        from toricsyz import homology
+
+        original = homology.gauss_reduce
+
+        def broken(rows, ncols, field, keep="pq"):
+            g_down = original(rows, ncols, field, keep=keep)
+            if keep == "q":
+                # doubling the free coefficient keeps a cycle but breaks the
+                # normal form the free-coordinate selection relies on
+                column = g_down.kernel_columns()[0]
+                free = next(k for k in column if k not in g_down.pivots)
+                column[free] *= 2
+            return g_down
+
         cx = build_nabla(example_semigroup, (21, 3), DEGREVLEX)
-        faces = cx.faces_of_dim(0)
-        g_down = gauss_reduce(boundary_matrix(cx, 0).data, len(faces), Q, keep="q")
-        assert len(fixed_cycle_basis(cx, 0, Q, g_down=g_down).homology) == 1
-        # doubling the free coefficient keeps a cycle but breaks the normal
-        # form the free-coordinate selection relies on
-        column = g_down.kernel_columns()[0]
-        free = next(k for k in column if k not in g_down.pivots)
-        column[free] *= 2
+        assert len(fixed_cycle_basis(cx, 0, Q).homology) == 1
+        monkeypatch.setattr(homology, "gauss_reduce", broken)
         with pytest.raises(ArithmeticError, match="normal form"):
-            fixed_cycle_basis(cx, 0, Q, g_down=g_down)
+            fixed_cycle_basis(cx, 0, Q)
+
+
+class TestBoundaryReductionMemo:
+    def test_betti_and_basis_share_one_reduction_per_dimension(self, example_semigroup,
+                                                                monkeypatch):
+        from toricsyz import homology
+
+        calls = []
+        original = homology.gauss_reduce
+
+        def reduce(rows, ncols, field, keep="pq"):
+            calls.append((keep, field.name, ncols))
+            return original(rows, ncols, field, keep=keep)
+
+        monkeypatch.setattr(homology, "gauss_reduce", reduce)
+        # two vertices and no edge: d_0 has 2 columns, d_1 none, so only
+        # d_0 is eliminated
+        cx = build_nabla(example_semigroup, (21, 3), DEGREVLEX)
+        assert betti_reduced(cx, 0, Q) == 1
+        assert calls == [("", "rational", 2)]
+        del calls[:]
+        assert len(fixed_cycle_basis(cx, 0, Q).homology) == 1
+        # d_0 again only for its Q, then the selection on the projected
+        # boundaries and units (1 column); d_0 and d_1 come from the memo
+        assert calls == [("q", "rational", 2), ("", "rational", 1)]
+        del calls[:]
+        f5 = PrimeField(5)
+        assert betti_reduced(cx, 0, f5) == 1
+        assert calls == [("", "prime:5", 2)]
+        assert homology.reduce_boundary(cx, 0, f5).field is f5
+        assert homology.reduce_boundary(cx, 0, Q).field is Q
+        assert sorted(cx._reductions) == [(0, "prime:5"), (0, "rational"),
+                                          (1, "prime:5"), (1, "rational")]
 
 
 class TestBetti:

@@ -379,7 +379,8 @@ class TestHarvest:
         m = (60, 10)
         fragment = engine.harvest(m, 3)
         assert [engine.betti_delta(m, j) for j in range(4)] == [0, 0, 0, 0]
-        assert not [key for key in (*engine._bases, *engine._gauss) if key[0] == m]
+        assert not [key for key in engine._bases if key[0] == m]
+        assert not engine.nabla(m)._reductions
         path = tmp_path / "semigroup.json"
         path.write_text(json.dumps(engine.semigroup.to_dict()), encoding="utf-8")
         assert main(["--format", "json", "harvest", str(path), "-m", "60,10",
@@ -505,6 +506,19 @@ class TestDeltaRankMemo:
         assert len(calls) == 4  # d_0 .. d_3, each once
         assert [engine.betti_delta((60, 10), j) for j in range(3)] == ranks
         assert len(calls) == 4
+
+
+class TestComparisonComplexOnlyForCounts:
+    def test_minimalize_builds_no_comparison_complex(self):
+        engine = ResolutionEngine(Semigroup(1, [[3], [5]]), Config())
+        engine.minimalize_binomial((100, 0), (0, 60))
+        assert engine._delta == {}
+
+    def test_harvest_builds_comparison_complexes_only_where_it_counts(self, engine):
+        m = (60, 10)
+        fragment = engine.harvest(m, 3)
+        assert fragment.report["passed"]
+        assert set(engine._delta) == {m} | {rec.degree for rec in fragment.all_records()}
 
 
 class TestNoTransformWithoutAReader:
