@@ -34,6 +34,14 @@ homology representatives, P^-1 and Q for solving, neither for rank and
 pivots.  The rank-and-pivot reduction of a boundary map is made once per
 dimension and field and kept on its complex (reduce_boundary), so Betti
 numbers and fixed bases of one complex share it.
+
+d_0 and d_1 are never eliminated for their rank and pivots.  d_1 is the
+signed incidence matrix of the 1-skeleton, whose column matroid is the
+graphic matroid; that matroid is regular, so it is the same over Q and
+every Z/p, and its greedy basis in the fixed edge order is the spanning
+forest that Kruskal's rule grows (J. B. Kruskal, Proc. AMS 7, 1956).  A
+union-find over the vertices gives those pivots in one pass over the
+edges.  Higher dimensions have no such shortcut and keep elimination.
 """
 from __future__ import annotations
 
@@ -556,17 +564,53 @@ def reduce_boundary(complex_, j: int, field) -> GaussDecomposition:
 
     Reduced once per (dimension, field) and kept in the complex's
     ``_reductions``, so every reader of a rank or of pivots shares one
-    elimination.  Without j-faces there is nothing to eliminate: rank 0,
-    no pivots.
+    elimination.  d_0 and d_1 need none: their rank and pivots are those of
+    the greedy spanning forest (_spanning_forest).  Without j-faces there is
+    nothing to eliminate: rank 0, no pivots.
     """
     key = (j, field.name)
     decomp = complex_._reductions.get(key)
     if decomp is None:
-        faces = complex_.faces_of_dim(j)
-        decomp = complex_._reductions[key] = (
-            gauss_reduce(boundary_matrix(complex_, j).data, len(faces), field, keep="")
-            if faces else GaussDecomposition(field, 0, 0, 0, None, None, []))
+        if j in (0, 1):
+            decomp = _spanning_forest(complex_, j, field)
+        else:
+            faces = complex_.faces_of_dim(j)
+            decomp = (
+                gauss_reduce(boundary_matrix(complex_, j).data, len(faces), field, keep="")
+                if faces else GaussDecomposition(field, 0, 0, 0, None, None, []))
+        complex_._reductions[key] = decomp
     return decomp
+
+
+def _spanning_forest(complex_, j: int, field) -> GaussDecomposition:
+    """Rank and pivots of d_0 (j = 0) or d_1 (j = 1), with no elimination.
+
+    The pivot edges of d_1, those independent of all edges to their left,
+    are the edges that join two trees of the forest grown from the edges
+    before them: Kruskal's rule (see the module docstring).  d_0 is a row
+    of ones: rank 1 with pivot 0 when there is a vertex.
+    """
+    vertices = complex_.faces_of_dim(0)
+    if j == 0:
+        pivots = [0] if vertices else []
+        return GaussDecomposition(field, 1, len(vertices), len(pivots), None, None, pivots)
+    edges = complex_.faces_of_dim(1)
+    parent = {v: v for (v,) in vertices}
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    pivots = []
+    for k, (a, b) in enumerate(edges):
+        ra, rb = root(a), root(b)
+        if ra != rb:
+            parent[rb] = ra
+            pivots.append(k)
+    return GaussDecomposition(field, len(vertices), len(edges), len(pivots),
+                              None, None, pivots)
 
 
 def fixed_cycle_basis(complex_, j: int, field) -> ChainBasis:

@@ -5,14 +5,17 @@ signs; those that are not combinatorially finite (or have a zero column)
 are filtered out. Degrees are semigroup elements of small weight, plus
 shifts of them that usually leave the semigroup.  The grading certificate
 is checked on its own columns (d <= 4, r <= 7 plus some negated copies),
-which are kept whether or not a grading exists.
+which are kept whether or not a grading exists.  Fiber and comparison
+complexes for the spanning-forest check are drawn directly, as vertex and
+face sets.
 """
 import copy
 import json
+from itertools import combinations
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from oracles import (
     brute_force_fiber,
     fourier_motzkin_point,
@@ -26,6 +29,8 @@ from oracles import (
 from toricsyz import (
     DEGREVLEX,
     Config,
+    DeltaComplex,
+    NablaComplex,
     NotCombinatoriallyFinite,
     ResolutionEngine,
     Semigroup,
@@ -36,6 +41,7 @@ from toricsyz import (
     gauss_reduce,
     get_field,
 )
+from toricsyz.homology import reduce_boundary
 from toricsyz.serialize import (
     decomposition_to_json,
     dumps,
@@ -58,6 +64,29 @@ def presentations(draw, max_dim=3, max_gens=5, min_codim=None):
         return Semigroup(d, columns)
     except SemigroupError:  # NotCombinatoriallyFinite or ZeroGenerator
         assume(False)
+
+
+@st.composite
+def small_complexes(draw):
+    """A fiber or comparison complex on up to 5 variables, not from a fiber search.
+
+    Vertex sets of a fiber complex and face sets of a comparison complex
+    are drawn directly, so edgeless, disconnected, irrelevant and void
+    complexes come up often.
+    """
+    r = draw(st.integers(1, 5))
+    sg = Semigroup(1, [[i + 1] for i in range(r)])
+    if draw(st.booleans()):
+        # mostly-zero exponents keep the variables' covers apart
+        monomial = st.tuples(*[st.sampled_from((0, 0, 0, 1, 2))] * r)
+        vertices = draw(st.lists(monomial, max_size=12, unique=True))
+        return NablaComplex(sg, (0,), DEGREVLEX, tuple(DEGREVLEX.sort_decreasing(vertices)))
+    faces = {()} if draw(st.booleans()) else set()
+    facets = st.sets(st.integers(0, r - 1), min_size=1, max_size=3)
+    for facet in draw(st.lists(facets, max_size=6)):
+        facet = sorted(facet)
+        faces.update(sub for k in range(len(facet) + 1) for sub in combinations(facet, k))
+    return DeltaComplex(sg, (0,), frozenset(faces))
 
 
 @st.composite
@@ -265,3 +294,25 @@ def test_pivot_bases_give_the_bytes_of_the_q_bases(data):
         with mock.patch("toricsyz.resolution.fixed_cycle_basis", q_fixed_cycle_basis):
             expected = outputs(reference)
         assert outputs(engine) == expected, (sg, field)
+
+
+_SG2 = Semigroup(1, [[1], [2]])
+_SG3 = Semigroup(1, [[1], [2], [3]])
+
+
+@settings(max_examples=200)
+@given(small_complexes())
+@example(NablaComplex(_SG2, (0,), DEGREVLEX, ((0, 0),)))  # irrelevant
+@example(NablaComplex(_SG2, (0,), DEGREVLEX, ((1, 0), (0, 1))))  # edgeless
+@example(DeltaComplex(_SG3, (0,), frozenset({()})))  # irrelevant
+@example(DeltaComplex(_SG3, (0,), frozenset({(), (0,), (1,), (2,), (0, 1)})))  # disconnected
+def test_spanning_forest_gives_the_pivots_of_elimination(cx):
+    # d_0 and d_1 are never eliminated; rank and pivots are the greedy
+    # forest's, which must be those of the left-to-right elimination
+    for field in map(get_field, FIELDS + (2,)):
+        for j in (0, 1):
+            ncols = len(cx.faces_of_dim(j))
+            want = gauss_reduce(boundary_matrix(cx, j).data, ncols, field, keep="")
+            got = reduce_boundary(cx, j, field)
+            assert (got.rank, got.pivots, got.nrows, got.ncols) == \
+                (want.rank, want.pivots, want.nrows, want.ncols), (cx, j, field)

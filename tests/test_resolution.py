@@ -503,9 +503,31 @@ class TestDeltaRankMemo:
         monkeypatch.setattr(homology, "gauss_reduce", counted)
         # the comparison complex at (60, 10) is the full simplex on 4 vertices
         ranks = [engine.betti_delta((60, 10), j) for j in range(3)]
-        assert len(calls) == 4  # d_0 .. d_3, each once
+        # d_0 and d_1 come from the spanning forest: only d_2 and d_3 are
+        # eliminated, each once (3-vertex and 4-vertex faces as columns)
+        assert calls == [4, 1]
         assert [engine.betti_delta((60, 10), j) for j in range(3)] == ranks
-        assert len(calls) == 4
+        assert calls == [4, 1]
+
+
+class TestLevelZeroWithoutElimination:
+    def test_minimalize_eliminates_no_one_skeleton(self, monkeypatch):
+        from toricsyz import homology
+
+        widths = []
+        original = homology.gauss_reduce
+
+        def counted(rows, ncols, field, keep="pq"):
+            widths.append(ncols)
+            return original(rows, ncols, field, keep=keep)
+
+        monkeypatch.setattr(homology, "gauss_reduce", counted)
+        engine = ResolutionEngine(Semigroup(1, [[3], [5]]), Config())
+        engine.minimalize_binomial((300, 0), (0, 180))
+        edges = {len(cx.faces_of_dim(1)) for cx in engine._nabla.values()}
+        assert max(edges) == 1829  # the 1-skeleton at degree 900
+        # d_1's rank and pivots come from the spanning forest
+        assert not edges & set(widths), sorted(edges & set(widths))
 
 
 class TestComparisonComplexOnlyForCounts:
