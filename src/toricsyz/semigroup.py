@@ -20,7 +20,16 @@ The rebuild and the scaling to min w.n_i = 1 run in integers: the point
 is kept as numerators over one common denominator, bounds are compared by
 cross-multiplication, and each coordinate is reduced once.  This gives
 the same w as rational arithmetic, and the numerators are also the
-integer weights of the fiber search.
+integer weights of the fiber search and of the degree enumeration.
+
+Membership has two answers that always agree.  `members_up_to` lists
+every element up to a weight bound, breadth first over the generators in
+those integer weights, and the semigroup keeps the largest such list: a
+degree at or below its bound is a member exactly when it is listed, so
+`member` answers it by lookup.  Any other degree gets a depth-first
+search.  Only an explicit `members_up_to` or `degrees_up_to` call
+enumerates; a membership query never does, so call history changes what
+an answer costs, never the answer.
 
 Presentations are read strictly: dim and every generator entry must be
 ints (not bools), so a float, string or null in a JSON input is an error
@@ -30,8 +39,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd, lcm
-from operator import mul
+from math import floor, gcd, lcm
+from operator import add, mul
 
 from .homology import RationalField, gauss_reduce
 from .orders import Monomial, TermOrder
@@ -215,6 +224,11 @@ class Semigroup:
         # products with the generators, for the fiber and membership search
         self.grading, self._int_grading, self._wdots = self._positive_grading()
         self._member_cache: dict[Degree, bool] = {}
+        # the largest enumeration so far: every element m with v.m at most
+        # _members_bound (v the integer grading); none yet, and no element
+        # has v.m <= -1
+        self._members: frozenset[Degree] = frozenset()
+        self._members_bound = -1
         self._fiber_cache: dict[tuple, tuple[Monomial, ...]] = {}
 
     @classmethod
@@ -276,11 +290,19 @@ class Semigroup:
         return tuple(a - b for a, b in zip(m, mp))
 
     def member(self, m: Degree) -> bool:
-        """Is m a nonnegative integer combination of the generators?"""
+        """Is m a nonnegative integer combination of the generators?
+
+        A degree within the largest enumeration so far (`members_up_to`)
+        is answered by lookup; any other runs the depth-first search.
+        """
         m = tuple(m)
+        if m in self._members:
+            return True
         cached = self._member_cache.get(m)
         if cached is not None:
             return cached
+        if _dot(self._int_grading, m) <= self._members_bound:
+            return False
         result = self._search(m, find_all=False) is True
         self._member_cache[m] = result
         return result
@@ -357,24 +379,45 @@ class Semigroup:
             return bool(solutions)
         return solutions
 
+    def members_up_to(self, w_bound) -> frozenset[Degree]:
+        """All semigroup elements of weight at most w_bound.
+
+        Enumerated breadth first over the generators in integer weights:
+        w.m <= w_bound exactly when v.m <= floor(w_bound * L), v = L.w
+        being the certificate's numerators.  The largest enumeration so
+        far is kept, and `member` answers every degree within it by lookup.
+        """
+        bound = floor(Fraction(w_bound) * min(self._wdots))
+        if bound > self._members_bound:
+            zero = self.zero_degree()
+            seen = {zero}
+            frontier = [(zero, 0)]
+            steps = tuple(zip(self.generators, self._wdots))
+            while frontier:
+                nxt = []
+                for m, vm in frontier:
+                    for n, vn in steps:
+                        if vm + vn <= bound:
+                            m2 = tuple(map(add, m, n))
+                            if m2 not in seen:
+                                seen.add(m2)
+                                nxt.append((m2, vm + vn))
+                frontier = nxt
+            self._members = frozenset(seen)
+            self._members_bound = bound
+        if bound == self._members_bound:
+            return self._members
+        v = self._int_grading
+        return frozenset(m for m in self._members if _dot(v, m) <= bound)
+
     def degrees_up_to(self, w_bound) -> list[Degree]:
-        """All semigroup elements of weight at most w_bound, canonically ordered."""
-        bound = Fraction(w_bound)
-        if bound < 0:
-            return []
-        zero = self.zero_degree()
-        seen = {zero}
-        frontier = [zero]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for n in self.generators:
-                    m2 = tuple(a + b for a, b in zip(m, n))
-                    if m2 not in seen and self.weight(m2) <= bound:
-                        seen.add(m2)
-                        nxt.append(m2)
-            frontier = nxt
-        return sorted(seen, key=lambda d: (self.weight(d), d))
+        """All semigroup elements of weight at most w_bound, canonically ordered.
+
+        The order is by weight, ties by degree; the elements are those of
+        `members_up_to`, which this enumerates and keeps for `member`.
+        """
+        v = self._int_grading
+        return sorted(self.members_up_to(w_bound), key=lambda d: (_dot(v, d), d))
 
     def matrix_rank(self) -> int:
         """Rank of the generator matrix over the rationals."""

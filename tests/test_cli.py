@@ -553,3 +553,51 @@ class TestInternalCheckFailures:
 
     def test_zero_denominator_weight_bound_exits_two(self, semigroup_file):
         assert main(["scan", semigroup_file, "--w-bound", "1/0"]) == 2
+
+
+class TestMembershipBySetLookup:
+    """scan answers its face tests from its own degree enumeration; a
+    single-degree command never enumerates, since an enumeration up to the
+    weight of a large degree costs far more than the searches it saves."""
+
+    def test_scan_searches_for_no_member_after_enumerating(self, capsys, semigroup_file,
+                                                           monkeypatch):
+        searches, enumerated = [], []
+        degrees_up_to, search = Semigroup.degrees_up_to, Semigroup._search
+
+        def enumerate_degrees(self, w_bound):
+            result = degrees_up_to(self, w_bound)
+            enumerated.append(w_bound)
+            return result
+
+        def logged_search(self, m, find_all):
+            if enumerated and not find_all:
+                searches.append(m)
+            return search(self, m, find_all)
+
+        monkeypatch.setattr(Semigroup, "degrees_up_to", enumerate_degrees)
+        monkeypatch.setattr(Semigroup, "_search", logged_search)
+        code, out = run(capsys, "scan", semigroup_file, "--w-bound", "10", "--jmax", "2")
+        assert code == 0
+        assert enumerated == ["10"]
+        assert len(out.splitlines()) > 100  # a row for each degree of weight <= 10
+        assert searches == []
+
+    @pytest.mark.parametrize("argv", [
+        ["betti", "-m", "90,15"],
+        ["delta", "-m", "60,10"],
+        ["harvest", "-m", "60,10", "--max-level", "3"],
+    ], ids=["betti", "delta", "harvest"])
+    def test_single_degree_commands_enumerate_nothing(self, capsys, semigroup_file,
+                                                      monkeypatch, argv):
+        enumerations = []
+        members_up_to = Semigroup.members_up_to
+
+        def counted(self, w_bound):
+            enumerations.append(w_bound)
+            return members_up_to(self, w_bound)
+
+        monkeypatch.setattr(Semigroup, "members_up_to", counted)
+        code, _ = run(capsys, argv[0], semigroup_file, *argv[1:])
+        assert code == 0
+        assert enumerations == []

@@ -11,6 +11,7 @@ face sets.
 """
 import copy
 import json
+from fractions import Fraction
 from itertools import combinations
 from unittest import mock
 
@@ -146,12 +147,69 @@ def test_fiber_search_matches_brute_force(data):
     shifted = tuple(a + b for a, b in zip(m, shift))
     if sg.weight(shifted) <= 4:
         m = shifted
-    # member runs its own search first; fiber would fill its cache
+    # member answers before fiber fills its cache: by lookup within the
+    # enumeration above, by its own search beyond it
     member = sg.member(m)
     fiber = sg.fiber(m, DEGREVLEX)
     assert set(fiber) == brute_force_fiber(sg, m)
     assert len(set(fiber)) == len(fiber)
     assert member == bool(fiber)
+
+
+def _fraction_weight_degrees(sg, w_bound):
+    """degrees_up_to as it was before the integer enumeration: a breadth-first
+    search that weighs each degree with Fractions, sorted on (weight, degree)."""
+    bound = Fraction(w_bound)
+    if bound < 0:
+        return []
+    zero = sg.zero_degree()
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for n in sg.generators:
+                m2 = tuple(a + b for a, b in zip(m, n))
+                if m2 not in seen and sg.weight(m2) <= bound:
+                    seen.add(m2)
+                    nxt.append(m2)
+        frontier = nxt
+    return sorted(seen, key=lambda d: (sg.weight(d), d))
+
+
+weight_bounds = st.one_of(
+    st.integers(-2, 4), st.fractions(-2, 4, max_denominator=4), st.just(Fraction(7, 2)),
+).flatmap(lambda b: st.sampled_from((b, str(b))))
+
+
+@given(data=st.data())
+def test_membership_lookup_matches_the_search(data):
+    sg = data.draw(presentations())
+    w_bound, smaller = data.draw(weight_bounds), data.draw(weight_bounds)
+    degrees = sg.degrees_up_to(w_bound)
+    assert degrees == _fraction_weight_degrees(sg, w_bound)
+    assert sg.members_up_to(w_bound) == frozenset(degrees)
+    # a bound below the kept enumeration is answered from it
+    assert sg.members_up_to(smaller) == frozenset(_fraction_weight_degrees(sg, smaller))
+    kept = max(Fraction(w_bound), Fraction(smaller))
+
+    # degrees at and below the bound, one generator above it, shifted off
+    # the semigroup, and of negative weight
+    queries = set(degrees) | {sg.zero_degree()}
+    queries |= {tuple(a + b for a, b in zip(m, n))
+                for m in degrees for n in sg.generators}
+    queries |= {tuple(-a for a in n) for n in sg.generators}
+    for m in list(queries):
+        shift = data.draw(st.lists(st.integers(-1, 1), min_size=sg.dim, max_size=sg.dim))
+        queries.add(tuple(a + b for a, b in zip(m, shift)))
+    reference = Semigroup(sg.dim, sg.generators)
+    search = mock.Mock(wraps=sg._search)
+    with mock.patch.object(sg, "_search", search):
+        for m in sorted(queries):
+            calls = search.call_count
+            assert sg.member(m) == reference._search(m, find_all=False), m
+            if sg.weight(m) <= kept:
+                assert search.call_count == calls, m  # answered by lookup
 
 
 @given(data=st.data())
