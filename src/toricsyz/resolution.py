@@ -10,7 +10,8 @@ homology coordinates as minimal generators and pushes the boundary
 coordinates onto their preimage faces one dimension up.  The value of a
 face is the step applied to the image of its boundary; the monomials of a
 face share a variable, so that image has nontrivial content and the step
-recurses at a strictly smaller degree.
+recurses at a strictly smaller degree.  The step on a content-free input
+is made once per engine: inputs that differ only by content share it.
 
 Every generator is identified by (level, degree, index of its homology
 representative in the fixed basis), which makes results of independent
@@ -242,9 +243,12 @@ class ResolutionEngine:
     """Shared state for one presentation, term order and field.
 
     Owns the generator registry plus every cache (fibers, complexes, fixed
-    bases, evaluated faces), so that independent queries agree on one
-    common minimal system.  Registry mutations happen in the deterministic
-    order induced by the recursion.
+    bases, evaluated faces, decompositions), so that independent queries
+    agree on one common minimal system.  Each content-free input is
+    decomposed once; inputs that differ only by content share that
+    decomposition, read-only, and a hit only skips work whose
+    registrations already happened.  Registry mutations happen in the
+    deterministic order induced by the recursion.
     """
 
     def __init__(self, semigroup: Semigroup, config: Config | None = None):
@@ -258,6 +262,8 @@ class ResolutionEngine:
         self._bases: dict[tuple, ChainBasis] = {}
         self._psi: dict[tuple, SyzygyVector] = {}
         self._lifts: dict[tuple, tuple] = {}
+        # (level, reduced degree, content-free input) -> its decomposition
+        self._decompositions: dict[tuple, SyzygyVector] = {}
 
     # -- cached geometry ----------------------------------------------------
 
@@ -373,15 +379,12 @@ class ResolutionEngine:
         """Coefficients of g over the level-th minimal generators.
 
         g is a polynomial at level 0 and a syzygy vector above, homogeneous
-        of degree m.  Its monomial content is factored out, the rest lifted
-        to a cycle of the fiber complex at the reduced degree and split
-        against the fixed basis there: homology coordinates are generators,
-        boundary coordinates recurse through the preimage faces one
-        dimension up, at that same reduced degree.
+        of degree m.  Its monomial content is factored out and the rest
+        decomposed at the reduced degree, once per engine: inputs that
+        differ only by content share that decomposition.
         """
         if not g:
             return {}
-        field = self.field
         c = monomial_content(level, g)
         if mono_is_unit(c):
             reduced, m_red = g, tuple(m)
@@ -389,24 +392,40 @@ class ResolutionEngine:
             reduced = (poly_mono_div(g, c) if level == 0
                        else {gid: poly_mono_div(p, c) for gid, p in g.items()})
             m_red = self.semigroup.sub_degree(m, self.semigroup.degree_of(c))
-        basis = self.chain_basis(m_red, level)
-        lam, mu = basis.express(self._lift(level, reduced, m_red))
+        key = (level, m_red, frozenset(reduced.items()) if level == 0 else
+               frozenset((gid, frozenset(p.items())) for gid, p in reduced.items()))
+        out = self._decompositions.get(key)
+        if out is None:
+            out = self._decompositions[key] = self._decompose_reduced(level, reduced, m_red)
+        if not mono_is_unit(c):
+            out = syz_mono_mul(out, c)
+        if self.config.debug_checks:
+            self._check_reconstruction(out, g, c)
+        return out
+
+    def _decompose_reduced(self, level: int, g, m: Degree) -> SyzygyVector:
+        """Coefficients of a content-free g of degree m.
+
+        g is lifted to a cycle of the fiber complex at m and split against
+        the fixed basis there: homology coordinates are generators,
+        boundary coordinates recurse through the preimage faces one
+        dimension up, at that same degree.
+        """
+        field = self.field
+        basis = self.chain_basis(m, level)
+        lam, mu = basis.express(self._lift(level, g, m))
         out: SyzygyVector = {}
         unit = (0,) * self.semigroup.num_generators
         for idx, lv in enumerate(lam):
             if lv:
-                rec = self._ensure_generator(level, m_red, idx)
+                rec = self._ensure_generator(level, m, idx)
                 syz_add_scaled(out, {rec.gid: {unit: rec.orientation}}, lv, field)
         nu: dict[int, object] = {}
         for j, mv in enumerate(mu):
             field.axpy(nu, basis.boundary[j][1], mv)
         for k in sorted(nu):
-            syz_add_scaled(out, self._psi_face(m_red, level + 1, basis.up_faces[k]),
+            syz_add_scaled(out, self._psi_face(m, level + 1, basis.up_faces[k]),
                            nu[k], field)
-        if not mono_is_unit(c):
-            out = syz_mono_mul(out, c)
-        if self.config.debug_checks:
-            self._check_reconstruction(out, g, c)
         return out
 
     def _ensure_generator(self, level: int, m: Degree, idx: int) -> GeneratorRecord:
@@ -498,7 +517,8 @@ class ResolutionEngine:
         entry_of(gid) gives (level, degree, value, ...) of a referenced
         generator, or None.  Each term must reference a generator one level
         down with a nonzero, constant-free polynomial of total degree
-        `degree`, and the vector must compose to zero with the level below.
+        `degree` and no zero coefficient, and the vector must compose to
+        zero with the level below.
         """
         sg = self.semigroup
         unit = (0,) * sg.num_generators
@@ -510,6 +530,8 @@ class ResolutionEngine:
                 continue
             if not poly:
                 yield ResolutionError, f"stored zero polynomial on {gid}"
+            elif not all(poly.values()):
+                yield ResolutionError, f"zero coefficient on {gid}"
             if unit in poly:
                 yield ResolutionError, f"constant coefficient on {gid}"
             if ref[0] != level - 1:
@@ -699,7 +721,8 @@ class ResolutionEngine:
 
         Binomials must be homogeneous of their degree and constant-free.  A
         syzygy entry must reference a generator of the map one level down
-        and be a nonzero, constant-free polynomial of the record's degree;
+        and be a nonzero, constant-free polynomial of the record's degree
+        with no zero coefficient;
         each record must compose to zero with the level below.  Each
         witness must be a nonzero cycle on the level-faces of the fiber
         complex at the record's degree, with coefficient 1 at its last face

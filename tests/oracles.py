@@ -7,7 +7,7 @@ from itertools import product
 from toricsyz.complexes import NablaComplex
 from toricsyz.homology import ChainBasis, _reduce_columns, boundary_matrix, gauss_reduce
 from toricsyz.orders import mono_div, mono_is_unit, mono_mul
-from toricsyz.resolution import ResolutionFragment
+from toricsyz.resolution import ResolutionEngine, ResolutionFragment
 from toricsyz.semigroup import _fourier_motzkin_numerators
 from toricsyz.serialize import record_to_json
 
@@ -131,6 +131,25 @@ def harvest_every_basis(engine, m, max_level) -> ResolutionFragment:
     fragment = ResolutionFragment(m, max_level, levels)
     fragment.report = engine.verify_fragment(fragment)
     return fragment
+
+
+class _NeverStores(dict):
+    """A dict that drops every assignment, so every lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class MemoOffEngine(ResolutionEngine):
+    """ResolutionEngine whose decomposition memo never stores.
+
+    Every content-free input is decomposed afresh on each call, as the
+    engine did before it kept one decomposition per input.
+    """
+
+    def __init__(self, semigroup, config=None):
+        super().__init__(semigroup, config)
+        self._decompositions = _NeverStores()
 
 
 def q_fixed_cycle_basis(complex_, j, field) -> ChainBasis:

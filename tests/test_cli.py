@@ -161,6 +161,27 @@ class TestHarvestAndVerify:
         assert code == 1
         assert "FAILED" in out
 
+    def test_verify_rejects_a_stored_zero_coefficient(self, capsys, tmp_path):
+        # the example's syzygy coefficients each have a one-monomial fiber,
+        # so the zero term goes on a level-1 value of <4,5,6,7>: 0 * x4 on
+        # the generator of degree 10 is homogeneous at degree 17
+        sg_path = tmp_path / "s4567.json"
+        sg_path.write_text('{"dim": 1, "generators": [[4], [5], [6], [7]]}',
+                           encoding="utf-8")
+        frag_path = tmp_path / "fragment.json"
+        assert run(capsys, "--format", "json", "harvest", str(sg_path), "-m", "17",
+                   "--max-level", "1", "--output", str(frag_path))[0] == 0
+        data = json.loads(frag_path.read_text(encoding="utf-8"))
+        gen = next(g for g in data["generators"] if g["id"] == [1, [17], 0])
+        assert all(v["generator"] != [0, [10], 0] for v in gen["value"])
+        gen["value"].append({"generator": [0, [10], 0],
+                             "coefficient": [{"coeff": "0/1", "monomial": [0, 0, 0, 1]}]})
+        frag_path.write_text(json.dumps(data), encoding="utf-8")
+        code, out = run(capsys, "verify", str(sg_path), str(frag_path))
+        assert code == 1
+        assert out == ("verification: FAILED\n"
+                       "  violation: (1, (17,), 0): zero coefficient on (0, (10,), 0)\n")
+
     @pytest.mark.parametrize("corrupt, message", [
         (lambda w: [[[0, 1], "7/1"]], "witness is not a cycle"),
         (lambda w: [], "witness is empty"),

@@ -18,6 +18,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from oracles import (
+    MemoOffEngine,
     brute_force_fiber,
     fourier_motzkin_point,
     greedy_extension,
@@ -43,6 +44,7 @@ from toricsyz import (
     get_field,
 )
 from toricsyz.homology import reduce_boundary
+from toricsyz.resolution import syz_mono_mul
 from toricsyz.serialize import (
     decomposition_to_json,
     dumps,
@@ -352,6 +354,44 @@ def test_pivot_bases_give_the_bytes_of_the_q_bases(data):
         with mock.patch("toricsyz.resolution.fixed_cycle_basis", q_fixed_cycle_basis):
             expected = outputs(reference)
         assert outputs(engine) == expected, (sg, field)
+
+
+@given(data=st.data())
+def test_decomposition_memo_matches_an_engine_that_never_stores(data):
+    # one warm engine answers every query, so inputs that differ only by
+    # content, and repeated queries, are served from its memo; codimension
+    # >= 2 gives first syzygies at low weight
+    sg = data.draw(presentations(max_dim=2, max_gens=4, min_codim=2))
+    degrees = [m for m in sg.degrees_up_to(5) if len(sg.fiber(m, DEGREVLEX)) <= 10]
+    binomials = [data.draw(st.lists(st.sampled_from(sg.fiber(m, DEGREVLEX)),
+                                    min_size=2, max_size=2, unique=True))
+                 for m in degrees if len(sg.fiber(m, DEGREVLEX)) >= 2]
+    max_level = data.draw(st.integers(1, 2))
+    config = Config(field=data.draw(st.sampled_from(FIELDS)))
+    engine, oracle = ResolutionEngine(sg, config), MemoOffEngine(sg, config)
+
+    def decomposition(e, result, input_desc):
+        return ([(rec.gid, poly) for rec, poly in result.entries],
+                dumps(decomposition_to_json(result, e, input_desc)))
+
+    def outputs(e, syzygies):
+        out = [decomposition(e, e.minimalize_binomial(lead, trail), [lead, trail])
+               for lead, trail in binomials]
+        out += [dumps(fragment_to_json(e.harvest(m, max_level), e)) for m in degrees]
+        out += [decomposition(e, e.minimalize_syzygy(level, g), level)
+                for level, g in syzygies]
+        return out
+
+    assert outputs(engine, []) == outputs(oracle, []), (sg, config.field)
+    # every registered syzygy times each variable: its content is that variable
+    unit = [0] * sg.num_generators
+    syzygies = [(rec.level, syz_mono_mul(rec.value, tuple(unit[:i] + [1] + unit[i + 1:])))
+                for rec in engine.registry.records.values() if rec.level
+                for i in range(sg.num_generators)]
+    assert outputs(engine, syzygies) == outputs(oracle, syzygies), (sg, config.field)
+    # records in registration order
+    assert [(rec.gid, rec.value, rec.witness) for rec in engine.registry.records.values()] \
+        == [(rec.gid, rec.value, rec.witness) for rec in oracle.registry.records.values()]
 
 
 _SG2 = Semigroup(1, [[1], [2]])

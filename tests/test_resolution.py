@@ -17,7 +17,7 @@ from toricsyz import (
     ResolutionFragment,
     Semigroup,
 )
-from toricsyz.resolution import UnknownGenerator
+from toricsyz.resolution import CheckFailed, UnknownGenerator
 from toricsyz.resolution import (
     phi_image,
     poly_mono_mul,
@@ -308,7 +308,7 @@ class TestMinimalizeSyzygy:
 
 
 def _bad_syzygies(gens):
-    """(name, level, degree, vector, fault type) of six faulty syzygy vectors."""
+    """(name, level, degree, vector, fault type) of seven faulty syzygy vectors."""
     g12 = gens[(12, 2)].gid
     valid = syzygy_45_7(gens)
     unknown = {**valid, (0, (12, 2), 7): {(0, 1, 4, 0): 1}}
@@ -317,6 +317,7 @@ def _bad_syzygies(gens):
         ("unknown-generator", 1, (45, 7), unknown, UnknownGenerator),
         ("wrong-level", 2, (45, 7), valid, ResolutionError),
         ("zero-polynomial", 1, (45, 7), zero, ResolutionError),
+        ("zero-coefficient", 1, (16, 3), {g12: {(1, 0, 0, 0): 0}}, ResolutionError),
         ("constant-coefficient", 1, (12, 2), {g12: {UNIT: 1}}, ResolutionError),
         ("inhomogeneous", 1, (27, 4), {g12: {(0, 0, 1, 1): 1, (0, 0, 0, 1): 1}},
          NotHomogeneous),
@@ -327,8 +328,8 @@ def _bad_syzygies(gens):
 class TestOneSyzygyCheck:
     """The engine's input check and the fragment checker judge a syzygy alike."""
 
-    @pytest.mark.parametrize("case", range(6), ids=[
-        "unknown-generator", "wrong-level", "zero-polynomial",
+    @pytest.mark.parametrize("case", range(7), ids=[
+        "unknown-generator", "wrong-level", "zero-polynomial", "zero-coefficient",
         "constant-coefficient", "inhomogeneous", "not-a-syzygy"])
     def test_same_fault_same_words(self, engine, case):
         gens = register_generators(engine)
@@ -508,6 +509,98 @@ class TestDeltaRankMemo:
         assert calls == [4, 1]
         assert [engine.betti_delta((60, 10), j) for j in range(3)] == ranks
         assert calls == [4, 1]
+
+
+def _content_free_inputs(monkeypatch):
+    """Record the distinct content-free inputs handed to _decompose.
+
+    The content of each nonempty input is factored out here, apart from
+    the engine; the set holds (level, reduced degree, reduced input).
+    """
+    seen = set()
+    original = ResolutionEngine._decompose
+
+    def recording(self, level, g, m):
+        if g:
+            monos = list(g) if level == 0 else [mono for p in g.values() for mono in p]
+            c = tuple(map(min, zip(*monos)))
+
+            def divided(p):
+                return frozenset((tuple(a - b for a, b in zip(mono, c)), v)
+                                 for mono, v in p.items())
+
+            reduced = (divided(g) if level == 0
+                       else frozenset((gid, divided(p)) for gid, p in g.items()))
+            sg = self.semigroup
+            seen.add((level, sg.sub_degree(m, sg.degree_of(c)), reduced))
+        return original(self, level, g, m)
+
+    monkeypatch.setattr(ResolutionEngine, "_decompose", recording)
+    return seen
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestDecompositionMemo:
+    """Each content-free input is decomposed once per engine."""
+
+    def test_harvest_expresses_each_content_free_input_once(self, engine, monkeypatch):
+        from toricsyz import ChainBasis
+
+        inputs = _content_free_inputs(monkeypatch)
+        express = _count_calls(monkeypatch, ChainBasis, "express")
+        engine.harvest((60, 10), 3)
+        # an engine without the memo expresses once per nonempty _decompose call: 716
+        assert len(express) == len(inputs) == 62
+
+    def test_minimalize_expresses_each_content_free_input_once(self, monkeypatch):
+        from toricsyz import ChainBasis
+
+        engine = ResolutionEngine(Semigroup(1, [[3], [5]]), Config())
+        inputs = _content_free_inputs(monkeypatch)
+        express = _count_calls(monkeypatch, ChainBasis, "express")
+        engine.minimalize_binomial((300, 0), (0, 180))
+        # an engine without the memo expresses 61 times
+        assert len(express) == len(inputs) == 2
+
+    def test_debug_checks_run_on_every_call_hit_or_miss(self, debug_engine, monkeypatch):
+        calls = _count_calls(monkeypatch, ResolutionEngine, "_decompose")
+        checks = _count_calls(monkeypatch, ResolutionEngine, "_check_reconstruction")
+        debug_engine.harvest((60, 10), 3)
+        nonempty = [args for args in calls if args[2]]
+        assert len(checks) == len(nonempty) > len(debug_engine._decompositions)
+
+    @staticmethod
+    def _tamper_and_hit(engine, level):
+        """Double one stored level-th decomposition, then hit it with x1 times its input."""
+        engine.harvest((60, 10), 2)
+        key = next(k for k, v in engine._decompositions.items() if k[0] == level and v)
+        engine._decompositions[key] = {gid: {mono: 2 * c for mono, c in p.items()}
+                                       for gid, p in engine._decompositions[key].items()}
+        _level, m_red, reduced = key
+        x1 = (1, 0, 0, 0)
+        g = (poly_mono_mul(dict(reduced), x1) if level == 0
+             else {gid: poly_mono_mul(dict(p), x1) for gid, p in reduced})
+        m = tuple(a + b for a, b in zip(m_red, engine.semigroup.degree_of(x1)))
+        return engine._decompose(level, g, m)
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_tampered_entry_fails_its_next_hit(self, example_semigroup, level):
+        with pytest.raises(CheckFailed):
+            self._tamper_and_hit(
+                ResolutionEngine(example_semigroup, Config(debug_checks=True)), level)
+        # without debug checks the hit hands the tampered entry out unchecked
+        assert self._tamper_and_hit(ResolutionEngine(example_semigroup, Config()), level)
 
 
 class TestLevelZeroWithoutElimination:
