@@ -117,8 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("harvest", "extract the resolution fragment one degree teaches")
     p.add_argument("-m", "--degree", required=True)
     p.add_argument("--max-level", type=int, default=1)
-    p.add_argument("--face-cap", type=int, default=None,
-                   help="walk at most this many faces per dimension")
 
     p = add("scan", "Betti table over all degrees up to a weight bound")
     p.add_argument("--w-bound", required=True)
@@ -241,7 +239,7 @@ def _cmd_minimalize(args):
 def _cmd_harvest(args):
     engine = _engine(args)
     m = _parse_degree(args.degree, engine.semigroup.dim)
-    fragment = engine.harvest(m, args.max_level, face_cap=args.face_cap)
+    fragment = engine.harvest(m, args.max_level)
     payload = serialize.fragment_to_json(fragment, engine)
     report = fragment.report
     lines = [f"harvest at {m}, levels 0..{args.max_level}"]

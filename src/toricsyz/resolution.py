@@ -13,6 +13,9 @@ face share a variable, so that image has nontrivial content and the step
 recurses at a strictly smaller degree.  The step on a content-free input
 is made once per engine: inputs that differ only by content share it.
 
+Harvesting a degree M walks no faces: the comparison complexes at the
+candidate degrees M - deg gcd(U) say where the generators sit.
+
 Every generator is identified by (level, degree, index of its homology
 representative in the fixed basis), which makes results of independent
 queries pieces of one and the same minimal system.
@@ -667,46 +670,43 @@ class ResolutionEngine:
 
     # -- harvesting -----------------------------------------------------------
 
-    def harvest(self, m: Degree, max_level: int,
-                face_cap: int | None = None) -> ResolutionFragment:
-        """Register everything one degree teaches us up to max_level.
+    def candidate_degrees(self, m: Degree, max_level: int) -> list[Degree]:
+        """C(m): every m - deg gcd(U), U at most min(r, max_level + 2) fiber monomials at m.
 
-        Homology representatives at m itself become generators directly;
-        the walk over low-dimensional faces then lets the recursion find
-        generators at the strictly smaller degrees it visits.  The fixed
-        basis at (m, j) is built only where the comparison complex has
-        homology: by the nerve theorem the fiber complex has the same
-        reduced homology, so elsewhere the basis would yield no generator.
-        face_cap, when given, truncates the walk to that many faces per
-        dimension (the fixed face order makes the truncation deterministic).
+        A degree m' with m - m' in S and homology at a level j <= max_level
+        has j + 2 fiber monomials with gcd 1 (else its fiber complex holds the
+        full (j+1)-skeleton); times x^c of degree m - m', their gcd is x^c.
+        The gcd of any set is that of at most r of its members.  Sorted.
+        """
+        sg = self.semigroup
+        vertices = self.nabla(m).vertices
+        gcds = layer = frozenset(vertices)
+        for _ in range(min(sg.num_generators, max_level + 2) - 1):
+            layer = {mono_gcd(g, v) for g in layer for v in vertices} - gcds
+            if not layer:
+                break
+            gcds |= layer
+        return sorted({sg.sub_degree(m, sg.degree_of(g)) for g in gcds})
+
+    def harvest(self, m: Degree, max_level: int) -> ResolutionFragment:
+        """Register every generator up to max_level that the recursion from m reaches.
+
+        They sit at the candidate degrees, where the comparison complex
+        gives their number per level.  Its reduced homology vanishes from
+        dimension r - 1 on, so levels beyond r - 2 cost nothing.
         """
         if max_level < 0:
             raise ResolutionError(f"--max-level must be nonnegative, got {max_level}")
-        if face_cap is not None and face_cap < 0:
-            raise ResolutionError(f"--face-cap must be nonnegative, got {face_cap}")
         m = tuple(m)
-        if not self.semigroup.member(m):
-            fragment = ResolutionFragment(m, max_level, {})
-            fragment.report = self.verify_fragment(fragment)
-            return fragment
-        cx = self.nabla(m)
-        for j in range(max_level + 1):
-            if not self.betti_delta(m, j):
-                continue
-            for idx in range(len(self.chain_basis(m, j).homology)):
-                self._ensure_generator(j, m, idx)
-        for dim in range(1, max_level + 2):
-            faces = cx.faces_of_dim(dim)
-            if face_cap is not None:
-                faces = faces[:face_cap]
-            for face in faces:
-                self._psi_face(m, dim, face)
         levels: dict[int, list] = {}
-        for level in sorted(self.registry.by_level):
-            if level <= max_level:
-                records = self.registry.level_records(level, self.semigroup)
-                if records:
-                    levels[level] = records
+        if self.semigroup.member(m):
+            top = min(max_level, self.semigroup.num_generators - 2)
+            for mp in self.candidate_degrees(m, max_level):
+                for j in range(top + 1):
+                    for idx in range(self.betti_delta(mp, j)):
+                        self._ensure_generator(j, mp, idx)
+            levels = {level: self.registry.level_records(level, self.semigroup)
+                      for level in sorted(self.registry.by_level) if level <= max_level}
         fragment = ResolutionFragment(m, max_level, levels)
         fragment.report = self.verify_fragment(fragment)
         return fragment

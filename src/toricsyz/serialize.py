@@ -133,6 +133,16 @@ def _face(item) -> tuple:
     return tuple(item)
 
 
+def _unique(pairs, what) -> dict:
+    """The dict of (key, value) pairs; a key listed twice is malformed."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise _malformed(f"{what} {key} is listed twice")
+        out[key] = value
+    return out
+
+
 def _entry(gen, sg, field):
     """(gid, (level, degree, value, witness)) of one generator object."""
     if not isinstance(gen, dict):
@@ -147,18 +157,12 @@ def _entry(gen, sg, field):
         value = Binomial(_monomial(gen["value"]["lead"], r),
                          _monomial(gen["value"]["trail"], r))
     else:
-        value = {}
-        for item in gen["value"]:
-            value[_gid(item["generator"], sg.dim)] = {
-                _monomial(t["monomial"], r): field.from_str(t["coeff"])
-                for t in item["coefficient"]
-            }
-    witness = {}
-    for face, coeff in gen["witness"]:
-        face = _face(face)
-        if face in witness:
-            raise _malformed(f"witness face {list(face)} is listed twice")
-        witness[face] = field.from_str(coeff)
+        value = _unique(((_gid(item["generator"], sg.dim),
+                          _unique(((_monomial(t["monomial"], r), field.from_str(t["coeff"]))
+                                   for t in item["coefficient"]), "monomial"))
+                         for item in gen["value"]), "generator")
+    witness = _unique(((_face(face), field.from_str(coeff))
+                       for face, coeff in gen["witness"]), "witness face")
     return gid, (level, degree, value, witness)
 
 
@@ -168,17 +172,14 @@ def fragment_entries(data, engine: ResolutionEngine) -> dict:
     Raises MalformedFragment where the document does not have the shape
     harvest writes: a missing key, a non-object document or entry, a
     degree, id or monomial of the wrong length, a witness face that is not
-    a list of integers or is listed twice, or an unreadable scalar.
+    a list of integers, a generator, generator block, witness face or
+    coefficient monomial listed twice, or an unreadable scalar.
     """
     if not isinstance(data, dict):
         raise _malformed("the document is not an object")
-    entries = {}
     try:
-        for gen in data["generators"]:
-            gid, entry = _entry(gen, engine.semigroup, engine.field)
-            if gid in entries:
-                raise _malformed(f"generator {gid} is listed twice")
-            entries[gid] = entry
+        entries = _unique((_entry(gen, engine.semigroup, engine.field)
+                           for gen in data["generators"]), "generator")
     except MalformedFragment:
         raise
     except KeyError as exc:

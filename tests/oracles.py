@@ -103,11 +103,12 @@ def pruned_fourier_motzkin_point(rows: list[tuple[tuple[int, ...], int]], dim: i
 
 
 def harvest_every_basis(engine, m, max_level) -> ResolutionFragment:
-    """ResolutionEngine.harvest as it was before it skipped bases.
+    """ResolutionEngine.harvest as a walk over the faces at m.
 
     Builds the fixed basis at (m, j) for every j up to max_level and takes
     the generator count from its homology, whether or not the comparison
-    complex has homology there; then runs the same face walk.
+    complex has homology there; then evaluates psi on every face at m of
+    dimension 1 to max_level + 1 and keeps what the recursion registers.
     """
     m = tuple(m)
     if not engine.semigroup.member(m):

@@ -182,6 +182,32 @@ class TestHarvestAndVerify:
         assert out == ("verification: FAILED\n"
                        "  violation: (1, (17,), 0): zero coefficient on (0, (10,), 0)\n")
 
+    @pytest.mark.parametrize("duplicate", [
+        lambda value: [{"generator": value[0]["generator"],
+                        "coefficient": [{"coeff": "7/1", "monomial": [9, 9, 9, 9]}]},
+                       *value],
+        lambda value: [{"generator": value[0]["generator"],
+                        "coefficient": [{"coeff": "5/1",
+                                         "monomial": value[0]["coefficient"][0]["monomial"]},
+                                        *value[0]["coefficient"]]},
+                       *value[1:]],
+    ], ids=["generator-block", "monomial"])
+    def test_verify_rejects_a_bogus_first_copy(self, capsys, semigroup_file, tmp_path,
+                                               duplicate):
+        # reading kept the last copy only, so the bogus first one passed
+        frag_path = tmp_path / "fragment.json"
+        assert run(capsys, "--format", "json", "harvest", semigroup_file, "-m", "60,10",
+                   "--max-level", "2", "--output", str(frag_path))[0] == 0
+        data = json.loads(frag_path.read_text(encoding="utf-8"))
+        gen = next(g for g in data["generators"] if g["level"] == 1)
+        gen["value"] = duplicate(gen["value"])
+        frag_path.write_text(json.dumps(data), encoding="utf-8")
+        code = main(["verify", semigroup_file, str(frag_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: malformed fragment: ")
+        assert "listed twice" in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("corrupt, message", [
         (lambda w: [[[0, 1], "7/1"]], "witness is not a cycle"),
         (lambda w: [], "witness is empty"),
@@ -343,22 +369,12 @@ class TestCorruptCacheEntry:
         assert path.read_bytes() == original
 
 
-class TestFaceCapFlag:
-    def test_capped_harvest_still_verifies(self, capsys, semigroup_file):
-        code, out = run(capsys, "--format", "json", "harvest", semigroup_file,
-                        "-m", "60,10", "--max-level", "1", "--face-cap", "5")
-        assert code == 0
-        data = json.loads(out)
-        assert data["verification"]["passed"]
-
-
 class TestOutOfRangeFlags:
     @pytest.mark.parametrize("argv, flag", [
-        (["harvest", "-m", "60,10", "--face-cap", "-1"], "--face-cap"),
         (["harvest", "-m", "60,10", "--max-level", "-1"], "--max-level"),
         (["betti", "-m", "21,3", "--jmax", "-1"], "--jmax"),
         (["scan", "--w-bound", "8", "--jmax", "-1"], "--jmax"),
-    ], ids=["harvest-face-cap", "harvest-max-level", "betti-jmax", "scan-jmax"])
+    ], ids=["harvest-max-level", "betti-jmax", "scan-jmax"])
     def test_negative_value_exits_two_naming_the_flag(self, capsys, semigroup_file,
                                                       argv, flag):
         code = main([argv[0], semigroup_file, *argv[1:]])
@@ -368,7 +384,7 @@ class TestOutOfRangeFlags:
         assert captured.err.startswith("error: ") and flag in captured.err
 
     @pytest.mark.parametrize("argv", [
-        ["harvest", "-m", "60,10", "--max-level", "0", "--face-cap", "0"],
+        ["harvest", "-m", "60,10", "--max-level", "0"],
         ["betti", "-m", "21,3", "--jmax", "0"],
         ["scan", "--w-bound", "8", "--jmax", "0"],
     ], ids=["harvest", "betti", "scan"])

@@ -301,21 +301,36 @@ def test_minimalize_reconstructs_the_binomial(data):
     assert total == {lead: field.one, trail: minus_one}, (sg, lead, trail)
 
 
+def _assert_harvest_is_the_walk(sg, m, max_level, field, order):
+    config = Config(field=field, term_order=order)
+    engine, walk = ResolutionEngine(sg, config), ResolutionEngine(sg, config)
+    fragment = engine.harvest(m, max_level)
+    expected = harvest_every_basis(walk, m, max_level)
+    assert dumps(fragment_to_json(fragment, engine)) == \
+        dumps(fragment_to_json(expected, walk)), (sg, m, max_level, field, order)
+
+
 @given(data=st.data())
 def test_harvest_matches_building_every_basis(data):
-    # harvest builds no basis where the comparison complex has no homology;
-    # the old loop built every one and must find the same generators
+    # harvest visits only the candidate degrees; the face walk at m that it
+    # replaced, building every basis there, must register the same generators
     sg = data.draw(presentations(max_dim=2, max_gens=4, min_codim=1))
     degrees = [m for m in sg.degrees_up_to(5) if len(sg.fiber(m, DEGREVLEX)) <= 10]
-    max_level = data.draw(st.integers(1, 2))
-    for field in ("rational", 32003):
-        engine = ResolutionEngine(sg, Config(field=field))
-        reference = ResolutionEngine(sg, Config(field=field))
-        for m in degrees:
-            fragment = engine.harvest(m, max_level)
-            expected = harvest_every_basis(reference, m, max_level)
-            assert dumps(fragment_to_json(fragment, engine)) == \
-                dumps(fragment_to_json(expected, reference)), (sg, m, field)
+    max_level = data.draw(st.integers(1, 3))
+    for field in FIELDS:
+        for order in ("degrevlex", "lex"):
+            for m in degrees:
+                _assert_harvest_is_the_walk(sg, m, max_level, field, order)
+
+
+@pytest.mark.parametrize("columns, m, max_level, field, order", [
+    ([[4], [5], [6], [7]], (40,), 1, "rational", "degrevlex"),
+    ([[4], [5], [6], [7]], (34,), 3, 32003, "lex"),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], (30, 30, 30), 3, 5, "degrevlex"),
+], ids=["s4567-at-40", "s4567-at-34", "free-e1-e2-e3"])
+def test_harvest_matches_the_walk_on_fixed_inputs(columns, m, max_level, field, order):
+    _assert_harvest_is_the_walk(Semigroup(len(columns[0]), columns), m, max_level,
+                                field, order)
 
 
 @given(data=st.data())

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations
 
 import pytest
 from oracles import oracle_v0, registry_to_json
@@ -560,8 +561,8 @@ class TestDecompositionMemo:
         inputs = _content_free_inputs(monkeypatch)
         express = _count_calls(monkeypatch, ChainBasis, "express")
         engine.harvest((60, 10), 3)
-        # an engine without the memo expresses once per nonempty _decompose call: 716
-        assert len(express) == len(inputs) == 62
+        # an engine without the memo expresses once per nonempty _decompose call
+        assert len(express) == len(inputs) == 8
 
     def test_minimalize_expresses_each_content_free_input_once(self, monkeypatch):
         from toricsyz import ChainBasis
@@ -623,17 +624,64 @@ class TestLevelZeroWithoutElimination:
         assert not edges & set(widths), sorted(edges & set(widths))
 
 
+def _candidates(sg, m, max_level):
+    """m - deg gcd(U) over every set U of at most min(r, max_level + 2) fiber monomials."""
+    size = min(sg.num_generators, max_level + 2)
+    return {sg.sub_degree(m, sg.degree_of(tuple(map(min, zip(*subset)))))
+            for k in range(1, size + 1)
+            for subset in combinations(sg.fiber(m, DEGREVLEX), k)}
+
+
 class TestComparisonComplexOnlyForCounts:
     def test_minimalize_builds_no_comparison_complex(self):
         engine = ResolutionEngine(Semigroup(1, [[3], [5]]), Config())
         engine.minimalize_binomial((100, 0), (0, 60))
         assert engine._delta == {}
 
-    def test_harvest_builds_comparison_complexes_only_where_it_counts(self, engine):
-        m = (60, 10)
-        fragment = engine.harvest(m, 3)
+    def test_harvest_builds_comparison_complexes_only_where_it_counts(self, engine,
+                                                                        monkeypatch):
+        m, max_level = (60, 10), 3
+        read = set()
+        original = ResolutionEngine._decompose_reduced
+
+        def recording(self, level, g, m_red):
+            read.add((m_red, level))
+            return original(self, level, g, m_red)
+
+        monkeypatch.setattr(ResolutionEngine, "_decompose_reduced", recording)
+        fragment = engine.harvest(m, max_level)
         assert fragment.report["passed"]
-        assert set(engine._delta) == {m} | {rec.degree for rec in fragment.all_records()}
+        # one comparison complex per candidate degree, and no other
+        assert set(engine._delta) == _candidates(engine.semigroup, m, max_level)
+        # a fiber basis only where a generator sits or the recursion splits a cycle
+        registered = {(rec.degree, rec.level) for rec in engine.registry.records.values()}
+        assert set(engine._bases) == registered | read
+        assert len(engine._bases) == 9
+
+
+class TestHugeMaxLevel:
+    def test_work_stops_below_the_number_of_generators(self, example_semigroup,
+                                                       monkeypatch):
+        from toricsyz.complexes import DeltaComplex, NablaComplex
+
+        def traced(max_level):
+            engine = ResolutionEngine(example_semigroup, Config())
+            faces = (_count_calls(monkeypatch, NablaComplex, "faces_of_dim"),
+                     _count_calls(monkeypatch, DeltaComplex, "faces_of_dim"))
+            betti = _count_calls(monkeypatch, ResolutionEngine, "betti_delta")
+            fragment = engine.harvest((60, 10), max_level)
+            monkeypatch.undo()
+            return fragment, sum(map(len, faces)), len(betti)
+
+        fragment, faces, betti = traced(10 ** 5)
+        r = example_semigroup.num_generators
+        assert fragment.report["passed"] and fragment.ranks() == {0: 4, 1: 4, 2: 1}
+        # at most r - 1 levels per candidate, plus the report's one per (level, degree)
+        candidates = _candidates(example_semigroup, (60, 10), r - 2)
+        assert betti <= len(candidates) * (r - 1) + len(
+            {(rec.level, rec.degree) for rec in fragment.all_records()})
+        # a level beyond r - 2 changes nothing
+        assert traced(r - 2)[1:] == (faces, betti)
 
 
 class TestNoTransformWithoutAReader:
@@ -766,18 +814,6 @@ class TestNumericalSemigroup:
         fragment = engine.harvest((12,), 1)
         assert fragment.ranks() == {0: 1}
         assert fragment.report["passed"]
-
-
-class TestFaceCap:
-    def test_capped_walk_is_deterministic_prefix(self, example_semigroup):
-        full = ResolutionEngine(example_semigroup, Config())
-        full_frag = full.harvest((60, 10), 2)
-        capped = ResolutionEngine(example_semigroup, Config())
-        capped_frag = capped.harvest((60, 10), 2, face_cap=3)
-        full_ids = set(full.registry.records)
-        capped_ids = set(capped.registry.records)
-        assert capped_ids <= full_ids
-        assert capped_frag.report["passed"]
 
 
 class TestAlternateConfigurations:
