@@ -16,12 +16,15 @@ exactly one preimage on the pivot faces.  Its homology part is a set of
 kernel columns of Q_j, each with coefficient 1 at one free (non-pivot)
 column of d_j and its other support on pivot columns to its left:
 projecting onto the free columns is injective on cycles and turns these
-normal-form vectors into unit vectors.  The representatives are the
-normal-form vectors at the first free columns whose units extend the
-projected boundary part, found by one reduction of the projection.  They
-exist only where nullity(d_j) > rank(d_{j+1}), so only there is Q_j kept.
-Every choice here is load bearing: the resolution machinery is only well
-defined relative to these bases.
+normal-form vectors into unit vectors.  The free columns, listed in the
+order of Q_j's kernel columns, follow from d_j's pivots alone.  One
+reduction of the projected [boundary part | units] both selects and
+solves: its pivot units, the first whose units extend the projected
+boundary part, are the free columns of the representatives, and solving a
+projected cycle against it gives that cycle's coordinates in the basis.
+Representatives exist only where nullity(d_j) > rank(d_{j+1}), so only
+there is Q_j kept.  Every choice here is load bearing: the resolution
+machinery is only well defined relative to these bases.
 
 Elimination is sparse: the rows of A, the columns of Q and the rows of
 P^-1 are dicts holding only nonzeros, and column swaps are kept as a
@@ -30,10 +33,10 @@ so this keeps time and memory near the fill-in instead of m^2 + n^2.  The
 pivot rule and every row and column operation are those of the dense
 elimination, in exact arithmetic, so Q, P^-1 and therefore the bases are
 unchanged.  Each call tracks only what its caller reads: Q for the
-homology representatives, P^-1 and Q for solving, neither for rank and
-pivots.  The rank-and-pivot reduction of a boundary map is made once per
-dimension and field and kept on its complex (reduce_boundary), so Betti
-numbers and fixed bases of one complex share it.
+kernel columns, P^-1 and Q for the projected reduction, neither for rank
+and pivots.  The rank-and-pivot reduction of a boundary map is made once
+per dimension and field and kept on its complex (reduce_boundary), so
+Betti numbers and fixed bases of one complex share it.
 
 d_0 and d_1 are never eliminated for their rank and pivots.  d_1 is the
 signed incidence matrix of the 1-skeleton, whose column matroid is the
@@ -434,18 +437,6 @@ def gauss_reduce(rows, ncols: int, field, keep: str = "pq") -> GaussDecompositio
     return GaussDecomposition(field, m, ncols, t, p_inv, q_cols, col_at[:t])
 
 
-def _reduce_columns(columns, nrows: int, field, keep: str = "pq") -> GaussDecomposition:
-    """gauss_reduce of the matrix whose columns are the sparse vectors given.
-
-    Each column is a dict row index -> scalar.
-    """
-    rows = [[field.zero] * len(columns) for _ in range(nrows)]
-    for k, col in enumerate(columns):
-        for i, v in col.items():
-            rows[i][k] = v
-    return gauss_reduce(rows, len(columns), field, keep=keep)
-
-
 # ---------------------------------------------------------------------------
 # fixed cycle bases
 
@@ -457,11 +448,14 @@ class ChainBasis:
     the pivot faces of d_{j+1}.  ``boundary`` holds one pair (cycle,
     preimage) per pivot face: the face's boundary, and the face as a
     sparse chain {index: 1}.  ``homology`` holds the normal-form kernel
-    vectors whose classes form a basis of reduced homology.
+    vectors whose classes form a basis of reduced homology.  ``free`` lists
+    the free (non-pivot) faces of d_j, given as indices into faces, in the
+    order of Q_j's kernel columns (_free_columns): the rows of the
+    projection.
     """
 
     def __init__(self, degree, dim, order_name, field, faces, up_faces,
-                 pivots, homology, rank_down, rank_up):
+                 pivots, homology, rank_down, rank_up, free):
         self.degree = tuple(degree)
         self.dim = dim
         self.order_name = order_name
@@ -476,45 +470,49 @@ class ChainBasis:
         self.rank_down = rank_down
         self.rank_up = rank_up
         self.face_index = {f: i for i, f in enumerate(self.faces)}
+        self.free = tuple(self.faces[k] for k in free)
         self._solver = None
 
     @property
     def cycle_dim(self) -> int:
         return len(self.boundary) + len(self.homology)
 
-    def _dense(self, chain: Chain):
-        vec = [self.field.zero] * len(self.faces)
-        for face, coeff in chain.items():
-            idx = self.face_index.get(face)
-            if idx is None:
-                raise NotACycle(f"face {face} is not a {self.dim}-face here")
-            vec[idx] = coeff
-        return vec
+    def solver(self) -> GaussDecomposition:
+        """[projected boundary cycles | units] reduced keeping P^-1 and Q.
 
-    def _get_solver(self):
-        """Reduction of [homology | boundary cycles], built on first use."""
+        Built on first use and kept.  Its pivot columns past the boundaries
+        are the units of the representatives' last faces, in order: the
+        selection of fixed_cycle_basis, which load_cached_basis checks.
+        """
         if self._solver is None:
-            index = self.face_index
-            chains = self.homology + [ch for ch, _ in self.boundary]
-            self._solver = _reduce_columns(
-                [{index[f]: c for f, c in ch.items()} for ch in chains],
-                len(self.faces), self.field)
+            field, nb, n = self.field, len(self.boundary), len(self.free)
+            rows = [[cycle.get(face, field.zero) for cycle, _ in self.boundary]
+                    + [field.zero] * n for face in self.free]
+            for i, row in enumerate(rows):
+                row[nb + i] = field.one
+            self._solver = gauss_reduce(rows, nb + n, field, keep="pq")
         return self._solver
 
     def express(self, chain: Chain):
-        """Unique coordinates (lam, mu) with chain = sum lam.b + sum mu.h.
+        """Unique coordinates (lam, mu) with chain = sum lam.h + sum mu.b.
 
-        The basis spans exactly the cycles, so a chain with nonzero boundary
-        is outside its span and raises NotACycle.
+        The basis spans exactly the cycles, so a chain off the faces or with
+        nonzero boundary raises NotACycle.  Projecting onto the free faces
+        is injective on cycles, so the projected chain is solved against the
+        selection: mu on the boundary columns, lam on the representatives'
+        units.
         """
+        field = self.field
+        nb = len(self.boundary)
         if not chain:
-            return ([self.field.zero] * len(self.homology),
-                    [self.field.zero] * len(self.boundary))
-        sol = self._get_solver().solve(self._dense(chain))
-        if sol is None:
-            raise NotACycle("chain is not a cycle in the span of the fixed basis")
-        t2 = len(self.homology)
-        return sol[:t2], sol[t2:]
+            return [field.zero] * len(self.homology), [field.zero] * nb
+        if not chain.keys() <= self.face_index.keys():
+            raise NotACycle(f"chain has a face that is not a {self.dim}-face here")
+        if chain_boundary(chain, field):
+            raise NotACycle("chain is not a cycle")
+        solver = self.solver()
+        sol = solver.solve([chain.get(face, field.zero) for face in self.free])
+        return [sol[p] for p in solver.pivots[nb:]], sol[:nb]
 
     def to_dict(self):
         return {
@@ -533,8 +531,8 @@ class ChainBasis:
         }
 
     @classmethod
-    def from_dict(cls, data, field):
-        """The basis a to_dict document describes.
+    def from_dict(cls, data, field, free):
+        """The basis a to_dict document describes, with these free columns.
 
         Raises ValueError unless the pivots are distinct indices into
         up_faces in ascending order, as every pivot list is.
@@ -556,7 +554,20 @@ class ChainBasis:
                       for ch in data["homology"]],
             rank_down=data["rank_down"],
             rank_up=data["rank_up"],
+            free=free,
         )
+
+
+def _free_columns(pivots, ncols: int) -> list:
+    """The non-pivot columns in the order of gauss_reduce's kernel columns of Q.
+
+    Replays gauss_reduce's column swaps, which the pivots alone decide.
+    The order is not ascending in general and decides the representatives.
+    """
+    col_at = list(range(ncols))
+    for t, c in enumerate(pivots):
+        col_at[t], col_at[c] = c, col_at[t]
+    return col_at[len(pivots):]
 
 
 def reduce_boundary(complex_, j: int, field) -> GaussDecomposition:
@@ -616,63 +627,38 @@ def _spanning_forest(complex_, j: int, field) -> GaussDecomposition:
 def fixed_cycle_basis(complex_, j: int, field) -> ChainBasis:
     """The fixed basis of cycles in dimension j, boundaries listed first.
 
-    Ranks and pivots come from reduce_boundary.  There is homology only
-    where nullity(d_j) > rank(d_{j+1}), and only there is d_j reduced a
-    second time, keeping Q, for the representatives; that reduction is
-    read once and not kept.
+    Ranks and pivots come from reduce_boundary, and the free columns from
+    d_j's pivots.  There is homology only where nullity(d_j) > rank(d_{j+1}),
+    and only there is d_j reduced a second time, keeping Q, for its kernel
+    columns; the basis's solver then selects the representatives among
+    them, and express solves with that same reduction.
     """
     faces = complex_.faces_of_dim(j)
     up_faces = complex_.faces_of_dim(j + 1)
     order_name = complex_.order.kind if hasattr(complex_, "order") else "index"
     if not faces:
         return ChainBasis(complex_.degree, j, order_name, field, (), up_faces,
-                          [], [], 0, 0)
+                          [], [], 0, 0, [])
     g_down = reduce_boundary(complex_, j, field)
     g_up = reduce_boundary(complex_, j + 1, field)
-    homology = []
-    if len(faces) - g_down.rank > g_up.rank:
-        homology = _homology_representatives(complex_, j, g_up.pivots, field)
-    return ChainBasis(complex_.degree, j, order_name, field, faces, up_faces,
-                      g_up.pivots, homology, g_down.rank, g_up.rank)
-
-
-def _homology_representatives(complex_, j, up_pivots, field):
-    """Normal-form kernel columns of Q_j that extend the boundary part.
-
-    d_j is reduced again here, keeping Q.  Each kernel column of Q has
-    coefficient 1 at one free column of d_j and its other support on pivot
-    columns, so projecting onto the free columns sends kernel column i to
-    the unit vector e_i and is injective on cycles.  The pivot columns of
-    [boundaries of the up pivot faces | units] (the boundaries, when
-    independent, then the units that extend them) select the
-    representatives.
-    """
-    faces, up_faces = complex_.faces_of_dim(j), complex_.faces_of_dim(j + 1)
-    g_down = gauss_reduce(boundary_matrix(complex_, j).data, len(faces), field, keep="q")
-    kernel = g_down.kernel_columns()
-    pivot_set = set(g_down.pivots)
-    free_row = {}
-    for i, col in enumerate(kernel):
-        free = [(k, v) for k, v in col.items() if k not in pivot_set]
-        if len(free) != 1 or free[0][1] != field.one or free[0][0] in free_row:
+    basis = ChainBasis(complex_.degree, j, order_name, field, faces, up_faces,
+                       g_up.pivots, [], g_down.rank, g_up.rank,
+                       _free_columns(g_down.pivots, len(faces)))
+    if len(faces) - g_down.rank <= g_up.rank:
+        return basis
+    kernel = gauss_reduce(boundary_matrix(complex_, j).data, len(faces), field,
+                          keep="q").kernel_columns()
+    free = set(basis.free)
+    for col, face in zip(kernel, basis.free):
+        if [(faces[k], v) for k, v in col.items() if faces[k] in free] != [(face, field.one)]:
             raise ArithmeticError("kernel column is not in normal form")
-        free_row[free[0][0]] = i
-    face_index = {f: i for i, f in enumerate(faces)}
-    projected = []
-    for k in up_pivots:
-        vec = {}
-        for sub, sign in face_boundary(up_faces[k]):
-            row = free_row.get(face_index[sub])
-            if row is not None:
-                vec[row] = sign
-        projected.append(vec)
-    nb = len(projected)
-    projected += [{i: field.one} for i in range(len(kernel))]
-    pivots = _reduce_columns(projected, len(kernel), field, keep="").pivots
+    nb = len(basis.boundary)
+    pivots = basis.solver().pivots
     if pivots[:nb] != list(range(nb)):
         raise ArithmeticError("boundary basis vectors are dependent")
-    return [{faces[k]: col[k] for k in sorted(col)}
-            for col in (kernel[p - nb] for p in pivots[nb:])]
+    basis.homology = [{faces[k]: col[k] for k in sorted(col)}
+                      for col in (kernel[p - nb] for p in pivots[nb:])]
+    return basis
 
 
 def betti_reduced(complex_, j: int, field) -> int:
@@ -710,41 +696,47 @@ def load_cached_basis(cache_dir, key, field, complex_, j):
     An entry that cannot be read back counts as a miss: invalid JSON,
     missing keys (an entry in an earlier format has no pivots), bad
     scalars, a degree, dimension or face list that is not that of complex_
-    in dimension j, pivots that are not ascending indices of up-faces, a
-    homology chain off the normal form (representative_fault) or whose
-    last face is another homology chain's last face (the fixed
-    representatives never are), chain counts that do not match the stored
-    ranks, or chains that are dependent.
+    in dimension j, pivots that are not ascending indices of up-faces,
+    ranks that are not d_j's rank (reduce_boundary) or do not match the
+    chain counts, or homology chains that are not the fixed
+    representatives.  Those pass representative_fault, have their last
+    face as their one free face, and are what the solver selects: its
+    pivots are the boundary columns, then the units of those last faces,
+    in order.
     """
     path = os.path.join(cache_dir, f"basis-{key}.json")
+    g_down = reduce_boundary(complex_, j, field)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            basis = ChainBasis.from_dict(json.load(fh), field)
+            basis = ChainBasis.from_dict(
+                json.load(fh), field,
+                _free_columns(g_down.pivots, len(complex_.faces_of_dim(j))))
     except FileNotFoundError:
         return None
-    except (ValueError, KeyError, TypeError, ZeroDivisionError):
+    except (ValueError, LookupError, TypeError, ZeroDivisionError):
         # JSONDecodeError and UnicodeDecodeError are ValueErrors
         return None
     if (basis.degree != complex_.degree or basis.dim != j
             or basis.faces != complex_.faces_of_dim(j)
             or basis.up_faces != complex_.faces_of_dim(j + 1)):
         return None
-    # the boundary of an up-face is a cycle on faces, so only the homology
-    # chains need that check
-    last_faces = set()
-    for chain in basis.homology:
-        if representative_fault(chain, basis.face_index, field, j, basis.degree):
-            return None
-        # no last face shared
-        last = max(chain, key=basis.face_index.__getitem__)
-        if last in last_faces:
-            return None
-        last_faces.add(last)
-    if (len(basis.boundary) != basis.rank_up
+    if (basis.rank_down != g_down.rank or len(basis.boundary) != basis.rank_up
             or len(basis.faces) - basis.cycle_dim != basis.rank_down):
         return None
-    # independence; the reduction is the one express solves with
-    if basis._get_solver().rank < basis.cycle_dim:
+    # the boundary of an up-face is a cycle on faces, so only the homology
+    # chains need checking
+    nb, index = len(basis.boundary), basis.face_index
+    column = {face: nb + i for i, face in enumerate(basis.free)}
+    want = list(range(nb))
+    for chain in basis.homology:
+        if representative_fault(chain, index, field, j, basis.degree):
+            return None
+        # the fixed representative's one free face is its last face
+        free = [face for face in chain if face in column]
+        if free != [max(chain, key=index.__getitem__)]:
+            return None
+        want.append(column[free[0]])
+    if basis.solver().pivots != want:
         return None
     return basis
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 from toricsyz.complexes import NablaComplex
-from toricsyz.homology import ChainBasis, _reduce_columns, boundary_matrix, gauss_reduce
+from toricsyz.homology import ChainBasis, GaussDecomposition, boundary_matrix, gauss_reduce
 from toricsyz.orders import mono_div, mono_is_unit, mono_mul
 from toricsyz.resolution import ResolutionEngine, ResolutionFragment
 from toricsyz.semigroup import _fourier_motzkin_numerators
@@ -153,23 +153,35 @@ class MemoOffEngine(ResolutionEngine):
         self._decompositions = _NeverStores()
 
 
+def reduce_columns(columns, nrows: int, field, keep: str = "pq") -> GaussDecomposition:
+    """gauss_reduce of the matrix whose columns are the sparse vectors given.
+
+    Each column is a dict row index -> scalar.
+    """
+    rows = [[field.zero] * len(columns) for _ in range(nrows)]
+    for k, col in enumerate(columns):
+        for i, v in col.items():
+            rows[i][k] = v
+    return gauss_reduce(rows, len(columns), field, keep=keep)
+
+
 def q_fixed_cycle_basis(complex_, j, field) -> ChainBasis:
     """fixed_cycle_basis as it was when the boundary part came from Q.
 
     Reduces d_j and d_{j+1} afresh, keeping Q.  Each boundary element is
     the image of one pivot column of Q_{j+1}, with that column as its
     preimage; the homology representatives are the kernel columns of Q_j
-    whose free coordinates extend the projected boundary cycles.  It
-    differs from the engine's basis only in
-    the boundary cycles, which span the same space, so every coordinate
-    the engine reads (the homology part, and the preimage chain summed over
-    the boundary part) must come out the same.
+    whose free coordinates extend the projected boundary cycles, and the
+    free columns are read off those kernel columns.  It differs from the
+    engine's basis only in the boundary cycles, which span the same space,
+    so every coordinate the engine reads (the homology part, and the
+    preimage chain summed over the boundary part) must come out the same.
     """
     faces = complex_.faces_of_dim(j)
     up_faces = complex_.faces_of_dim(j + 1)
     if not faces:
         return ChainBasis(complex_.degree, j, complex_.order.kind, field, (), up_faces,
-                          [], [], 0, 0)
+                          [], [], 0, 0, [])
     face_index = {f: i for i, f in enumerate(faces)}
     g_down = gauss_reduce(boundary_matrix(complex_, j).data, len(faces), field, keep="q")
     g_up = gauss_reduce(boundary_matrix(complex_, j + 1).data, len(up_faces), field,
@@ -193,12 +205,13 @@ def q_fixed_cycle_basis(complex_, j, field) -> ChainBasis:
     projected = [{free_row[k]: v for k, v in vec.items() if k in free_row} for vec in cycles]
     projected += [{i: field.one} for i in range(len(kernel))]
     nb = len(cycles)
-    pivots = _reduce_columns(projected, len(kernel), field, keep="").pivots
+    pivots = reduce_columns(projected, len(kernel), field, keep="").pivots
     assert pivots[:nb] == list(range(nb)), "boundary cycles are dependent"
     homology = [{faces[k]: col[k] for k in sorted(col)}
                 for col in (kernel[p - nb] for p in pivots[nb:])]
+    free = sorted(free_row, key=free_row.__getitem__)
     basis = ChainBasis(complex_.degree, j, complex_.order.kind, field, faces, up_faces,
-                       [], homology, g_down.rank, g_up.rank)
+                       [], homology, g_down.rank, g_up.rank, free)
     basis.boundary = [({faces[i]: c for i, c in vec.items()}, preimage)
                       for vec, preimage in zip(cycles, preimages)]
     return basis

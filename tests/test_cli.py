@@ -368,6 +368,35 @@ class TestCorruptCacheEntry:
         assert run(capsys, *argv) == (0, out)
         assert path.read_bytes() == original
 
+    def test_representative_plus_a_boundary_is_recomputed(self, capsys, tmp_path):
+        # h + d(first pivot up-face) is a cycle in the class of h with the
+        # same last face and coefficient 1 there, and the chains stay
+        # independent; only its second free face shows it is not the fixed
+        # representative, whose one free face is its last face
+        semigroup = tmp_path / "s234.json"
+        semigroup.write_text('{"dim": 1, "generators": [[2], [3], [4]]}', encoding="utf-8")
+        cache = tmp_path / "cache"
+        argv = ["harvest", str(semigroup), "-m", "10", "--max-level", "1",
+                "--format", "json", "--cache", str(cache)]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        [path] = [p for p in cache.iterdir()
+                  if json.loads(p.read_text(encoding="utf-8"))["dim"] == 1]
+        original = path.read_bytes()
+        data = json.loads(original)
+        [chain] = data["homology"]
+        field = homology.RationalField()
+        h = {tuple(face): field.from_str(c) for face, c in chain}
+        position = {tuple(face): i for i, face in enumerate(data["faces"])}
+        last = max(h, key=position.__getitem__)
+        up_face = tuple(data["up_faces"][data["pivots"][0]])
+        field.axpy(h, homology.chain_boundary({up_face: 1}, field), 1)
+        assert max(h, key=position.__getitem__) == last and h[last] == 1
+        data["homology"] = [[[list(face), field.to_str(c)] for face, c in sorted(h.items())]]
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert run(capsys, *argv) == (0, out)
+        assert path.read_bytes() == original
+
 
 class TestOutOfRangeFlags:
     @pytest.mark.parametrize("argv, flag", [
@@ -565,22 +594,23 @@ class TestInternalCheckFailures:
         assert err.startswith("error: internal check failed: ")
 
     def test_dependent_basis_exits_one(self, capsys, tmp_path, monkeypatch):
-        original = homology._reduce_columns
+        original = homology.gauss_reduce
 
-        def first_column_dependent(columns, nrows, field, keep="pq"):
-            decomp = original(columns, nrows, field, keep=keep)
-            if keep == "":
+        def first_column_dependent(rows, ncols, field, keep="pq"):
+            decomp = original(rows, ncols, field, keep=keep)
+            if keep == "pq":
                 decomp.pivots = [c for c in decomp.pivots if c != 0]
             return decomp
 
-        # The representative selection is the only reduction of columns
-        # that keeps no transform, and it runs only where the fiber complex
-        # has homology.  Column 0 of its matrix is the first boundary: the
-        # fiber x1^3, x1*x3, x2^2 of 6 in <2,3,4> has one edge and two
-        # components, so the selection there has a boundary column.
+        # The representative selection is the only reduction in homology
+        # that keeps both transforms, and a fixed basis runs it at once only
+        # where the fiber complex has homology.  Column 0 of its matrix is
+        # the first boundary: the fiber x1^3, x1*x3, x2^2 of 6 in <2,3,4>
+        # has one edge and two components, so the selection there has a
+        # boundary column.
         semigroup = tmp_path / "s234.json"
         semigroup.write_text('{"dim": 1, "generators": [[2], [3], [4]]}', encoding="utf-8")
-        monkeypatch.setattr(homology, "_reduce_columns", first_column_dependent)
+        monkeypatch.setattr(homology, "gauss_reduce", first_column_dependent)
         code = main(["minimalize", str(semigroup), "--lead", "3,0,0", "--trail", "0,2,0"])
         captured = capsys.readouterr()
         assert captured.out == ""

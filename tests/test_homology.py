@@ -261,10 +261,15 @@ class TestBoundaryReductionMemo:
         assert calls == []
         assert homology.reduce_boundary(cx, 0, Q).pivots == [0]
         assert homology.reduce_boundary(cx, 1, Q).pivots == []
-        assert len(fixed_cycle_basis(cx, 0, Q).homology) == 1
+        basis = fixed_cycle_basis(cx, 0, Q)
+        assert len(basis.homology) == 1
         # d_0 only for its Q, then the selection on the projected
         # boundaries and units (1 column); d_0 and d_1 come from the memo
-        assert calls == [("q", "rational", 2), ("", "rational", 1)]
+        assert calls == [("q", "rational", 2), ("pq", "rational", 1)]
+        # the selection is also the solver
+        assert basis.express({(0,): 1, (1,): -1}) == ([-1], [])
+        assert basis.express({(0,): 2, (1,): -2}) == ([-2], [])
+        assert calls == [("q", "rational", 2), ("pq", "rational", 1)]
         del calls[:]
         f5 = PrimeField(5)
         assert betti_reduced(cx, 0, f5) == 1

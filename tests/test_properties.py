@@ -33,6 +33,7 @@ from toricsyz import (
     Config,
     DeltaComplex,
     NablaComplex,
+    NotACycle,
     NotCombinatoriallyFinite,
     ResolutionEngine,
     Semigroup,
@@ -243,6 +244,36 @@ def test_homology_representatives_are_the_greedy_extension(data):
                 homology = [{index[f]: c for f, c in ch.items()} for ch in basis.homology]
                 assert homology == greedy_extension(field, boundary, kernel), \
                     (sg, m, j, field)
+
+
+@given(data=st.data())
+def test_express_gives_back_the_coefficients_of_a_combination(data):
+    sg = data.draw(presentations())
+    rng = data.draw(st.randoms(use_true_random=False))
+    degrees = [m for m in sg.degrees_up_to(6) if len(sg.fiber(m, DEGREVLEX)) <= 12]
+    for field in map(get_field, FIELDS):
+        def scalar():
+            if field.modulus is None:
+                return field.of(Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+            return rng.randrange(field.modulus)
+
+        for m in degrees:
+            cx = build_nabla(sg, m, DEGREVLEX)
+            for j in range(sg.num_generators):
+                basis = fixed_cycle_basis(cx, j, field)
+                if not basis.faces:
+                    continue
+                lam = [scalar() for _ in basis.homology]
+                mu = [scalar() for _ in basis.boundary]
+                chain = {}
+                for coeff, cycle in zip(lam + mu, basis.homology
+                                        + [cycle for cycle, _ in basis.boundary]):
+                    field.axpy(chain, cycle, coeff)
+                assert basis.express(chain) == (lam, mu), (sg, m, j, field)
+                # one more face: a nonzero boundary
+                field.axpy(chain, {rng.choice(basis.faces): field.one}, field.one)
+                with pytest.raises(NotACycle):
+                    basis.express(chain)
 
 
 @given(data=st.data())
