@@ -36,7 +36,10 @@ unchanged.  Each call tracks only what its caller reads: Q for the
 kernel columns, P^-1 and Q for the projected reduction, neither for rank
 and pivots.  The rank-and-pivot reduction of a boundary map is made once
 per dimension and field and kept on its complex (reduce_boundary), so
-Betti numbers and fixed bases of one complex share it.
+Betti numbers and fixed bases of one complex share it.  A basis read from
+the on-disk cache takes only its homology representatives from the file;
+its pivots, free columns and boundary part come from these reductions, as
+in a basis built afresh.
 
 d_0 and d_1 are never eliminated for their rank and pivots.  d_1 is the
 signed incidence matrix of the 1-skeleton, whose column matroid is the
@@ -445,37 +448,27 @@ class ChainBasis:
     """Fixed basis of the cycle space in one degree and dimension.
 
     ``pivots`` lists, in ascending order, the indices into ``up_faces`` of
-    the pivot faces of d_{j+1}.  ``boundary`` holds one pair (cycle,
-    preimage) per pivot face: the face's boundary, and the face as a
-    sparse chain {index: 1}.  ``homology`` holds the normal-form kernel
-    vectors whose classes form a basis of reduced homology.  ``free`` lists
-    the free (non-pivot) faces of d_j, given as indices into faces, in the
-    order of Q_j's kernel columns (_free_columns): the rows of the
-    projection.
+    the pivot faces of d_{j+1}.  ``boundary`` holds the boundary of each
+    pivot face, in that order; the face itself is its preimage.
+    ``homology`` holds the normal-form kernel vectors whose classes form a
+    basis of reduced homology.  ``free`` lists the free (non-pivot) faces
+    of d_j, given as indices into faces, in the order of Q_j's kernel
+    columns (_free_columns): the rows of the projection.
     """
 
-    def __init__(self, degree, dim, order_name, field, faces, up_faces,
-                 pivots, homology, rank_down, rank_up, free):
+    def __init__(self, degree, dim, field, faces, up_faces, pivots, homology, free):
         self.degree = tuple(degree)
         self.dim = dim
-        self.order_name = order_name
         self.field = field
         self.faces = tuple(faces)
         self.up_faces = tuple(up_faces)
         self.pivots = list(pivots)
-        one = field.one
-        self.boundary = [(chain_boundary({self.up_faces[k]: one}, field), {k: one})
+        self.boundary = [chain_boundary({self.up_faces[k]: field.one}, field)
                          for k in self.pivots]
         self.homology = homology
-        self.rank_down = rank_down
-        self.rank_up = rank_up
         self.face_index = {f: i for i, f in enumerate(self.faces)}
         self.free = tuple(self.faces[k] for k in free)
         self._solver = None
-
-    @property
-    def cycle_dim(self) -> int:
-        return len(self.boundary) + len(self.homology)
 
     def solver(self) -> GaussDecomposition:
         """[projected boundary cycles | units] reduced keeping P^-1 and Q.
@@ -486,7 +479,7 @@ class ChainBasis:
         """
         if self._solver is None:
             field, nb, n = self.field, len(self.boundary), len(self.free)
-            rows = [[cycle.get(face, field.zero) for cycle, _ in self.boundary]
+            rows = [[cycle.get(face, field.zero) for cycle in self.boundary]
                     + [field.zero] * n for face in self.free]
             for i, row in enumerate(rows):
                 row[nb + i] = field.one
@@ -515,47 +508,10 @@ class ChainBasis:
         return [sol[p] for p in solver.pivots[nb:]], sol[:nb]
 
     def to_dict(self):
-        return {
-            "degree": list(self.degree),
-            "dim": self.dim,
-            "order": self.order_name,
-            "field": self.field.name,
-            "faces": [list(f) for f in self.faces],
-            "up_faces": [list(f) for f in self.up_faces],
-            "rank_down": self.rank_down,
-            "rank_up": self.rank_up,
-            "pivots": self.pivots,
-            "homology": [[[list(face), self.field.to_str(coeff)]
-                          for face, coeff in sorted(ch.items())]
-                         for ch in self.homology],
-        }
-
-    @classmethod
-    def from_dict(cls, data, field, free):
-        """The basis a to_dict document describes, with these free columns.
-
-        Raises ValueError unless the pivots are distinct indices into
-        up_faces in ascending order, as every pivot list is.
-        """
-        up_faces = [tuple(f) for f in data["up_faces"]]
-        pivots = data["pivots"]
-        if (not all(type(k) is int for k in pivots) or pivots != sorted(set(pivots))
-                or any(not 0 <= k < len(up_faces) for k in pivots)):
-            raise ValueError("pivots are not ascending indices of up-faces")
-        return cls(
-            degree=tuple(data["degree"]),
-            dim=data["dim"],
-            order_name=data["order"],
-            field=field,
-            faces=[tuple(f) for f in data["faces"]],
-            up_faces=up_faces,
-            pivots=pivots,
-            homology=[{tuple(face): field.from_str(c) for face, c in ch}
-                      for ch in data["homology"]],
-            rank_down=data["rank_down"],
-            rank_up=data["rank_up"],
-            free=free,
-        )
+        """The cache entry: the homology chains, nothing else."""
+        return {"homology": [[[list(face), self.field.to_str(coeff)]
+                              for face, coeff in sorted(ch.items())]
+                             for ch in self.homology]}
 
 
 def _free_columns(pivots, ncols: int) -> list:
@@ -624,27 +580,30 @@ def _spanning_forest(complex_, j: int, field) -> GaussDecomposition:
                               None, None, pivots)
 
 
+def _boundary_basis(complex_, j: int, field) -> ChainBasis:
+    """The fixed basis of complex_ in dimension j without its homology part.
+
+    Pivots come from reduce_boundary of d_{j+1}, and the free columns from
+    d_j's pivots; a built basis and a cached one both start here.
+    """
+    faces = complex_.faces_of_dim(j)
+    return ChainBasis(complex_.degree, j, field, faces, complex_.faces_of_dim(j + 1),
+                      reduce_boundary(complex_, j + 1, field).pivots, [],
+                      _free_columns(reduce_boundary(complex_, j, field).pivots, len(faces)))
+
+
 def fixed_cycle_basis(complex_, j: int, field) -> ChainBasis:
     """The fixed basis of cycles in dimension j, boundaries listed first.
 
-    Ranks and pivots come from reduce_boundary, and the free columns from
-    d_j's pivots.  There is homology only where nullity(d_j) > rank(d_{j+1}),
-    and only there is d_j reduced a second time, keeping Q, for its kernel
-    columns; the basis's solver then selects the representatives among
-    them, and express solves with that same reduction.
+    There is homology only where nullity(d_j) > rank(d_{j+1}), that is where
+    there are more free faces than pivot up-faces, and only there is d_j
+    reduced a second time, keeping Q, for its kernel columns; the basis's
+    solver then selects the representatives among them, and express solves
+    with that same reduction.
     """
-    faces = complex_.faces_of_dim(j)
-    up_faces = complex_.faces_of_dim(j + 1)
-    order_name = complex_.order.kind if hasattr(complex_, "order") else "index"
-    if not faces:
-        return ChainBasis(complex_.degree, j, order_name, field, (), up_faces,
-                          [], [], 0, 0, [])
-    g_down = reduce_boundary(complex_, j, field)
-    g_up = reduce_boundary(complex_, j + 1, field)
-    basis = ChainBasis(complex_.degree, j, order_name, field, faces, up_faces,
-                       g_up.pivots, [], g_down.rank, g_up.rank,
-                       _free_columns(g_down.pivots, len(faces)))
-    if len(faces) - g_down.rank <= g_up.rank:
+    basis = _boundary_basis(complex_, j, field)
+    faces, nb = basis.faces, len(basis.boundary)
+    if len(basis.free) <= nb:
         return basis
     kernel = gauss_reduce(boundary_matrix(complex_, j).data, len(faces), field,
                           keep="q").kernel_columns()
@@ -652,7 +611,6 @@ def fixed_cycle_basis(complex_, j: int, field) -> ChainBasis:
     for col, face in zip(kernel, basis.free):
         if [(faces[k], v) for k, v in col.items() if faces[k] in free] != [(face, field.one)]:
             raise ArithmeticError("kernel column is not in normal form")
-    nb = len(basis.boundary)
     pivots = basis.solver().pivots
     if pivots[:nb] != list(range(nb)):
         raise ArithmeticError("boundary basis vectors are dependent")
@@ -693,42 +651,38 @@ def basis_cache_key(semigroup, m, j, order_name, field_name) -> str:
 def load_cached_basis(cache_dir, key, field, complex_, j):
     """The cached basis of complex_ in dimension j under key, or None on a miss.
 
-    An entry that cannot be read back counts as a miss: invalid JSON,
-    missing keys (an entry in an earlier format has no pivots), bad
-    scalars, a degree, dimension or face list that is not that of complex_
-    in dimension j, pivots that are not ascending indices of up-faces,
-    ranks that are not d_j's rank (reduce_boundary) or do not match the
-    chain counts, or homology chains that are not the fixed
-    representatives.  Those pass representative_fault, have their last
-    face as their one free face, and are what the solver selects: its
-    pivots are the boundary columns, then the units of those last faces,
-    in order.
+    An entry holds only the homology chains ({"homology": [...]}); the
+    rest of the basis is built from complex_ as fixed_cycle_basis builds
+    it.  An entry counts as a miss when it cannot be read back (invalid
+    JSON, bad scalars), when its keys are not exactly {"homology"} (every
+    earlier format), or when its chains are not the fixed representatives.
+    Those pass representative_fault, have their last face as their one
+    free face, and are what the solver selects: its pivots are the
+    boundary columns, then the units of those last faces, in order.  The
+    unit block spans every free row, so this also fixes their number at
+    nullity(d_j) - rank(d_{j+1}).
     """
     path = os.path.join(cache_dir, f"basis-{key}.json")
-    g_down = reduce_boundary(complex_, j, field)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            basis = ChainBasis.from_dict(
-                json.load(fh), field,
-                _free_columns(g_down.pivots, len(complex_.faces_of_dim(j))))
+            data = json.load(fh)
+        if type(data) is not dict or data.keys() != {"homology"}:
+            return None
+        homology = [{tuple(face): field.from_str(c) for face, c in ch}
+                    for ch in data["homology"]]
     except FileNotFoundError:
         return None
-    except (ValueError, LookupError, TypeError, ZeroDivisionError):
-        # JSONDecodeError and UnicodeDecodeError are ValueErrors
+    except (ValueError, TypeError, ArithmeticError, RecursionError):
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors; a zero
+        # denominator or an infinite scalar is an ArithmeticError, and
+        # arrays nested too deeply to decode a RecursionError
         return None
-    if (basis.degree != complex_.degree or basis.dim != j
-            or basis.faces != complex_.faces_of_dim(j)
-            or basis.up_faces != complex_.faces_of_dim(j + 1)):
-        return None
-    if (basis.rank_down != g_down.rank or len(basis.boundary) != basis.rank_up
-            or len(basis.faces) - basis.cycle_dim != basis.rank_down):
-        return None
-    # the boundary of an up-face is a cycle on faces, so only the homology
-    # chains need checking
+    basis = _boundary_basis(complex_, j, field)
+    basis.homology = homology
     nb, index = len(basis.boundary), basis.face_index
     column = {face: nb + i for i, face in enumerate(basis.free)}
     want = list(range(nb))
-    for chain in basis.homology:
+    for chain in homology:
         if representative_fault(chain, index, field, j, basis.degree):
             return None
         # the fixed representative's one free face is its last face

@@ -300,11 +300,6 @@ class ResolutionEngine:
             )
             basis = load_cached_basis(cache_dir, disk_key, self.field,
                                       self.nabla(m), j)
-            # a loaded entry whose stored ranks hide a wrong homology count
-            # is a miss; the comparison complex gives the count without a
-            # fiber elimination
-            if basis is not None and len(basis.homology) != self.betti_delta(m, j):
-                basis = None
         if basis is None:
             basis = fixed_cycle_basis(self.nabla(m), j, self.field)
             if cache_dir:
@@ -423,12 +418,10 @@ class ResolutionEngine:
             if lv:
                 rec = self._ensure_generator(level, m, idx)
                 syz_add_scaled(out, {rec.gid: {unit: rec.orientation}}, lv, field)
-        nu: dict[int, object] = {}
-        for j, mv in enumerate(mu):
-            field.axpy(nu, basis.boundary[j][1], mv)
-        for k in sorted(nu):
-            syz_add_scaled(out, self._psi_face(m, level + 1, basis.up_faces[k]),
-                           nu[k], field)
+        for k, mv in zip(basis.pivots, mu):
+            if mv:
+                syz_add_scaled(out, self._psi_face(m, level + 1, basis.up_faces[k]),
+                               mv, field)
         return out
 
     def _ensure_generator(self, level: int, m: Degree, idx: int) -> GeneratorRecord:
@@ -682,7 +675,7 @@ class ResolutionEngine:
         vertices = self.nabla(m).vertices
         gcds = layer = frozenset(vertices)
         for _ in range(min(sg.num_generators, max_level + 2) - 1):
-            layer = {mono_gcd(g, v) for g in layer for v in vertices} - gcds
+            layer = {tuple(map(min, g, v)) for g in layer for v in vertices} - gcds
             if not layer:
                 break
             gcds |= layer

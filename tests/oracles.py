@@ -165,6 +165,24 @@ def reduce_columns(columns, nrows: int, field, keep: str = "pq") -> GaussDecompo
     return gauss_reduce(rows, len(columns), field, keep=keep)
 
 
+class QChainBasis(ChainBasis):
+    """A fixed basis whose boundary part is the images of Q's pivot columns.
+
+    ``preimages[i]`` is the column of Q_{j+1} whose image is
+    ``boundary[i]``.  express solves against those images, then pushes the
+    boundary coordinates through the preimages onto the pivot up-faces,
+    where the engine reads them.
+    """
+
+    def express(self, chain):
+        lam, mu = super().express(chain)
+        nu = {}
+        for preimage, coeff in zip(self.preimages, mu):
+            self.field.axpy(nu, preimage, coeff)
+        assert nu.keys() <= set(self.pivots), "preimage chain off the pivot up-faces"
+        return lam, [nu.get(k, self.field.zero) for k in self.pivots]
+
+
 def q_fixed_cycle_basis(complex_, j, field) -> ChainBasis:
     """fixed_cycle_basis as it was when the boundary part came from Q.
 
@@ -175,13 +193,13 @@ def q_fixed_cycle_basis(complex_, j, field) -> ChainBasis:
     free columns are read off those kernel columns.  It differs from the
     engine's basis only in the boundary cycles, which span the same space,
     so every coordinate the engine reads (the homology part, and the
-    preimage chain summed over the boundary part) must come out the same.
+    preimage chain summed over the boundary part, on the pivot up-faces)
+    must come out the same.
     """
     faces = complex_.faces_of_dim(j)
     up_faces = complex_.faces_of_dim(j + 1)
     if not faces:
-        return ChainBasis(complex_.degree, j, complex_.order.kind, field, (), up_faces,
-                          [], [], 0, 0, [])
+        return ChainBasis(complex_.degree, j, field, (), up_faces, [], [], [])
     face_index = {f: i for i, f in enumerate(faces)}
     g_down = gauss_reduce(boundary_matrix(complex_, j).data, len(faces), field, keep="q")
     g_up = gauss_reduce(boundary_matrix(complex_, j + 1).data, len(up_faces), field,
@@ -210,10 +228,10 @@ def q_fixed_cycle_basis(complex_, j, field) -> ChainBasis:
     homology = [{faces[k]: col[k] for k in sorted(col)}
                 for col in (kernel[p - nb] for p in pivots[nb:])]
     free = sorted(free_row, key=free_row.__getitem__)
-    basis = ChainBasis(complex_.degree, j, complex_.order.kind, field, faces, up_faces,
-                       [], homology, g_down.rank, g_up.rank, free)
-    basis.boundary = [({faces[i]: c for i, c in vec.items()}, preimage)
-                      for vec, preimage in zip(cycles, preimages)]
+    basis = QChainBasis(complex_.degree, j, field, faces, up_faces, g_up.pivots,
+                        homology, free)
+    basis.boundary = [{faces[i]: c for i, c in vec.items()} for vec in cycles]
+    basis.preimages = preimages
     return basis
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricsyz import ChainBasis, ResolutionEngine, Semigroup, homology
+from toricsyz import DEGREVLEX, ChainBasis, ResolutionEngine, Semigroup, build_nabla, homology
 from toricsyz.cli import main
 
 EXAMPLE = {"dim": 2, "generators": [[4, 1], [5, 1], [7, 1], [8, 1]]}
@@ -331,6 +331,12 @@ class TestDeterminism:
         assert json.loads(out)["config"] == {"order": "degrevlex", "field": name}
 
 
+def _cache_entry(cache, semigroup, m, j):
+    """The path of the rational degrevlex basis entry at (m, j) in cache."""
+    key = homology.basis_cache_key(semigroup, m, j, "degrevlex", "rational")
+    return cache / f"basis-{key}.json"
+
+
 class TestCorruptCacheEntry:
     def test_dependent_homology_chain_is_recomputed(self, capsys, semigroup_file,
                                                     tmp_path):
@@ -339,8 +345,7 @@ class TestCorruptCacheEntry:
                 "--cache", str(cache)]
         code, out = run(capsys, *argv)
         assert code == 0
-        [path] = [p for p in cache.iterdir()
-                  if json.loads(p.read_text(encoding="utf-8"))["dim"] == 0]
+        path = _cache_entry(cache, Semigroup.from_file(semigroup_file), (21, 3), 0)
         original = path.read_bytes()
         data = json.loads(original)
         data["homology"].append(data["homology"][0])
@@ -348,22 +353,20 @@ class TestCorruptCacheEntry:
         assert run(capsys, *argv) == (0, out)
         assert path.read_bytes() == original
 
-    def test_missing_homology_with_consistent_ranks_is_recomputed(
+    def test_empty_homology_where_there_is_homology_is_recomputed(
             self, capsys, semigroup_file, tmp_path):
-        # emptying homology and raising rank_down keeps the stored counts
-        # consistent; only the Betti count at that degree shows the loss
+        # the solver's unit block spans every free face, so it selects as
+        # many representatives as there is homology
         cache = tmp_path / "cache"
         argv = ["harvest", semigroup_file, "-m", "21,3", "--max-level", "1",
                 "--cache", str(cache)]
         code, out = run(capsys, *argv)
         assert code == 0 and "level 0: 1 generator(s)" in out
-        [path] = [p for p in cache.iterdir()
-                  if json.loads(p.read_text(encoding="utf-8"))["dim"] == 0]
+        path = _cache_entry(cache, Semigroup.from_file(semigroup_file), (21, 3), 0)
         original = path.read_bytes()
         data = json.loads(original)
         assert data["homology"]
         data["homology"] = []
-        data["rank_down"] += 1
         path.write_text(json.dumps(data), encoding="utf-8")
         assert run(capsys, *argv) == (0, out)
         assert path.read_bytes() == original
@@ -380,16 +383,17 @@ class TestCorruptCacheEntry:
                 "--format", "json", "--cache", str(cache)]
         code, out = run(capsys, *argv)
         assert code == 0
-        [path] = [p for p in cache.iterdir()
-                  if json.loads(p.read_text(encoding="utf-8"))["dim"] == 1]
+        sg = Semigroup.from_file(str(semigroup))
+        path = _cache_entry(cache, sg, (10,), 1)
         original = path.read_bytes()
         data = json.loads(original)
         [chain] = data["homology"]
         field = homology.RationalField()
+        basis = homology.fixed_cycle_basis(build_nabla(sg, (10,), DEGREVLEX), 1, field)
         h = {tuple(face): field.from_str(c) for face, c in chain}
-        position = {tuple(face): i for i, face in enumerate(data["faces"])}
+        position = basis.face_index
         last = max(h, key=position.__getitem__)
-        up_face = tuple(data["up_faces"][data["pivots"][0]])
+        up_face = basis.up_faces[basis.pivots[0]]
         field.axpy(h, homology.chain_boundary({up_face: 1}, field), 1)
         assert max(h, key=position.__getitem__) == last and h[last] == 1
         data["homology"] = [[[list(face), field.to_str(c)] for face, c in sorted(h.items())]]

@@ -22,8 +22,9 @@ from unittest import mock
 
 import pytest
 
-from toricsyz import cli
+from toricsyz import Semigroup, cli
 from toricsyz.cli import _HANDLERS, main
+from toricsyz.homology import basis_cache_key
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 EXAMPLE = os.path.join(GOLDEN, "example.json")
@@ -49,16 +50,19 @@ OUTPUTS = {
 }
 
 # The (60,10) basis in dimension 2 over Q: 154 pivot up-faces (the rank of
-# d_3) and no homology. Its file name pins the cache key as well. Plain betti
+# d_3), which a load rebuilds, and no homology, so the entry holds an empty
+# chain list. Its file name pins the cache key as well. Plain betti
 # reads its ranks off the comparison complex and builds no basis; the
 # cross-check computes the fiber-complex ranks for j = 0..2, which writes
 # the bases.
 CACHE_ARGV = ["betti", EXAMPLE, "-m", "60,10", "--jmax", "2", "--delta-crosscheck"]
 CACHE_FILE = "basis-c17308e3c3a72635a2b4fd0001168cec53fc77e4146adbf3ea0a258556cdbe45.json"
 CACHE_GOLDEN = "basis_60_10_dim2_rational.json"
-# The same entry in the earlier format, which stored every boundary cycle
-# with a preimage read off Q; it is kept as it was written, never regenerated.
+# The same entry in the two earlier formats, kept as they were written and
+# never regenerated: the first stored every boundary cycle with a preimage
+# read off Q, the second the face lists, both ranks and the pivot up-faces.
 CACHE_OLD_FORMAT = "basis_60_10_dim2_rational_old_format.json"
+CACHE_PIVOT_FORMAT = "basis_60_10_dim2_rational_pivot_format.json"
 
 # argparse lays help out differently across Python minor versions, so the
 # help golden is per version; it is taken at a fixed 80-column width
@@ -109,12 +113,33 @@ def test_truncated_cache_entries_are_rewritten(tmp_path, argv):
 
 
 def test_old_format_entry_is_a_miss_and_is_rewritten(tmp_path):
+    first = _run(CACHE_ARGV)
+    for name in (CACHE_OLD_FORMAT, CACHE_PIVOT_FORMAT):
+        cache = tmp_path / name
+        cache.mkdir()
+        (cache / CACHE_FILE).write_bytes(_read(os.path.join(GOLDEN, name)))
+        assert _run(CACHE_ARGV + ["--cache", str(cache)]) == first
+        assert _read(cache / CACHE_FILE) == _read(os.path.join(GOLDEN, CACHE_GOLDEN))
+
+
+def test_pivot_format_entry_with_a_swapped_pivot_is_a_miss(tmp_path):
+    # up-face 31 in place of pivot 0 leaves the pivots ascending and their
+    # boundaries independent, but they are not the greedy pivots of d_3
     cache = tmp_path / "cache"
     first = _run(CACHE_ARGV)
     cache.mkdir()
-    (cache / CACHE_FILE).write_bytes(_read(os.path.join(GOLDEN, CACHE_OLD_FORMAT)))
+    data = json.loads(_read(os.path.join(GOLDEN, CACHE_PIVOT_FORMAT)))
+    assert data["pivots"][0] == 0 and 31 not in data["pivots"]
+    data["pivots"] = sorted(data["pivots"][1:] + [31])
+    (cache / CACHE_FILE).write_text(json.dumps(data), encoding="utf-8")
     assert _run(CACHE_ARGV + ["--cache", str(cache)]) == first
     assert _read(cache / CACHE_FILE) == _read(os.path.join(GOLDEN, CACHE_GOLDEN))
+
+
+def _entry_21_3(cache):
+    """The entry of the (21,3) basis in dimension 0, over Q in degrevlex."""
+    key = basis_cache_key(Semigroup.from_file(EXAMPLE), (21, 3), 0, "degrevlex", "rational")
+    return cache / f"basis-{key}.json"
 
 
 def test_wrong_cached_coefficient_is_a_miss(tmp_path):
@@ -122,10 +147,9 @@ def test_wrong_cached_coefficient_is_a_miss(tmp_path):
     argv = ["harvest", EXAMPLE, "-m", "21,3"]
     cache = tmp_path / "cache"
     first = _run(argv + ["--cache", str(cache)])
-    (path,) = [p for p in cache.iterdir() if json.loads(p.read_bytes())["homology"]]
+    path = _entry_21_3(cache)
     original = path.read_bytes()
     data = json.loads(original)
-    assert data["dim"] == 0
     chain = data["homology"][0]
     chain[[c for _face, c in chain].index("-1/1")][1] = "5/1"
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -139,10 +163,9 @@ def test_scaled_cached_homology_chain_is_a_miss(tmp_path):
     argv = ["harvest", EXAMPLE, "-m", "21,3"]
     cache = tmp_path / "cache"
     first = _run(argv + ["--cache", str(cache)])
-    (path,) = [p for p in cache.iterdir() if json.loads(p.read_bytes())["homology"]]
+    path = _entry_21_3(cache)
     original = path.read_bytes()
     data = json.loads(original)
-    assert data["dim"] == 0
     (chain,) = data["homology"]
     assert sorted(c for _face, c in chain) == ["-1/1", "1/1"]
     for term in chain:

@@ -11,6 +11,7 @@ face sets.
 """
 import copy
 import json
+import tempfile
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -44,7 +45,7 @@ from toricsyz import (
     gauss_reduce,
     get_field,
 )
-from toricsyz.homology import reduce_boundary
+from toricsyz.homology import load_cached_basis, reduce_boundary
 from toricsyz.resolution import syz_mono_mul
 from toricsyz.serialize import (
     decomposition_to_json,
@@ -238,7 +239,7 @@ def test_homology_representatives_are_the_greedy_extension(data):
             for j in range(sg.num_generators):
                 basis = fixed_cycle_basis(cx, j, field)
                 index = basis.face_index
-                boundary = [{index[f]: c for f, c in ch.items()} for ch, _ in basis.boundary]
+                boundary = [{index[f]: c for f, c in ch.items()} for ch in basis.boundary]
                 kernel = gauss_reduce(boundary_matrix(cx, j).data, len(basis.faces),
                                       field).kernel_columns()
                 homology = [{index[f]: c for f, c in ch.items()} for ch in basis.homology]
@@ -266,8 +267,7 @@ def test_express_gives_back_the_coefficients_of_a_combination(data):
                 lam = [scalar() for _ in basis.homology]
                 mu = [scalar() for _ in basis.boundary]
                 chain = {}
-                for coeff, cycle in zip(lam + mu, basis.homology
-                                        + [cycle for cycle, _ in basis.boundary]):
+                for coeff, cycle in zip(lam + mu, basis.homology + basis.boundary):
                     field.axpy(chain, cycle, coeff)
                 assert basis.express(chain) == (lam, mu), (sg, m, j, field)
                 # one more face: a nonzero boundary
@@ -374,12 +374,9 @@ def test_oracle_v0_matches_betti_delta(data):
             assert oracle_v0(engine, m) == engine.betti_delta(m, 0), (sg, m, field)
 
 
-@settings(max_examples=60)
-@given(data=st.data())
-def test_pivot_bases_give_the_bytes_of_the_q_bases(data):
-    # the preimage pushed into the recursion is the unique chain on the
-    # pivot up-faces with the right boundary, whichever boundary basis of
-    # the same space it is solved against
+def _draw_commands(data):
+    """A presentation, and a function giving the bytes an engine writes for
+    minimalize on drawn binomials and harvest at small degrees."""
     sg = data.draw(presentations(max_dim=2, max_gens=4, min_codim=1))
     degrees = [m for m in sg.degrees_up_to(5) if len(sg.fiber(m, DEGREVLEX)) <= 10]
     binomials = [data.draw(st.lists(st.sampled_from(sg.fiber(m, DEGREVLEX)),
@@ -394,12 +391,47 @@ def test_pivot_bases_give_the_bytes_of_the_q_bases(data):
         return out + [dumps(fragment_to_json(engine.harvest(m, max_level), engine))
                       for m in degrees]
 
+    return sg, outputs
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_pivot_bases_give_the_bytes_of_the_q_bases(data):
+    # the preimage pushed into the recursion is the unique chain on the
+    # pivot up-faces with the right boundary, whichever boundary basis of
+    # the same space it is solved against
+    sg, outputs = _draw_commands(data)
     for field in FIELDS:
         engine = ResolutionEngine(sg, Config(field=field))
         reference = ResolutionEngine(sg, Config(field=field))
         with mock.patch("toricsyz.resolution.fixed_cycle_basis", q_fixed_cycle_basis):
             expected = outputs(reference)
         assert outputs(engine) == expected, (sg, field)
+
+
+@given(data=st.data())
+def test_warm_cache_engine_matches_a_cold_one(data):
+    # the warm engine loads every basis the cold one stored; each must be
+    # the basis a fresh complex gives, and the bytes must not change
+    sg, outputs = _draw_commands(data)
+    for field in FIELDS:
+        with tempfile.TemporaryDirectory() as cache:
+            config = Config(field=field, cache_dir=cache)
+            expected = outputs(ResolutionEngine(sg, config))
+            loads = []
+
+            def load(cache_dir, key, field_, complex_, j):
+                basis = load_cached_basis(cache_dir, key, field_, complex_, j)
+                loads.append((complex_.degree, j, basis))
+                return basis
+
+            with mock.patch("toricsyz.resolution.load_cached_basis", load):
+                assert outputs(ResolutionEngine(sg, config)) == expected, (sg, field)
+        for m, j, basis in loads:
+            assert basis is not None, (sg, field, m, j)
+            fresh = fixed_cycle_basis(build_nabla(sg, m, DEGREVLEX), j, get_field(field))
+            assert (basis.pivots, basis.free, basis.boundary, basis.homology) == \
+                (fresh.pivots, fresh.free, fresh.boundary, fresh.homology), (sg, field, m, j)
 
 
 @given(data=st.data())
