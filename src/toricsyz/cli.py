@@ -303,7 +303,7 @@ def _cmd_verify(args):
     try:
         with open(args.fragment, "r", encoding="utf-8") as fh:
             data = json_mod.load(fh)
-    except (OSError, json_mod.JSONDecodeError) as exc:
+    except (OSError, json_mod.JSONDecodeError, RecursionError) as exc:
         raise SemigroupError(f"cannot read fragment: {exc}") from exc
     report = serialize.verify_fragment_json(data, engine)
     payload = {

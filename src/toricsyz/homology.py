@@ -26,10 +26,12 @@ Representatives exist only where nullity(d_j) > rank(d_{j+1}), so only
 there is Q_j kept.  Every choice here is load bearing: the resolution
 machinery is only well defined relative to these bases.
 
-Elimination is sparse: the rows of A, the columns of Q and the rows of
-P^-1 are dicts holding only nonzeros, and column swaps are kept as a
-permutation.  Boundary matrices are 0/+-1 with j+1 nonzeros per column,
-so this keeps time and memory near the fill-in instead of m^2 + n^2.  The
+Elimination is sparse from input to solution: every matrix is built as
+rows of (column, nonzero entry) pairs, the one format gauss_reduce reads,
+where the rows of A, the columns of Q and the rows of P^-1 are dicts of
+nonzeros and column swaps a permutation; solve maps nonzeros to nonzeros.
+Boundary maps have j+1 nonzeros per column, so time and memory stay near
+the fill-in.  The
 pivot rule and every row and column operation are those of the dense
 elimination, in exact arithmetic, so Q, P^-1 and therefore the bases are
 unchanged.  Each call tracks only what its caller reads: Q for the
@@ -56,6 +58,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -69,6 +72,16 @@ class NotACycle(ValueError):
 
 class FieldError(ValueError):
     """A field modulus that is not a prime or is too large to certify."""
+
+
+_SCALAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _scalar_text(txt):
+    """txt if it reads [-]digits[/digits] in ASCII, else ValueError; int() refuses the /."""
+    if type(txt) is not str or not _SCALAR.fullmatch(txt):
+        raise ValueError(f"malformed scalar {txt!r}")
+    return txt
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +135,7 @@ class RationalField:
         return f"{f.numerator}/{f.denominator}"
 
     def from_str(self, txt: str):
-        return self.of(Fraction(txt))
+        return self.of(Fraction(_scalar_text(txt)))
 
     def __repr__(self):
         return "RationalField()"
@@ -205,7 +218,7 @@ class PrimeField:
         return str(a % self.modulus)
 
     def from_str(self, txt: str):
-        return self.of(int(txt))
+        return self.of(int(_scalar_text(txt)))
 
     def __repr__(self):
         return f"PrimeField({self.modulus})"
@@ -237,12 +250,12 @@ def get_field(spec):
 
 
 class BoundaryMatrix:
-    """Integer matrix of a boundary map relative to fixed face orders."""
+    """Boundary map in fixed face orders; ``data`` rows are (column, sign) pairs."""
 
     def __init__(self, row_faces, col_faces, data):
         self.row_faces = row_faces
         self.col_faces = col_faces
-        self.data = data  # list of rows
+        self.data = data
 
     @property
     def shape(self):
@@ -267,15 +280,15 @@ def face_boundary(face: Face):
     return zip(combinations(face, len(face) - 1), _facet_signs(len(face)))
 
 
-def boundary_matrix(complex_, j: int, field=None) -> BoundaryMatrix:
+def boundary_matrix(complex_, j: int) -> BoundaryMatrix:
     """Matrix of the j-th boundary map; the target of d_0 is the empty face."""
     cols = complex_.faces_of_dim(j)
     rows = ((),) if j == 0 else complex_.faces_of_dim(j - 1)
     row_index = {f: i for i, f in enumerate(rows)}
-    data = [[0] * len(cols) for _ in rows]
+    data = [[] for _ in rows]
     for k, face in enumerate(cols):
         for sub, sign in face_boundary(face):
-            data[row_index[sub]][k] = sign
+            data[row_index[sub]].append((k, sign))
     return BoundaryMatrix(rows, cols, data)
 
 
@@ -337,34 +350,30 @@ class GaussDecomposition:
         """Last ncols - rank columns of Q: a basis of the kernel."""
         return self.q_cols[self.rank:]
 
-    def solve(self, vec):
-        """One solution x of A x = vec as a dense list, or None when inconsistent.
+    def solve(self, vec: dict):
+        """One solution x of A x = vec as {column: nonzero}, or None when inconsistent.
 
-        Uses x = Q . [(P^-1 vec)_{1..r}; 0], which is deterministic and
-        linear in vec; needs both P^-1 and Q.
+        vec is {row: value}.  Uses x = Q . [(P^-1 vec)_{1..r}; 0], which is
+        deterministic and linear in vec; needs both P^-1 and Q.
         """
         field = self.field
-        support = {k: v for k, v in enumerate(vec) if v}
 
         def u(i):
-            return field.of(sum(c * support[k] for k, c in self.p_inv_rows[i].items()
-                                if k in support))
+            return field.of(sum(c * vec[k] for k, c in self.p_inv_rows[i].items()
+                                if k in vec))
 
         if any(u(i) for i in range(self.rank, self.nrows)):
             return None
         x = {}
         for i in range(self.rank):
             field.axpy(x, self.q_cols[i], u(i))
-        dense = [field.zero] * self.ncols
-        for k, v in x.items():
-            dense[k] = v
-        return dense
+        return x
 
 
 def gauss_reduce(rows, ncols: int, field, keep: str = "pq") -> GaussDecomposition:
     """Reduce a matrix to the block identity form with fixed pivoting.
 
-    ``rows`` are dense lists; only their nonzeros are kept.  Pivot rule:
+    Each row is a list of (column, nonzero entry) pairs, in any order.  Pivot rule:
     scan columns left to right; within a column take the topmost nonzero
     entry below the finished block, swapping that row up and the column
     into the block's next position.  Rows are cleared top to bottom, then
@@ -382,15 +391,7 @@ def gauss_reduce(rows, ncols: int, field, keep: str = "pq") -> GaussDecompositio
     fo = field.one
     of = field.of
     axpy = field.axpy
-    M = []
-    for row in rows:
-        entries = {}
-        for k, v in enumerate(row):
-            if v:
-                v = of(v)
-                if v:
-                    entries[k] = v
-        M.append(entries)
+    M = [{k: w for k, v in row if (w := of(v))} for row in rows]
     p_inv = [{i: fo} for i in range(m)] if keep_p else None
     q_cols = [{k: fo} for k in range(ncols)] if keep_q else None
     col_at = list(range(ncols))  # position -> column of the input
@@ -478,12 +479,13 @@ class ChainBasis:
         selection of fixed_cycle_basis, which load_cached_basis checks.
         """
         if self._solver is None:
-            field, nb, n = self.field, len(self.boundary), len(self.free)
-            rows = [[cycle.get(face, field.zero) for cycle in self.boundary]
-                    + [field.zero] * n for face in self.free]
-            for i, row in enumerate(rows):
-                row[nb + i] = field.one
-            self._solver = gauss_reduce(rows, nb + n, field, keep="pq")
+            field, nb = self.field, len(self.boundary)
+            rows = {face: [(nb + i, field.one)] for i, face in enumerate(self.free)}
+            for b, cycle in enumerate(self.boundary):
+                for face, v in cycle.items():
+                    if face in rows:
+                        rows[face].append((b, v))
+            self._solver = gauss_reduce(list(rows.values()), nb + len(rows), field, keep="pq")
         return self._solver
 
     def express(self, chain: Chain):
@@ -504,8 +506,9 @@ class ChainBasis:
         if chain_boundary(chain, field):
             raise NotACycle("chain is not a cycle")
         solver = self.solver()
-        sol = solver.solve([chain.get(face, field.zero) for face in self.free])
-        return [sol[p] for p in solver.pivots[nb:]], sol[:nb]
+        sol = solver.solve({i: chain[f] for i, f in enumerate(self.free) if f in chain})
+        return ([sol.get(p, field.zero) for p in solver.pivots[nb:]],
+                [sol.get(b, field.zero) for b in range(nb)])
 
     def to_dict(self):
         """The cache entry: the homology chains, nothing else."""
@@ -673,9 +676,8 @@ def load_cached_basis(cache_dir, key, field, complex_, j):
     except FileNotFoundError:
         return None
     except (ValueError, TypeError, ArithmeticError, RecursionError):
-        # JSONDecodeError and UnicodeDecodeError are ValueErrors; a zero
-        # denominator or an infinite scalar is an ArithmeticError, and
-        # arrays nested too deeply to decode a RecursionError
+        # bad JSON, UTF-8 or scalar text is a ValueError, a zero denominator
+        # an ArithmeticError, and arrays nested too deeply a RecursionError
         return None
     basis = _boundary_basis(complex_, j, field)
     basis.homology = homology

@@ -618,7 +618,7 @@ class ResolutionEngine:
         faces, key_index, decomp = self._lift_solver(m, level)
         if not faces:
             raise LiftFailed(f"no {level}-faces at {m} to lift onto")
-        target = [field.zero] * decomp.nrows
+        target = {}
         for gid, poly in g.items():
             for mono, coeff in poly.items():
                 idx = key_index.get((gid, mono))
@@ -630,7 +630,7 @@ class ResolutionEngine:
         sol = decomp.solve(target)
         if sol is None:
             raise LiftFailed("no cycle maps onto the given syzygy")
-        return {faces[k]: v for k, v in enumerate(sol) if v}
+        return {faces[k]: sol[k] for k in sorted(sol)}
 
     def _lift_solver(self, m: Degree, level: int):
         """Reduced system [psi coordinates; boundary map] over the level-faces."""
@@ -638,7 +638,6 @@ class ResolutionEngine:
         cached = self._lifts.get(key)
         if cached is not None:
             return cached
-        field = self.field
         cx = self.nabla(m)
         faces = cx.faces_of_dim(level)
         psi_values = [self._psi_face(tuple(m), level, face) for face in faces]
@@ -649,14 +648,13 @@ class ResolutionEngine:
             for mono in poly
         })
         key_index = {k: i for i, k in enumerate(coord_keys)}
-        a_down = boundary_matrix(cx, level)
-        rows = [[field.zero] * len(faces) for _ in coord_keys]
+        rows = [[] for _ in coord_keys]
         for col, val in enumerate(psi_values):
             for gid, poly in val.items():
                 for mono, coeff in poly.items():
-                    rows[key_index[(gid, mono)]][col] = coeff
-        rows.extend(a_down.data)
-        decomp = gauss_reduce(rows, len(faces), field)
+                    rows[key_index[(gid, mono)]].append((col, coeff))
+        rows.extend(boundary_matrix(cx, level).data)
+        decomp = gauss_reduce(rows, len(faces), self.field)
         cached = (faces, key_index, decomp)
         self._lifts[key] = cached
         return cached

@@ -245,7 +245,7 @@ class Semigroup:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise SemigroupError(f"invalid JSON in {path}: {exc}") from exc
         return cls.from_dict(data)
 
@@ -421,10 +421,8 @@ class Semigroup:
 
     def matrix_rank(self) -> int:
         """Rank of the generator matrix over the rationals."""
-        rows = [
-            [self.generators[i][j] for i in range(self.num_generators)]
-            for j in range(self.dim)
-        ]
+        rows = [[(i, n[j]) for i, n in enumerate(self.generators) if n[j]]
+                for j in range(self.dim)]
         return gauss_reduce(rows, self.num_generators, RationalField(), keep="").rank
 
     def __repr__(self):

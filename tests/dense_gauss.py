@@ -1,13 +1,29 @@
-"""Dense reference elimination and a densify helper for test assertions.
+"""Dense reference elimination and dense views for test assertions.
 
 ``dense_gauss_reduce`` is the original dense implementation of
 ``toricsyz.homology.gauss_reduce``: it keeps M, an m x m P^-1 and an n x n Q
 as lists of lists and swaps columns physically. The library's sparse
 routine must reproduce its rank, Q, P^-1 and ``solve`` results exactly.
 ``densify`` turns a sparse decomposition into the same dense form, so
-assertions written against dense lists read it unchanged.
+assertions written against dense lists read it unchanged.  ``to_pairs`` and
+``to_dense`` convert between dense rows and the library's rows of
+(column, nonzero entry) pairs; a vector is a one-row matrix.
 """
 from __future__ import annotations
+
+
+def to_pairs(rows):
+    """Dense rows as lists of (column, entry) pairs, one per nonzero."""
+    return [[(k, v) for k, v in enumerate(row) if v] for row in rows]
+
+
+def to_dense(rows, ncols):
+    """Rows of (column, entry) pairs as dense lists of length ncols."""
+    out = [[0] * ncols for _ in rows]
+    for dense, row in zip(out, rows):
+        for k, v in row:
+            dense[k] = v
+    return out
 
 
 def _row_axpy(dst, src, factor, p):

@@ -158,10 +158,10 @@ def reduce_columns(columns, nrows: int, field, keep: str = "pq") -> GaussDecompo
 
     Each column is a dict row index -> scalar.
     """
-    rows = [[field.zero] * len(columns) for _ in range(nrows)]
+    rows = [[] for _ in range(nrows)]
     for k, col in enumerate(columns):
         for i, v in col.items():
-            rows[i][k] = v
+            rows[i].append((k, v))
     return gauss_reduce(rows, len(columns), field, keep=keep)
 
 

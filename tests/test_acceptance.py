@@ -9,7 +9,7 @@ import time
 from contextlib import contextmanager
 
 import pytest
-from dense_gauss import densify
+from dense_gauss import densify, to_dense
 from oracles import brute_force_fiber, oracle_v0, registry_to_json, restrict_nabla
 
 from toricsyz import (
@@ -196,7 +196,7 @@ def test_criterion_6_structural_invariants(tmp_path):
                           for i in range(g.ncols)]
                 half = [
                     [sum(a * b for a, b in zip(row, col)) for col in zip(*q_rows)]
-                    for row in [[r[c] for c in range(g.ncols)] for r in mat.data]
+                    for row in to_dense(mat.data, g.ncols)
                 ]
                 product = [
                     [sum(a * b for a, b in zip(row, col)) for col in zip(*half)]

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,15 @@ class TestValidate:
         path = tmp_path / "broken.json"
         path.write_text("{nonsense", encoding="utf-8")
         assert main(["validate", str(path)]) == 2
+
+    def test_deeply_nested_json_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        code = main(["validate", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: invalid JSON in ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
     def test_rejects_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "absent.json")]) == 2
@@ -181,6 +191,25 @@ class TestHarvestAndVerify:
         assert code == 1
         assert out == ("verification: FAILED\n"
                        "  violation: (1, (17,), 0): zero coefficient on (0, (10,), 0)\n")
+
+    def test_verify_rejects_an_exponent_scalar_at_once(self, capsys, semigroup_file,
+                                                       tmp_path):
+        # read as a Fraction, "1e10000000" is a ten-million-digit integer
+        # that takes seconds to build; scalars are [-]digits[/digits] only
+        frag_path = tmp_path / "fragment.json"
+        assert run(capsys, "--format", "json", "harvest", semigroup_file, "-m", "21,3",
+                   "--max-level", "1", "--output", str(frag_path))[0] == 0
+        data = json.loads(frag_path.read_text(encoding="utf-8"))
+        data["generators"][0]["witness"][0][1] = "1e10000000"
+        frag_path.write_text(json.dumps(data), encoding="utf-8")
+        start = time.perf_counter()
+        code = main(["verify", semigroup_file, str(frag_path)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: malformed fragment: ")
+        assert captured.out == ""
+        assert elapsed < 1.0
 
     @pytest.mark.parametrize("duplicate", [
         lambda value: [{"generator": value[0]["generator"],
@@ -574,6 +603,16 @@ class TestMalformedFragment:
         assert code == 2
         assert captured.err.startswith("error: malformed fragment: ")
         assert captured.out == ""
+
+
+    def test_deeply_nested_document_exits_two(self, capsys, semigroup_file, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        code = main(["verify", semigroup_file, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: cannot read fragment: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 class TestInternalCheckFailures:

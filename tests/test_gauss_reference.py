@@ -2,7 +2,9 @@
 
 Both use the same pivot rule and the same row and column operations in
 exact arithmetic, so rank, every column of Q, every row of P^-1 and every
-``solve`` result (None included) must be equal, not just equivalent.
+``solve`` result (None included) must be equal, not just equivalent.  The
+library reads the reference's dense rows as pairs (to_pairs), and its
+solutions hold exactly the reference's nonzeros.
 Every keep mode of gauss_reduce is checked: rank and pivots never depend
 on it, a kept P^-1 or Q equals the reference and one not kept is None.
 """
@@ -10,7 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from dense_gauss import dense_gauss_reduce, densify
+from dense_gauss import dense_gauss_reduce, densify, to_pairs
 
 from toricsyz import PrimeField, RationalField, gauss_reduce
 
@@ -69,7 +71,7 @@ def test_sparse_matches_dense_reference(field):
     for m, n, density, rank_cap in shapes(rng):
         rows = random_matrix(rng, field, m, n, density, rank_cap)
         ref = dense_gauss_reduce([list(r) for r in rows], n, field)
-        decomps = {keep: gauss_reduce([list(r) for r in rows], n, field, keep=keep)
+        decomps = {keep: gauss_reduce(to_pairs(rows), n, field, keep=keep)
                    for keep in KEEPS}
         for keep, sparse in decomps.items():
             dense = densify(sparse)
@@ -82,7 +84,9 @@ def test_sparse_matches_dense_reference(field):
         for _ in range(4):
             vec = random_target(rng, field, rows, m)
             expected = ref.solve(vec)
-            assert decomps["pq"].solve(vec) == expected, (rows, vec)
+            got = decomps["pq"].solve(dict(*to_pairs([vec])))
+            assert got == (None if expected is None else dict(*to_pairs([expected]))), \
+                (rows, vec)
             if expected is None:
                 inconsistent += 1
             else:
@@ -99,7 +103,7 @@ def test_pivots_are_where_prefix_rank_grows(field):
                  for k in range(n + 1)]
         expected = [k for k in range(n) if ranks[k + 1] > ranks[k]]
         for keep in KEEPS:
-            decomp = gauss_reduce([list(r) for r in rows], n, field, keep=keep)
+            decomp = gauss_reduce(to_pairs(rows), n, field, keep=keep)
             assert decomp.pivots == expected, (rows, keep)
 
 
@@ -110,11 +114,11 @@ def test_pivot_columns_of_q_are_supported_on_the_pivots(field):
     rng = random.Random(f"gauss-{field.name}")
     for m, n, density, rank_cap in shapes(rng):
         rows = random_matrix(rng, field, m, n, density, rank_cap)
-        decomp = gauss_reduce(rows, n, field, keep="q")
+        decomp = gauss_reduce(to_pairs(rows), n, field, keep="q")
         pivots = set(decomp.pivots)
         assert all(col.keys() <= pivots for col in decomp.q_cols[:decomp.rank]), rows
 
 
 def test_unknown_keep_mode_is_rejected():
     with pytest.raises(ValueError):
-        gauss_reduce([[1]], 1, RationalField(), keep="pqx")
+        gauss_reduce([[(0, 1)]], 1, RationalField(), keep="pqx")

@@ -3,10 +3,11 @@ import os
 import sys
 import threading
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from dense_gauss import densify
+from dense_gauss import densify, to_dense, to_pairs
 
 from toricsyz import (
     DEGREVLEX,
@@ -25,6 +26,7 @@ from toricsyz import (
 )
 from toricsyz.homology import (
     basis_cache_key,
+    face_boundary,
     load_cached_basis,
     reduce_boundary,
     store_cached_basis,
@@ -62,13 +64,14 @@ class TestBoundaryMatrix:
     def test_a0_is_all_ones_row(self, example_semigroup):
         cx = build_nabla(example_semigroup, (52, 8), DEGREVLEX)
         a0 = boundary_matrix(cx, 0)
-        assert a0.data == [[1] * 8]
+        assert to_dense(a0.data, 8) == [[1] * 8]
 
     def test_single_edge_column(self, example_semigroup):
         cx = build_nabla(example_semigroup, (24, 4), DEGREVLEX)
         a1 = boundary_matrix(cx, 1)
+        dense = to_dense(a1.data, len(a1.col_faces))
         for k, (a, b) in enumerate(a1.col_faces):
-            col = [a1.data[i][k] for i in range(len(a1.data))]
+            col = [dense[i][k] for i in range(len(dense))]
             expected = [0] * len(a1.row_faces)
             expected[a1.row_faces.index((b,))] = 1
             expected[a1.row_faces.index((a,))] = -1
@@ -91,22 +94,42 @@ class TestBoundaryMatrix:
             high = boundary_matrix(cx, j)
             if not high.col_faces:
                 continue
-            prod = matmul(low.data, high.data)
+            prod = matmul(to_dense(low.data, len(low.col_faces)),
+                          to_dense(high.data, len(high.col_faces)))
             assert all(all(v == 0 for v in row) for row in prod)
 
     def test_column_support_sizes(self, example_semigroup):
         cx = build_nabla(example_semigroup, (52, 8), DEGREVLEX)
         for j in range(1, cx.dimension + 1):
             mat = boundary_matrix(cx, j)
+            dense = to_dense(mat.data, len(mat.col_faces))
             for k in range(len(mat.col_faces)):
-                col = [mat.data[i][k] for i in range(len(mat.data))]
+                col = [dense[i][k] for i in range(len(dense))]
                 assert sum(1 for v in col if v) == j + 1
                 assert all(v in (-1, 0, 1) for v in col)
+
+    @pytest.mark.parametrize("m", [(52, 8), (36, 6), (60, 10)])
+    def test_rows_hold_the_pairs_of_face_boundary(self, example_semigroup, m):
+        # each column k sits in exactly j + 1 rows, one per facet, with the
+        # sign face_boundary gives it; no row holds a zero or repeats a column
+        cx = build_nabla(example_semigroup, m, DEGREVLEX)
+        for j in range(cx.dimension + 1):
+            mat = boundary_matrix(cx, j)
+            pairs = Counter(k for row in mat.data for k, _ in row)
+            signs = {k: {} for k in range(len(mat.col_faces))}
+            for face, row in zip(mat.row_faces, mat.data):
+                assert all(v for _, v in row)
+                assert len({k for k, _ in row}) == len(row)
+                for k, v in row:
+                    signs[k][face] = v
+            for k, face in enumerate(mat.col_faces):
+                assert pairs[k] == j + 1
+                assert signs[k] == dict(face_boundary(face))
 
 
 class TestGaussReduce:
     def test_all_ones_row(self):
-        g = densify(gauss_reduce([[1, 1, 1, 1]], 4, Q))
+        g = densify(gauss_reduce(to_pairs([[1, 1, 1, 1]]), 4, Q))
         assert g.rank == 1
         kernel = g.kernel_columns()
         assert len(kernel) == 3
@@ -114,7 +137,7 @@ class TestGaussReduce:
             assert sum(col) == 0
 
     def test_zero_matrix(self):
-        g = densify(gauss_reduce([[0, 0], [0, 0]], 2, Q))
+        g = densify(gauss_reduce(to_pairs([[0, 0], [0, 0]]), 2, Q))
         assert g.rank == 0
         assert g.q_cols == [[1, 0], [0, 1]]
         assert g.p_inv_rows == [[1, 0], [0, 1]]
@@ -124,7 +147,7 @@ class TestGaussReduce:
         cx = build_nabla(example_semigroup, (24, 4), DEGREVLEX)
         a1 = boundary_matrix(cx, 1)
         g = gauss_reduce(a1.data, 2, Q)
-        assert g.rank == echelon_rank(a1.data) == 2
+        assert g.rank == echelon_rank(to_dense(a1.data, 2)) == 2
         assert g.kernel_columns() == []
 
     @pytest.mark.parametrize("m", [(52, 8), (36, 6), (45, 7)])
@@ -135,7 +158,8 @@ class TestGaussReduce:
             if not mat.col_faces:
                 continue
             g = densify(gauss_reduce(mat.data, len(mat.col_faces), Q))
-            assert g.rank == echelon_rank(mat.data)
+            dense = to_dense(mat.data, len(mat.col_faces))
+            assert g.rank == echelon_rank(dense)
             p = g.p_columns  # materializes the inverse; fails if singular
             rows_p = [[p[k][i] for k in range(g.nrows)] for i in range(g.nrows)]
             ident = matmul(g.p_inv_rows, rows_p)
@@ -146,19 +170,20 @@ class TestGaussReduce:
             q_rows = [[g.q_cols[k][i] for k in range(g.ncols)]
                       for i in range(g.ncols)]
             assert echelon_rank(q_rows) == g.ncols
-            product = matmul(matmul(g.p_inv_rows, mat.data), q_rows)
+            product = matmul(matmul(g.p_inv_rows, dense), q_rows)
             for i in range(g.nrows):
                 for k in range(g.ncols):
                     expected = 1 if i == k < g.rank else 0
                     assert product[i][k] == expected
 
     def test_solve_consistency(self):
-        g = gauss_reduce([[1, 2], [2, 4]], 2, Q)
+        g = gauss_reduce(to_pairs([[1, 2], [2, 4]]), 2, Q)
         assert g.rank == 1
-        sol = g.solve([3, 6])
+        sol = g.solve({0: 3, 1: 6})
         assert sol is not None
-        assert [sol[0] + 2 * sol[1], 2 * sol[0] + 4 * sol[1]] == [3, 6]
-        assert g.solve([1, 0]) is None
+        x = to_dense([sol.items()], 2)[0]
+        assert [x[0] + 2 * x[1], 2 * x[0] + 4 * x[1]] == [3, 6]
+        assert g.solve({0: 1}) is None
 
 
 class TestFixedCycleBasis:
@@ -390,6 +415,7 @@ class TestDeterminismAndCache:
         lambda text, data, old: json.dumps({"homology": [[[old["faces"][0], "one"]]]}),
         lambda text, data, old: json.dumps({"homology": [[[old["faces"][0], float("inf")]]]}),
         lambda text, data, old: '{"homology":' + "[" * 100000 + "]" * 100000 + "}",
+        lambda text, data, old: json.dumps({"homology": [[[old["faces"][0], "1e10000000"]]]}),
         lambda text, data, old: json.dumps({**data, "note": ""}),
         lambda text, data, old: json.dumps({"homology": [[[old["faces"][0], "1/1"]]]}),
         # entries in the earlier pivot format, corrupted in each field that
@@ -416,7 +442,8 @@ class TestDeterminismAndCache:
             **old, "pivots": sorted(old["pivots"][:-1] + [min(
                 set(range(len(old["up_faces"]))) - set(old["pivots"]))])}),
     ], ids=["truncated", "not-utf8", "missing-key", "not-an-object", "zero-denominator",
-            "bad-scalar", "infinite-scalar", "deeply-nested", "extra-key", "homology-not-a-cycle",
+            "bad-scalar", "infinite-scalar", "deeply-nested", "exponent-scalar", "extra-key",
+            "homology-not-a-cycle",
             "faces", "up-faces", "dim", "degree",
             "preimage-index-too-large", "preimage-index-negative", "pivot-not-an-int",
             "pivots-descending", "pivot-dropped", "rank-up", "rank-down", "pivot-repeated",
@@ -441,6 +468,24 @@ class TestDeterminismAndCache:
         # the next store replaces the entry
         store_cached_basis(str(tmp_path), key, basis)
         assert path.read_text(encoding="utf-8") == text
+
+    @pytest.mark.parametrize("spell, hit", [(lambda c: c.replace("/1", "e0"), False),
+                                            (lambda c: c.removesuffix("/1"), True)],
+                             ids=["exponent", "integer"])
+    def test_only_digit_scalars_read_back(self, tmp_path, example_semigroup, spell, hit):
+        # the representative at (21, 3) with its coefficients -1/1 and 1/1
+        # respelled: "-1e0" names the same rational as "-1", but only
+        # [-]digits[/digits] is scalar text
+        cx = build_nabla(example_semigroup, (21, 3), DEGREVLEX)
+        basis = fixed_cycle_basis(cx, 0, Q)
+        key = basis_cache_key(example_semigroup, (21, 3), 0, "degrevlex", Q.name)
+        store_cached_basis(str(tmp_path), key, basis)
+        path = tmp_path / f"basis-{key}.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({"homology": [[[face, spell(c)] for face, c in chain]
+                                                 for chain in data["homology"]]}),
+                        encoding="utf-8")
+        assert (load_cached_basis(str(tmp_path), key, Q, cx, 0) is not None) == hit
 
     def test_concurrent_stores_of_one_key(self, tmp_path, example_semigroup):
         # the barrier lines the writers up, so they replace the entry at
@@ -511,6 +556,26 @@ class TestFieldModes:
         assert f.neg(2) == 5
         assert f.from_str(f.to_str(6)) == 6
 
+    def test_scalars_read_back(self):
+        assert Q.from_str("-3/6") == Fraction(-1, 2)
+        assert type(Q.from_str("4/2")) is int and Q.from_str("4/2") == 2
+        assert Q.from_str("007") == 7
+        assert PrimeField(7).from_str("-1") == 6
+        with pytest.raises(ZeroDivisionError):
+            Q.from_str("1/0")
+
+    @pytest.mark.parametrize("text", [
+        "1e5", "1E5", "1.5", ".5", " 1", "1 ", "1\n", "1_000", "+1", "", "-", "1/", "/2",
+        "1/-2", "1/2/3", "0x10", "inf", "nan", "\u0661", "\uff11", 5, 1.0, None, ["1"]])
+    def test_malformed_scalar_raises_value_error(self, text):
+        for field in (Q, PrimeField(7)):
+            with pytest.raises(ValueError):
+                field.from_str(text)
+
+    def test_prime_field_reads_no_fraction(self):
+        with pytest.raises(ValueError):
+            PrimeField(7).from_str("1/2")
+
     def test_betti_ranks_across_fields(self, example_semigroup):
         # characteristic comparisons are diagnostics: report, do not fail
         fields = [Q, PrimeField(2), PrimeField(32003)]
@@ -530,7 +595,7 @@ class TestFieldModes:
         mat = boundary_matrix(cx, 1)
         g = densify(gauss_reduce(mat.data, len(mat.col_faces), f))
         q_rows = [[g.q_cols[k][i] for k in range(g.ncols)] for i in range(g.ncols)]
-        product = matmul(matmul(g.p_inv_rows, mat.data), q_rows)
+        product = matmul(matmul(g.p_inv_rows, to_dense(mat.data, len(mat.col_faces))), q_rows)
         for i in range(g.nrows):
             for k in range(g.ncols):
                 expected = 1 if i == k < g.rank else 0

@@ -235,6 +235,23 @@ def test_matrix_rank(example_semigroup, numerical_semigroup):
     assert numerical_semigroup.matrix_rank() == 1
 
 
+def test_matrix_rank_lists_only_nonzero_entries(monkeypatch):
+    from toricsyz import semigroup
+
+    sg = Semigroup(2, [[1, 0], [0, 1], [1, 1]])
+    rows_seen = []
+    original = semigroup.gauss_reduce
+
+    def recorded(rows, ncols, field, keep="pq"):
+        rows_seen.extend(rows)
+        return original(rows, ncols, field, keep=keep)
+
+    monkeypatch.setattr(semigroup, "gauss_reduce", recorded)
+    assert sg.matrix_rank() == 2
+    # one row per coordinate, one (generator, entry) pair per nonzero entry
+    assert rows_seen == [[(0, 1), (2, 1)], [(1, 1), (2, 1)]]
+
+
 class TestOtherShapes:
     def test_validate_presentation_function(self):
         assert Semigroup(2, [[4, 1], [5, 1], [7, 1], [8, 1]]).grading == \
