@@ -1,4 +1,4 @@
-"""Byte-exact goldens: CLI artifacts, one on-disk basis file and the help.
+"""Byte-exact goldens: CLI artifacts, text output, one basis file and the help.
 
 Each case runs one command through ``toricsyz.cli.main`` and compares what
 it writes with a file under ``tests/golden/`` byte for byte. Tests that only
@@ -47,7 +47,34 @@ OUTPUTS = {
         ["scan", EXAMPLE, "--w-bound", "6", "--jmax", "2", "--format", "json"],
     "validate_example.json":
         ["validate", EXAMPLE, "--format", "json"],
+    "fiber_52_8.json":
+        ["fiber", EXAMPLE, "-m", "52,8", "--format", "json"],
+    "nabla_24_4.json":
+        ["nabla", EXAMPLE, "-m", "24,4", "--format", "json"],
+    "delta_12_2.json":
+        ["delta", EXAMPLE, "-m", "12,2", "--format", "json"],
+    "betti_21_3_j1_crosscheck.json":
+        ["betti", EXAMPLE, "-m", "21,3", "--jmax", "1", "--delta-crosscheck",
+         "--format", "json"],
+    "verify_harvest_60_10_l2_rational.json":
+        ["verify", EXAMPLE, os.path.join(GOLDEN, "harvest_60_10_l2_rational.json"),
+         "--format", "json"],
 }
+
+# The text output of every command, one after another, each under the
+# command line that printed it; a file name stands for the file in GOLDEN
+TEXT_GOLDEN = "text_all_commands.txt"
+TEXT_COMMANDS = [
+    ["validate", "example.json"],
+    ["fiber", "example.json", "-m", "52,8"],
+    ["nabla", "example.json", "-m", "24,4"],
+    ["delta", "example.json", "-m", "12,2"],
+    ["betti", "example.json", "-m", "21,3", "--jmax", "1", "--delta-crosscheck"],
+    ["minimalize", "example.json", "--lead", "0,2,6,0", "--trail", "3,0,0,5"],
+    ["harvest", "example.json", "-m", "60,10", "--max-level", "2"],
+    ["scan", "example.json", "--w-bound", "4", "--jmax", "2", "--delta-crosscheck"],
+    ["verify", "example.json", "harvest_60_10_l2_rational.json"],
+]
 
 # The (60,10) basis in dimension 2 over Q: 154 pivot up-faces (the rank of
 # d_3), which a load rebuilds, and no homology, so the entry holds an empty
@@ -87,6 +114,23 @@ def test_cli_output_matches_golden(tmp_path, name):
     out = tmp_path / name
     _run(OUTPUTS[name] + ["--output", str(out)])
     assert _read(out) == _read(os.path.join(GOLDEN, name))
+
+
+def _text_outputs():
+    pages = []
+    for words in TEXT_COMMANDS:
+        argv = [os.path.join(GOLDEN, w) if w.endswith(".json") else w for w in words]
+        pages.append(f"$ toricsyz {' '.join(words)}\n{_run(argv)}")
+    return "".join(pages).encode("utf-8")
+
+
+def test_text_output_matches_golden():
+    assert _text_outputs() == _read(os.path.join(GOLDEN, TEXT_GOLDEN))
+
+
+def test_every_command_has_goldens():
+    assert {argv[0] for argv in OUTPUTS.values()} == set(_HANDLERS)
+    assert [words[0] for words in TEXT_COMMANDS] == list(_HANDLERS)
 
 
 def test_cache_file_matches_golden(tmp_path):
@@ -234,6 +278,8 @@ def regenerate():
     for leftover in os.listdir(cache):
         os.remove(os.path.join(cache, leftover))
     os.rmdir(cache)
+    with open(os.path.join(GOLDEN, TEXT_GOLDEN), "wb") as fh:
+        fh.write(_text_outputs())
     with open(os.path.join(GOLDEN, HELP_GOLDEN), "wb") as fh:
         fh.write(_help_text())
 
