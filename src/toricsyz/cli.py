@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Commands: validate | fiber | nabla | delta | betti | minimalize | harvest
-| scan | verify.  Exit codes: 0 success, 1 verification failure or failed
-internal check, 2 invalid input.  With --format json every command emits
-one JSON document carrying a "config" header; identical invocations with a
-shared --cache directory produce byte-identical output.
+| scan | verify.  main() runs every command: it builds the engine from the
+global options, calls the command's handler and writes what that returns,
+as text or, with --format json, as one JSON document carrying a "config"
+header.  Exit codes: 0 success, 1 verification failure or failed internal
+check, 2 invalid input or an --output that cannot be written.  Identical
+invocations with a shared --cache directory produce byte-identical output.
 
 betti and scan read their ranks off the comparison complex of each degree;
 --delta-crosscheck recomputes them on the fiber complex and exits 1 where
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 from fractions import Fraction
 
@@ -29,21 +32,22 @@ from .resolution import CheckFailed, ResolutionEngine
 from .semigroup import Semigroup, SemigroupError
 
 
-def _parse_degree(text: str, dim: int):
+def _parse_ints(text: str, what: str) -> tuple:
     try:
-        parts = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
-        raise SemigroupError(f"bad degree {text!r}: {exc}") from exc
+        raise SemigroupError(f"bad {what} {text!r}: {exc}") from exc
+
+
+def _parse_degree(text: str, dim: int):
+    parts = _parse_ints(text, "degree")
     if len(parts) != dim:
         raise SemigroupError(f"degree {text!r} should have {dim} coordinates")
     return parts
 
 
 def _parse_exponents(text: str, r: int):
-    try:
-        parts = tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise SemigroupError(f"bad exponent vector {text!r}: {exc}") from exc
+    parts = _parse_ints(text, "exponent vector")
     if len(parts) != r or any(e < 0 for e in parts):
         raise SemigroupError(
             f"exponent vector {text!r} should have {r} nonnegative entries"
@@ -129,78 +133,54 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _engine(args) -> ResolutionEngine:
-    sg = Semigroup.from_file(args.semigroup)
-    config = Config(
-        term_order=args.order,
-        field=args.field,
-        cache_dir=args.cache,
-    )
-    return ResolutionEngine(sg, config)
+    config = Config(term_order=args.order, field=args.field, cache_dir=args.cache)
+    return ResolutionEngine(Semigroup.from_file(args.semigroup), config)
 
 
-def _cmd_validate(args):
-    engine = _engine(args)
-    sg = engine.semigroup
-    w = [str(x) for x in sg.grading]
-    payload = {
-        "config": engine.config.describe(),
-        "kind": "validate",
-        "combinatorially_finite": True,
-        "grading": w,
-    }
-    text = f"combinatorially finite, w = ({', '.join(w)})"
-    return 0, text, payload
+# each handler takes the parsed arguments and the engine main() built from
+# them, and returns (exit code, text lines, JSON body without the header)
+
+def _cmd_validate(args, engine):
+    w = [str(x) for x in engine.semigroup.grading]
+    body = {"kind": "validate", "combinatorially_finite": True, "grading": w}
+    return 0, [f"combinatorially finite, w = ({', '.join(w)})"], body
 
 
-def _cmd_fiber(args):
-    engine = _engine(args)
+def _cmd_fiber(args, engine):
     m = _parse_degree(args.degree, engine.semigroup.dim)
     fiber = engine.semigroup.fiber(m, engine.order)
-    payload = {
-        "config": engine.config.describe(),
-        "kind": "fiber",
-        "degree": list(m),
-        "monomials": [list(v) for v in fiber],
-    }
+    body = {"kind": "fiber", "degree": list(m), "monomials": [list(v) for v in fiber]}
     lines = [f"fiber of {m}: {len(fiber)} monomial(s)"]
     lines += [f"  {mono_str(v)}" for v in fiber]
-    return 0, "\n".join(lines), payload
+    return 0, lines, body
 
 
-def _cmd_nabla(args):
-    engine = _engine(args)
+def _cmd_nabla(args, engine):
     m = _parse_degree(args.degree, engine.semigroup.dim)
     cx = engine.nabla(m)
-    payload = {"config": engine.config.describe(), "kind": "nabla", **cx.to_dict()}
     lines = [
         f"fiber complex at {m}: {len(cx.vertices)} vertices, "
         f"{len(cx.components()) if cx.vertices else 0} component(s)"
     ]
     if cx.is_void:
         lines.append("  (empty complex: degree not in the semigroup)")
-    for f in cx.facets():
-        lines.append(f"  facet {list(f)}")
-    return 0, "\n".join(lines), payload
+    lines += [f"  facet {list(f)}" for f in cx.facets()]
+    return 0, lines, {"kind": "nabla", **cx.to_dict()}
 
 
-def _cmd_delta(args):
-    engine = _engine(args)
+def _cmd_delta(args, engine):
     m = _parse_degree(args.degree, engine.semigroup.dim)
     cx = engine.delta(m)
-    payload = {"config": engine.config.describe(), "kind": "delta", **cx.to_dict()}
     lines = [f"comparison complex at {m}: {len(cx.faces)} face(s) including the empty one"]
-    for f in cx.facets():
-        lines.append(f"  facet {list(f)}")
-    return 0, "\n".join(lines), payload
+    lines += [f"  facet {list(f)}" for f in cx.facets()]
+    return 0, lines, {"kind": "delta", **cx.to_dict()}
 
 
-def _cmd_betti(args):
-    engine = _engine(args)
+def _cmd_betti(args, engine):
     m = _parse_degree(args.degree, engine.semigroup.dim)
     jmax = _jmax(args, engine.semigroup)
     ranks = {j: engine.betti_delta(m, j) for j in range(jmax + 1)}
-    payload = {
-        "config": engine.config.describe(),
+    body = {
         "kind": "betti",
         "degree": list(m),
         "ranks": {str(j): v for j, v in ranks.items()},
@@ -212,46 +192,46 @@ def _cmd_betti(args):
         agree = nabla_ranks == ranks
         # "delta_ranks" repeats "ranks" (both are the Δ ranks); it is part
         # of the cross-check's output format
-        payload["delta_ranks"] = {str(j): v for j, v in ranks.items()}
-        payload["crosscheck_ok"] = agree
+        body["delta_ranks"] = {str(j): v for j, v in ranks.items()}
+        body["crosscheck_ok"] = agree
         lines.append(f"  delta crosscheck: {'OK' if agree else 'MISMATCH'}")
         if not agree:
-            payload["nabla_ranks"] = {str(j): v for j, v in nabla_ranks.items()}
+            body["nabla_ranks"] = {str(j): v for j, v in nabla_ranks.items()}
             lines.append(f"  nabla: {list(nabla_ranks.values())}, "
                          f"delta: {list(ranks.values())}")
-            return 1, "\n".join(lines), payload
-    return 0, "\n".join(lines), payload
+            return 1, lines, body
+    return 0, lines, body
 
 
-def _cmd_minimalize(args):
-    engine = _engine(args)
+def _cmd_minimalize(args, engine):
     r = engine.semigroup.num_generators
     lead = _parse_exponents(args.lead, r)
     trail = _parse_exponents(args.trail, r)
     result = engine.minimalize_binomial(lead, trail)
-    payload = serialize.decomposition_to_json(
+    body = serialize.decomposition_to_json(
         result, engine, {"lead": list(lead), "trail": list(trail)}
     )
-    text = serialize.decomposition_text(result, engine)
-    return 0, text, payload
+    return 0, [serialize.decomposition_text(result, engine)], body
 
 
-def _cmd_harvest(args):
-    engine = _engine(args)
+def _report_lines(report) -> list:
+    """The text of a fragment report, as harvest and verify print it."""
+    lines = [f"verification: {'passed' if report['passed'] else 'FAILED'}"]
+    return lines + [f"  violation: {v}" for v in report["violations"]]
+
+
+def _cmd_harvest(args, engine):
     m = _parse_degree(args.degree, engine.semigroup.dim)
     fragment = engine.harvest(m, args.max_level)
-    payload = serialize.fragment_to_json(fragment, engine)
-    report = fragment.report
     lines = [f"harvest at {m}, levels 0..{args.max_level}"]
-    for level, count in sorted(fragment.ranks().items()):
-        lines.append(f"  level {level}: {count} generator(s)")
-    lines.append(f"verification: {'passed' if report['passed'] else 'FAILED'}")
-    lines += [f"  violation: {v}" for v in report["violations"]]
-    return (0 if report["passed"] else 1), "\n".join(lines), payload
+    lines += [f"  level {level}: {count} generator(s)"
+              for level, count in sorted(fragment.ranks().items())]
+    lines += _report_lines(fragment.report)
+    body = serialize.fragment_to_json(fragment, engine)
+    return (0 if fragment.report["passed"] else 1), lines, body
 
 
-def _cmd_scan(args):
-    engine = _engine(args)
+def _cmd_scan(args, engine):
     sg = engine.semigroup
     try:
         Fraction(args.w_bound)
@@ -265,55 +245,34 @@ def _cmd_scan(args):
         ranks = [engine.betti_delta(m, j) for j in range(jmax + 1)]
         cm_rank = (engine.betti_delta(m, obstruction_dim)
                    if obstruction_dim > jmax else ranks[obstruction_dim])
-        rows.append({
-            "degree": list(m),
-            "ranks": ranks,
-            "cm_obstruction": bool(cm_rank),
-        })
+        rows.append({"degree": list(m), "ranks": ranks, "cm_obstruction": bool(cm_rank)})
         if args.delta_crosscheck:
             nabla = [engine.multigraded_betti(m, j) for j in range(jmax + 1)]
             if nabla != ranks:
                 disagreements.append({"degree": list(m), "nabla": nabla, "delta": ranks})
-    payload = {
-        "config": engine.config.describe(),
-        "kind": "scan",
-        "w_bound": str(args.w_bound),
-        "jmax": jmax,
-        "rows": rows,
-        "obstruction_dim": obstruction_dim,
-    }
+    body = {"kind": "scan", "w_bound": str(args.w_bound), "jmax": jmax, "rows": rows,
+            "obstruction_dim": obstruction_dim}
     lines = [f"scan up to weight {args.w_bound}, j <= {jmax}"]
     for row in rows:
         flag = "  CM-obstruction!" if row["cm_obstruction"] else ""
         lines.append(f"  {tuple(row['degree'])}: {row['ranks']}{flag}")
     if args.delta_crosscheck:
-        payload["crosscheck_disagreements"] = disagreements
+        body["crosscheck_disagreements"] = disagreements
         lines.append(f"delta crosscheck disagreements: {len(disagreements)}")
         lines += [f"  {tuple(d['degree'])}: nabla {d['nabla']}, delta {d['delta']}"
                   for d in disagreements]
-        if disagreements:
-            return 1, "\n".join(lines), payload
-    return 0, "\n".join(lines), payload
+    return (1 if disagreements else 0), lines, body
 
 
-def _cmd_verify(args):
-    import json as json_mod
-
-    engine = _engine(args)
+def _cmd_verify(args, engine):
     try:
         with open(args.fragment, "r", encoding="utf-8") as fh:
-            data = json_mod.load(fh)
-    except (OSError, json_mod.JSONDecodeError, RecursionError) as exc:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise SemigroupError(f"cannot read fragment: {exc}") from exc
     report = serialize.verify_fragment_json(data, engine)
-    payload = {
-        "config": engine.config.describe(),
-        "kind": "verify",
-        "report": report,
-    }
-    lines = [f"verification: {'passed' if report['passed'] else 'FAILED'}"]
-    lines += [f"  violation: {v}" for v in report["violations"]]
-    return (0 if report["passed"] else 1), "\n".join(lines), payload
+    return ((0 if report["passed"] else 1), _report_lines(report),
+            {"kind": "verify", "report": report})
 
 
 _HANDLERS = {
@@ -343,20 +302,23 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        code, text, payload = _HANDLERS[args.command](args)
+        engine = _engine(args)
+        code, lines, body = _HANDLERS[args.command](args, engine)
+        output = (serialize.dumps({"config": engine.config.describe(), **body})
+                  if args.format == "json" else "\n".join(lines) + "\n")
+        sys.stdout.write(output)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(output)
     except (CheckFailed, ArithmeticError) as exc:
         # a failed consistency check is the engine's fault, not the input's
         sys.stderr.write(f"error: internal check failed: {exc}\n")
         return 1
     except (ValueError, OSError) as exc:
-        # SemigroupError and ResolutionError are ValueErrors too
+        # SemigroupError and ResolutionError are ValueErrors too; an
+        # --output that cannot be written is an OSError
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    output = serialize.dumps(payload) if args.format == "json" else text + "\n"
-    sys.stdout.write(output)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(output)
     return code
 
 

@@ -710,17 +710,20 @@ class ResolutionEngine:
     def check_entries(self, entries: dict) -> dict:
         """Exact checks on a {gid: (level, degree, value, witness)} map; the fragment report.
 
-        Binomials must be homogeneous of their degree and constant-free.  A
-        syzygy entry must reference a generator of the map one level down
-        and be a nonzero, constant-free polynomial of the record's degree
-        with no zero coefficient;
-        each record must compose to zero with the level below.  Each
+        Binomials must be homogeneous of their degree and constant-free,
+        and, since psi0 needs no basis, the image of their witness: its two
+        fiber monomials, the larger in the term order first, as
+        _ensure_generator builds them.  A syzygy entry must reference a
+        generator of the map one level down and be a nonzero, constant-free
+        polynomial of the record's degree with no zero coefficient; each
+        record must compose to zero with the level below.  Each
         witness must be a nonzero cycle on the level-faces of the fiber
         complex at the record's degree, with coefficient 1 at its last face
         in the fixed order, as every fixed homology representative has.  No
         (level, degree) may hold more generators than the homology rank
         from the comparison complex, which shares nothing with the fixed
-        bases the generators came from.
+        bases the generators came from, and each generator index must be
+        below that rank.
         """
         sg = self.semigroup
         violations = []
@@ -739,19 +742,26 @@ class ResolutionEngine:
                     violations.append(f"{gid}: binomial is not homogeneous")
                 if mono_is_unit(value.lead) or mono_is_unit(value.trail):
                     violations.append(f"{gid}: constant term in binomial")
+                if not fault:
+                    image = sorted(self.psi0(witness, degree), key=self.order.key,
+                                   reverse=True)
+                    if [value.lead, value.trail] != image:
+                        violations.append(f"{gid}: binomial is not the image of its witness")
                 continue
             violations += [f"{gid}: {message}" for _type, message
                            in self._syzygy_faults(level, degree, value, entries.get)]
-        counts: dict = {}
-        for level, degree, _value, _witness in entries.values():
-            counts[(level, degree)] = counts.get((level, degree), 0) + 1
+        by_key: dict = {}
+        for gid, (level, degree, _value, _witness) in entries.items():
+            by_key.setdefault((level, degree), []).append(gid)
         ranks: dict = {}
-        for (level, degree), count in sorted(counts.items()):
-            ranks[str(level)] = ranks.get(str(level), 0) + count
+        for (level, degree), gids in sorted(by_key.items()):
+            ranks[str(level)] = ranks.get(str(level), 0) + len(gids)
             bound = self.betti_delta(degree, level)
-            if count > bound:
+            if len(gids) > bound:
                 violations.append(
-                    f"{count} generators at level {level}, degree {degree}, "
+                    f"{len(gids)} generators at level {level}, degree {degree}, "
                     f"but homology rank is {bound}"
                 )
+            violations += [f"{gid}: index {gid[2]} is out of range for homology rank {bound}"
+                           for gid in sorted(gids) if not 0 <= gid[2] < bound]
         return {"passed": not violations, "violations": violations, "ranks": ranks}

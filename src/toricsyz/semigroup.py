@@ -188,8 +188,8 @@ def _fourier_motzkin_numerators(rows: list[tuple[tuple[int, ...], int]], dim: in
 class Semigroup:
     """Validated presentation of a combinatorially finite semigroup.
 
-    Immutable after construction; all query methods are pure (results are
-    memoized internally).
+    Immutable after construction; all query methods are pure (membership
+    answers and the largest member enumeration are memoized internally).
     """
 
     def __init__(self, dim: int, generators):
@@ -229,7 +229,6 @@ class Semigroup:
         # has v.m <= -1
         self._members: frozenset[Degree] = frozenset()
         self._members_bound = -1
-        self._fiber_cache: dict[tuple, tuple[Monomial, ...]] = {}
 
     @classmethod
     def from_dict(cls, data) -> "Semigroup":
@@ -308,16 +307,15 @@ class Semigroup:
         return result
 
     def fiber(self, m: Degree, order: TermOrder) -> tuple[Monomial, ...]:
-        """All monomials of degree m, sorted decreasing in the term order."""
+        """All monomials of degree m, sorted decreasing in the term order.
+
+        Searched afresh on every call: the engine keeps the fiber complex
+        of each degree it visits, so no caller asks for a fiber twice.
+        """
         m = tuple(m)
-        key = (m, order.kind)
-        cached = self._fiber_cache.get(key)
-        if cached is None:
-            sols = self._search(m, find_all=True)
-            cached = tuple(order.sort_decreasing(sols))
-            self._fiber_cache[key] = cached
-            self._member_cache[m] = bool(cached)
-        return cached
+        fiber = tuple(order.sort_decreasing(self._search(m, find_all=True)))
+        self._member_cache[m] = bool(fiber)
+        return fiber
 
     def _search(self, m: Degree, find_all: bool):
         """DFS over exponent vectors with weight-bound pruning.

@@ -152,6 +152,9 @@ def _entry(gen, sg, field):
     if level < 0:
         raise _malformed(f"negative level {level}")
     degree = _ints(gen["degree"], sg.dim, "degree")
+    if gid[:2] != (level, degree):
+        raise _malformed(f"generator id {gen['id']!r} does not have the entry's "
+                         f"level {level} and degree {list(degree)}")
     r = sg.num_generators
     if level == 0:
         value = Binomial(_monomial(gen["value"]["lead"], r),
@@ -171,9 +174,10 @@ def fragment_entries(data, engine: ResolutionEngine) -> dict:
 
     Raises MalformedFragment where the document does not have the shape
     harvest writes: a missing key, a non-object document or entry, a
-    degree, id or monomial of the wrong length, a witness face that is not
-    a list of integers, a generator, generator block, witness face or
-    coefficient monomial listed twice, or an unreadable scalar.
+    degree, id or monomial of the wrong length, an id whose level or degree
+    is not the entry's, a witness face that is not a list of integers, a
+    generator, generator block, witness face or coefficient monomial listed
+    twice, or an unreadable scalar.
     """
     if not isinstance(data, dict):
         raise _malformed("the document is not an object")

@@ -73,6 +73,17 @@ class TestValidate:
         assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_exits_two(capsys, semigroup_file, tmp_path, where):
+    target = tmp_path / "absent" / "x.json" if where == "missing-directory" else tmp_path
+    code = main(["validate", semigroup_file, "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "combinatorially finite, w = (0, 1)\n"
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 class TestFiber:
     def test_degree_21_3(self, capsys, semigroup_file):
         code, out = run(capsys, "fiber", semigroup_file, "-m", "21,3")
@@ -259,6 +270,49 @@ class TestHarvestAndVerify:
         assert code == 1
         assert out.startswith("verification: FAILED\n")
         assert out.count(message) == len(level_one), out
+
+    @pytest.mark.parametrize("new_id, code, message", [
+        ([2, [30, 5], 7], 1, "(2, (30, 5), 7): index 7 is out of range for homology rank 1"),
+        ([2, [61, 10], 7], 2, "does not have the entry's level 2 and degree [30, 5]"),
+        ([5, [30, 5], 0], 2, "does not have the entry's level 2 and degree [30, 5]"),
+    ], ids=["index", "degree-and-index", "level"])
+    def test_verify_ties_ids_to_their_entries(self, capsys, semigroup_file, tmp_path,
+                                              new_id, code, message):
+        frag_path = tmp_path / "fragment.json"
+        assert run(capsys, "--format", "json", "harvest", semigroup_file, "-m", "60,10",
+                   "--max-level", "2", "--output", str(frag_path))[0] == 0
+        data = json.loads(frag_path.read_text(encoding="utf-8"))
+        (gen,) = [g for g in data["generators"] if g["level"] == 2]
+        assert gen["id"] == [2, [30, 5], 0]
+        gen["id"] = new_id
+        frag_path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["verify", semigroup_file, str(frag_path)]) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.err.startswith("error: malformed fragment: generator id ")
+            assert message in captured.err and captured.out == ""
+        else:
+            assert captured.out == f"verification: FAILED\n  violation: {message}\n"
+
+    @pytest.mark.parametrize("edit", [
+        lambda value: {"lead": value["lead"], "trail": value["lead"]},
+        lambda value: {"lead": value["trail"], "trail": value["lead"]},
+    ], ids=["zero-binomial", "swapped"])
+    def test_verify_ties_binomials_to_their_witness(self, capsys, semigroup_file,
+                                                    tmp_path, edit):
+        # psi0 maps the witness v1 - v0 to its two fiber monomials, and the
+        # binomial is those two, the larger in the term order first
+        frag_path = tmp_path / "fragment.json"
+        assert run(capsys, "--format", "json", "harvest", semigroup_file, "-m", "21,3",
+                   "--max-level", "0", "--output", str(frag_path))[0] == 0
+        data = json.loads(frag_path.read_text(encoding="utf-8"))
+        (gen,) = data["generators"]
+        gen["value"] = edit(gen["value"])
+        frag_path.write_text(json.dumps(data), encoding="utf-8")
+        code, out = run(capsys, "verify", semigroup_file, str(frag_path))
+        assert code == 1
+        assert out == ("verification: FAILED\n  violation: (0, (21, 3), 0): "
+                       "binomial is not the image of its witness\n")
 
 
 class TestScan:
