@@ -26,6 +26,7 @@ import sys
 from fractions import Fraction
 
 from . import serialize
+from .complexes import build_delta
 from .config import Config
 from .orders import mono_str
 from .resolution import CheckFailed, ResolutionEngine
@@ -138,7 +139,9 @@ def _engine(args) -> ResolutionEngine:
 
 
 # each handler takes the parsed arguments and the engine main() built from
-# them, and returns (exit code, text lines, JSON body without the header)
+# them, and returns (exit code, text lines, JSON body without the header);
+# where a form costs a walk over the whole result, only the one --format
+# asks for is built and the other is left empty
 
 def _cmd_validate(args, engine):
     w = [str(x) for x in engine.semigroup.grading]
@@ -170,8 +173,8 @@ def _cmd_nabla(args, engine):
 
 def _cmd_delta(args, engine):
     m = _parse_degree(args.degree, engine.semigroup.dim)
-    cx = engine.delta(m)
-    lines = [f"comparison complex at {m}: {len(cx.faces)} face(s) including the empty one"]
+    cx = build_delta(engine.semigroup, m)
+    lines = [f"comparison complex at {m}: {len(cx.masks)} face(s) including the empty one"]
     lines += [f"  facet {list(f)}" for f in cx.facets()]
     return 0, lines, {"kind": "delta", **cx.to_dict()}
 
@@ -208,10 +211,10 @@ def _cmd_minimalize(args, engine):
     lead = _parse_exponents(args.lead, r)
     trail = _parse_exponents(args.trail, r)
     result = engine.minimalize_binomial(lead, trail)
-    body = serialize.decomposition_to_json(
-        result, engine, {"lead": list(lead), "trail": list(trail)}
-    )
-    return 0, [serialize.decomposition_text(result, engine)], body
+    if args.format == "json":
+        return 0, [], serialize.decomposition_to_json(
+            result, engine, {"lead": list(lead), "trail": list(trail)})
+    return 0, [serialize.decomposition_text(result, engine)], {}
 
 
 def _report_lines(report) -> list:
@@ -227,7 +230,7 @@ def _cmd_harvest(args, engine):
     lines += [f"  level {level}: {count} generator(s)"
               for level, count in sorted(fragment.ranks().items())]
     lines += _report_lines(fragment.report)
-    body = serialize.fragment_to_json(fragment, engine)
+    body = serialize.fragment_to_json(fragment, engine) if args.format == "json" else {}
     return (0 if fragment.report["passed"] else 1), lines, body
 
 

@@ -13,11 +13,14 @@ cover above (F is a face exactly when some fiber monomial is divisible by
 every x_i with i in F), so by the nerve theorem both complexes have the
 same reduced homology; rank-only queries use it, since it has at most 2^r
 faces and needs no fiber.  The test suite checks the equality as a
-property.
+property.  Its faces are subset masks of the r indices, and since the
+complex depends on m only through which subsets pass the test, many
+degrees share one face set: the engine reduces one complex per face set.
 """
 from __future__ import annotations
 
 from itertools import combinations
+from operator import sub
 
 from .orders import (
     Monomial,
@@ -134,47 +137,47 @@ def build_nabla(semigroup: Semigroup, m: Degree, order: TermOrder) -> NablaCompl
 class DeltaComplex:
     """Complex on variable indices: F is a face iff m - n_F stays in S.
 
-    Contains the empty face whenever m itself lies in S.  Faces of each
-    dimension are ordered by ascending index tuple.  Immutable after
-    construction, except for two memos: the face lists by dimension, and
-    the boundary reductions that homology.reduce_boundary keeps in
-    ``_reductions``.
+    Faces are held as subset masks, bit i standing for variable i; the
+    empty face, mask 0, is one whenever m itself lies in S.  Faces of each
+    dimension are listed as index tuples in ascending order.  Only the
+    export reads the degree, so the engine lets one complex stand for
+    every degree with its face set.  Immutable after construction, except
+    for two memos: the face lists by dimension, and the boundary
+    reductions that homology.reduce_boundary keeps in ``_reductions``.
     """
 
-    def __init__(self, semigroup: Semigroup, degree: Degree, faces: frozenset):
+    def __init__(self, semigroup: Semigroup, degree: Degree, masks: frozenset[int]):
         self.semigroup = semigroup
         self.degree = tuple(degree)
-        self.faces = faces
+        self.masks = masks
         self.num_vertices = semigroup.num_generators
         self._by_dim: dict[int, tuple[Face, ...]] = {}
         self._reductions: dict = {}  # owned by homology.reduce_boundary
 
     @property
     def is_void(self) -> bool:
-        return not self.faces
+        return not self.masks
 
     @property
     def is_irrelevant(self) -> bool:
-        return self.faces == frozenset({()})
+        return self.masks == {0}
 
     @property
     def dimension(self) -> int:
-        return max((len(f) for f in self.faces), default=0) - 1
+        return max((k.bit_count() for k in self.masks), default=0) - 1
 
     def faces_of_dim(self, j: int) -> tuple[Face, ...]:
         cached = self._by_dim.get(j)
         if cached is None:
-            cached = tuple(sorted(f for f in self.faces if len(f) == j + 1))
+            cached = tuple(sorted(_mask_face(k) for k in self.masks
+                                  if k.bit_count() == j + 1))
             self._by_dim[j] = cached
         return cached
 
     def facets(self) -> tuple[Face, ...]:
-        proper = {f for f in self.faces if f}
-        maximal = [
-            f for f in proper
-            if not any(set(f) < set(other) for other in proper)
-        ]
-        return tuple(sorted(maximal))
+        proper = [k for k in self.masks if k]
+        maximal = [k for k in proper if not any(k != o and k & o == k for o in proper)]
+        return tuple(sorted(map(_mask_face, maximal)))
 
     def to_dict(self):
         return {
@@ -184,35 +187,46 @@ class DeltaComplex:
         }
 
     def __repr__(self):
-        return f"DeltaComplex(degree={self.degree}, faces={len(self.faces)})"
+        return f"DeltaComplex(degree={self.degree}, faces={len(self.masks)})"
+
+
+def _mask_face(mask: int) -> Face:
+    """The ascending index tuple of the set bits of a subset mask."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def build_delta(semigroup: Semigroup, m: Degree) -> DeltaComplex:
-    """The comparison complex of m, built up one face size at a time.
+    """The comparison complex of m, grown one face size at a time as subset masks.
 
     Faces are closed under subsets (m - n_F in S implies m - n_G in S for
-    G inside F), so a candidate is tested for membership only when each of
-    its facets is already a face.
+    G inside F), so a face F grows only by an index i above all of its
+    own, and the candidate F | bit i is tested for membership only when
+    each of its other facets, the candidate with one bit of F cleared, is
+    already a face.  Each face carries its bits and m - n_F, so a
+    candidate costs lookups, one subtraction and one membership test; the
+    work follows the faces found, never all 2^r subsets.
     """
     m = tuple(m)
     if not semigroup.member(m):
         return DeltaComplex(semigroup, m, frozenset())
-    r = semigroup.num_generators
+    member = semigroup.member
     gens = semigroup.generators
-    shifted = {(): m}  # face F -> m - n_F
-    layer = [()]
+    r = len(gens)
+    faces = {0}
+    layer = [(0, (), m)]  # (face mask F, its bits ascending, m - n_F)
     while layer:
         grown = []
-        for face in layer:
-            rest = shifted[face]
-            for i in range(face[-1] + 1 if face else 0, r):
-                cand = face + (i,)
-                if any(cand[:k] + cand[k + 1:] not in shifted
-                       for k in range(len(face))):
-                    continue
-                target = semigroup.sub_degree(rest, gens[i])
-                if semigroup.member(target):
-                    shifted[cand] = target
-                    grown.append(cand)
+        for face, bits, rest in layer:
+            for i in range(face.bit_length(), r):
+                bit = 1 << i
+                cand = face | bit
+                for other in bits:
+                    if cand ^ other not in faces:
+                        break
+                else:
+                    target = tuple(map(sub, rest, gens[i]))
+                    if member(target):
+                        faces.add(cand)
+                        grown.append((cand, bits + (bit,), target))
         layer = grown
-    return DeltaComplex(semigroup, m, frozenset(shifted))
+    return DeltaComplex(semigroup, m, frozenset(faces))

@@ -261,7 +261,10 @@ class ResolutionEngine:
         self.field = get_field(self.config.field)
         self.registry = GeneratorRegistry()
         self._nabla: dict[Degree, NablaComplex] = {}
-        self._delta: dict[Degree, DeltaComplex] = {}
+        # degree -> its comparison complex's face set, and face set -> the
+        # one complex, with its reductions, that all those degrees share
+        self._delta_faces: dict[Degree, frozenset[int]] = {}
+        self._delta: dict[frozenset[int], DeltaComplex] = {}
         self._bases: dict[tuple, ChainBasis] = {}
         self._psi: dict[tuple, SyzygyVector] = {}
         self._lifts: dict[tuple, tuple] = {}
@@ -276,14 +279,6 @@ class ResolutionEngine:
         if cx is None:
             cx = build_nabla(self.semigroup, m, self.order)
             self._nabla[m] = cx
-        return cx
-
-    def delta(self, m: Degree) -> DeltaComplex:
-        m = tuple(m)
-        cx = self._delta.get(m)
-        if cx is None:
-            cx = build_delta(self.semigroup, m)
-            self._delta[m] = cx
         return cx
 
     def chain_basis(self, m: Degree, j: int) -> ChainBasis:
@@ -325,10 +320,18 @@ class ResolutionEngine:
         The comparison complex minus its empty face is the nerve of the
         fiber complex's cover by one simplex per variable, so by the nerve
         theorem both have the same reduced homology; this one has at most
-        2^r faces and needs no fiber.  The complex keeps its boundary
-        reductions, so neighbouring dimensions share them.
+        2^r faces and needs no fiber.  It depends on m only through its
+        face set, so every degree with the same face set shares one
+        complex, built at the first of them; that complex keeps its
+        boundary reductions, so each (face set, dimension) is reduced once
+        and neighbouring dimensions share them.
         """
-        return betti_reduced(self.delta(m), j, self.field)
+        m = tuple(m)
+        faces = self._delta_faces.get(m)
+        if faces is None:
+            cx = build_delta(self.semigroup, m)
+            faces = self._delta_faces[m] = self._delta.setdefault(cx.masks, cx).masks
+        return betti_reduced(self._delta[faces], j, self.field)
 
     # -- one recursion step, every level ----------------------------------
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from toricsyz.complexes import NablaComplex
+from toricsyz.complexes import DeltaComplex, NablaComplex
 from toricsyz.homology import ChainBasis, GaussDecomposition, boundary_matrix, gauss_reduce
 from toricsyz.orders import mono_div, mono_is_unit, mono_mul
 from toricsyz.resolution import ResolutionEngine, ResolutionFragment
@@ -245,7 +245,40 @@ def nabla_is_face(complex_, face) -> bool:
 
 def delta_is_face(complex_, face) -> bool:
     """Whether a set of variable indices is a face of a comparison complex."""
-    return tuple(sorted(face)) in complex_.faces
+    return face_masks([face]) <= complex_.masks
+
+
+def face_masks(faces) -> frozenset[int]:
+    """Index-tuple faces as the subset masks a DeltaComplex holds, bit i for index i."""
+    return frozenset(sum(1 << i for i in face) for face in faces)
+
+
+def layered_delta(sg, m) -> DeltaComplex:
+    """The comparison complex of m, grown one face size at a time as index tuples.
+
+    A candidate face + (i,), with i above the face's last index, is tested
+    for membership only when each facet that drops one of the face's own
+    indices is already a face.
+    """
+    m = tuple(m)
+    if not sg.member(m):
+        return DeltaComplex(sg, m, frozenset())
+    r = sg.num_generators
+    shifted = {(): m}  # face F -> m - n_F
+    layer = [()]
+    while layer:
+        grown = []
+        for face in layer:
+            for i in range(face[-1] + 1 if face else 0, r):
+                cand = face + (i,)
+                if any(cand[:k] + cand[k + 1:] not in shifted for k in range(len(face))):
+                    continue
+                target = sg.sub_degree(shifted[face], sg.generators[i])
+                if sg.member(target):
+                    shifted[cand] = target
+                    grown.append(cand)
+        layer = grown
+    return DeltaComplex(sg, m, face_masks(shifted))
 
 
 def restrict_nabla(complex_, beta) -> NablaComplex:

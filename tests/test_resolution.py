@@ -17,6 +17,7 @@ from toricsyz import (
     ResolutionError,
     ResolutionFragment,
     Semigroup,
+    build_delta,
 )
 from toricsyz.resolution import CheckFailed, UnknownGenerator
 from toricsyz.resolution import (
@@ -636,7 +637,7 @@ class TestComparisonComplexOnlyForCounts:
     def test_minimalize_builds_no_comparison_complex(self):
         engine = ResolutionEngine(Semigroup(1, [[3], [5]]), Config())
         engine.minimalize_binomial((100, 0), (0, 60))
-        assert engine._delta == {}
+        assert engine._delta_faces == {} and engine._delta == {}
 
     def test_harvest_builds_comparison_complexes_only_where_it_counts(self, engine,
                                                                         monkeypatch):
@@ -651,12 +652,43 @@ class TestComparisonComplexOnlyForCounts:
         monkeypatch.setattr(ResolutionEngine, "_decompose_reduced", recording)
         fragment = engine.harvest(m, max_level)
         assert fragment.report["passed"]
-        # one comparison complex per candidate degree, and no other
-        assert set(engine._delta) == _candidates(engine.semigroup, m, max_level)
+        # a face set looked up for each candidate degree and no other, and
+        # one shared complex per distinct face set among them
+        candidates = _candidates(engine.semigroup, m, max_level)
+        assert set(engine._delta_faces) == candidates
+        assert set(engine._delta) == {build_delta(engine.semigroup, mp).masks
+                                      for mp in candidates}
+        assert all(engine._delta[faces].masks is faces
+                   for faces in engine._delta_faces.values())
         # a fiber basis only where a generator sits or the recursion splits a cycle
         registered = {(rec.degree, rec.level) for rec in engine.registry.records.values()}
         assert set(engine._bases) == registered | read
         assert len(engine._bases) == 9
+
+    def test_scan_reduces_each_face_set_once(self, example_semigroup, tmp_path, capsys,
+                                             monkeypatch):
+        from collections import Counter
+
+        from toricsyz import homology
+        from toricsyz.cli import main
+
+        reductions = Counter()  # (face set, dimension) -> boundary maps reduced
+        for name in ("_spanning_forest", "boundary_matrix"):
+            def counted(complex_, j, *args, _original=getattr(homology, name)):
+                reductions[complex_.masks, j] += 1
+                return _original(complex_, j, *args)
+            monkeypatch.setattr(homology, name, counted)
+        path = tmp_path / "example.json"
+        path.write_text(json.dumps(example_semigroup.to_dict()))
+        # the bench scan: weight <= 10, j <= 2, over Z/32003
+        assert main(["scan", str(path), "--w-bound", "10", "--jmax", "2",
+                     "--field", "32003", "--format", "json"]) == 0
+        degrees = [tuple(row["degree"]) for row in json.loads(capsys.readouterr().out)["rows"]]
+        face_sets = {build_delta(example_semigroup, m).masks for m in degrees}
+        assert (len(degrees), len(face_sets)) == (230, 29)
+        assert max(reductions.values()) == 1
+        # the irrelevant complex at degree 0 has no vertex, so nothing to reduce
+        assert {faces for faces, _j in reductions} == face_sets - {frozenset({0})}
 
 
 class TestHugeMaxLevel:
