@@ -14,7 +14,8 @@ recurses at a strictly smaller degree.  The step on a content-free input
 is made once per engine: inputs that differ only by content share it.
 
 Harvesting a degree M walks no faces: the comparison complexes at the
-candidate degrees M - deg gcd(U) say where the generators sit.
+degrees of its divisor set D(M) = {m' in S : M - m' in S} say where the
+generators below M sit and how many there are.
 
 Every generator is identified by (level, degree, index of its homology
 representative in the fixed basis), which makes results of independent
@@ -664,42 +665,31 @@ class ResolutionEngine:
 
     # -- harvesting -----------------------------------------------------------
 
-    def candidate_degrees(self, m: Degree, max_level: int) -> list[Degree]:
-        """C(m): every m - deg gcd(U), U at most min(r, max_level + 2) fiber monomials at m.
-
-        A degree m' with m - m' in S and homology at a level j <= max_level
-        has j + 2 fiber monomials with gcd 1 (else its fiber complex holds the
-        full (j+1)-skeleton); times x^c of degree m - m', their gcd is x^c.
-        The gcd of any set is that of at most r of its members.  Sorted.
-        """
-        sg = self.semigroup
-        vertices = self.nabla(m).vertices
-        gcds = layer = frozenset(vertices)
-        for _ in range(min(sg.num_generators, max_level + 2) - 1):
-            layer = {tuple(map(min, g, v)) for g in layer for v in vertices} - gcds
-            if not layer:
-                break
-            gcds |= layer
-        return sorted({sg.sub_degree(m, sg.degree_of(g)) for g in gcds})
-
     def harvest(self, m: Degree, max_level: int) -> ResolutionFragment:
         """Register every generator up to max_level that the recursion from m reaches.
 
-        They sit at the candidate degrees, where the comparison complex
-        gives their number per level.  Its reduced homology vanishes from
-        dimension r - 1 on, so levels beyond r - 2 cost nothing.
+        They sit in the divisor set D(m) = {m' in S : m - m' in S}, where
+        the comparison complex gives their number per level.  Its reduced
+        homology vanishes from dimension r - 1 on, so levels beyond r - 2
+        cost nothing.  D(m) is read off one enumeration of S up to the
+        weight of m, which also answers every membership test of the
+        comparison complexes, m's own included, by lookup.
         """
         if max_level < 0:
             raise ResolutionError(f"--max-level must be nonnegative, got {max_level}")
         m = tuple(m)
+        sg = self.semigroup
         levels: dict[int, list] = {}
-        if self.semigroup.member(m):
-            top = min(max_level, self.semigroup.num_generators - 2)
-            for mp in self.candidate_degrees(m, max_level):
+        below = sg.degrees_up_to(sg.weight(m))
+        if sg.member(m):
+            top = min(max_level, sg.num_generators - 2)
+            for mp in below:
+                if not sg.member(sg.sub_degree(m, mp)):
+                    continue
                 for j in range(top + 1):
                     for idx in range(self.betti_delta(mp, j)):
                         self._ensure_generator(j, mp, idx)
-            levels = {level: self.registry.level_records(level, self.semigroup)
+            levels = {level: self.registry.level_records(level, sg)
                       for level in sorted(self.registry.by_level) if level <= max_level}
         fragment = ResolutionFragment(m, max_level, levels)
         fragment.report = self.verify_fragment(fragment)

@@ -2,11 +2,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from toricsyz.complexes import DeltaComplex, NablaComplex
 from toricsyz.homology import ChainBasis, GaussDecomposition, boundary_matrix, gauss_reduce
-from toricsyz.orders import mono_div, mono_is_unit, mono_mul
+from toricsyz.orders import DEGREVLEX, mono_div, mono_is_unit, mono_mul
 from toricsyz.resolution import ResolutionEngine, ResolutionFragment
 from toricsyz.semigroup import _fourier_motzkin_numerators
 from toricsyz.serialize import record_to_json
@@ -33,6 +33,31 @@ def brute_force_fiber(sg, m) -> set:
 def s_less(sg, mp, m) -> bool:
     """The divisibility partial order of S: mp precedes m iff m - mp is in S."""
     return sg.member(sg.sub_degree(m, mp))
+
+
+def gcd_closure_degrees(sg, m, max_level) -> set:
+    """C(m): m - deg gcd(U) over every set U of at most min(r, max_level + 2) fiber monomials.
+
+    A degree m' with m - m' in S and homology at a level j <= max_level has
+    j + 2 fiber monomials with gcd 1 (else its fiber complex holds the full
+    (j+1)-skeleton); times x^c of degree m - m', their gcd is x^c.  The gcd
+    of any set is that of at most r of its members.  So C(m) holds every
+    such m', though it is a subset of D(m) (`divisor_degrees`).
+    """
+    size = min(sg.num_generators, max_level + 2)
+    return {sg.sub_degree(m, sg.degree_of(tuple(map(min, zip(*subset)))))
+            for k in range(1, size + 1)
+            for subset in combinations(sg.fiber(m, DEGREVLEX), k)}
+
+
+def divisor_degrees(sg, m) -> set:
+    """D(m) = {m' in S : m - m' in S}, without the semigroup's enumeration.
+
+    m' is in D(m) exactly when m' is the degree of a monomial dividing one
+    of degree m, so D(m) is read off the divisors of the fiber at m.
+    """
+    return {sg.degree_of(alpha) for beta in sg.fiber(m, DEGREVLEX)
+            for alpha in product(*(range(b + 1) for b in beta))}
 
 
 def fourier_motzkin_point(rows: list[tuple[tuple[int, ...], int]], dim: int):

@@ -720,9 +720,11 @@ class TestInternalCheckFailures:
 
 
 class TestMembershipBySetLookup:
-    """scan answers its face tests from its own degree enumeration; a
-    single-degree command never enumerates, since an enumeration up to the
-    weight of a large degree costs far more than the searches it saves."""
+    """scan and harvest answer their membership tests from their own degree
+    enumeration: scan lists the degrees it reports, harvest the divisor set
+    D(M) of its degree.  betti and delta never enumerate, since an
+    enumeration up to the weight of a large degree costs far more than the
+    searches it saves."""
 
     def test_scan_searches_for_no_member_after_enumerating(self, capsys, semigroup_file,
                                                            monkeypatch):
@@ -747,11 +749,36 @@ class TestMembershipBySetLookup:
         assert len(out.splitlines()) > 100  # a row for each degree of weight <= 10
         assert searches == []
 
+    def test_harvest_searches_for_no_member_after_enumerating(self, capsys,
+                                                              semigroup_file,
+                                                              monkeypatch):
+        searches, enumerated = [], []
+        degrees_up_to, search = Semigroup.degrees_up_to, Semigroup._search
+
+        def enumerate_degrees(self, w_bound):
+            enumerated.append(w_bound)
+            return degrees_up_to(self, w_bound)
+
+        def logged_search(self, m, find_all):
+            if not find_all:
+                searches.append(m)
+            return search(self, m, find_all)
+
+        monkeypatch.setattr(Semigroup, "degrees_up_to", enumerate_degrees)
+        monkeypatch.setattr(Semigroup, "_search", logged_search)
+        code, out = run(capsys, "harvest", semigroup_file, "-m", "60,10",
+                        "--max-level", "3")
+        assert code == 0
+        assert "level 2: 1 generator(s)" in out
+        # one enumeration, up to the weight of (60,10) under w = (0, 1),
+        # made before any membership test, (60,10)'s own included
+        assert enumerated == [10]
+        assert searches == []
+
     @pytest.mark.parametrize("argv", [
         ["betti", "-m", "90,15"],
         ["delta", "-m", "60,10"],
-        ["harvest", "-m", "60,10", "--max-level", "3"],
-    ], ids=["betti", "delta", "harvest"])
+    ], ids=["betti", "delta"])
     def test_single_degree_commands_enumerate_nothing(self, capsys, semigroup_file,
                                                       monkeypatch, argv):
         enumerations = []

@@ -29,6 +29,7 @@ from toricsyz.homology import basis_cache_key
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 EXAMPLE = os.path.join(GOLDEN, "example.json")
 S35 = os.path.join(GOLDEN, "s35.json")
+S4567 = os.path.join(GOLDEN, "s4567.json")
 
 # golden file -> command line; each writes its JSON document via --output
 OUTPUTS = {
@@ -37,6 +38,12 @@ OUTPUTS = {
     "harvest_60_10_l2_p32003.json":
         ["harvest", EXAMPLE, "-m", "60,10", "--max-level", "2", "--field", "32003",
          "--format", "json"],
+    # two degrees far above their generators: the semigroup holds many
+    # more degrees below them than the fiber has monomials
+    "harvest_240_40_l3_rational.json":
+        ["harvest", EXAMPLE, "-m", "240,40", "--max-level", "3", "--format", "json"],
+    "harvest_s4567_120_l3_rational.json":
+        ["harvest", S4567, "-m", "120", "--max-level", "3", "--format", "json"],
     # the paper's binomial x2^2 x3^6 - x1^3 x4^5 of degree (52, 8)
     "minimalize_52_8.json":
         ["minimalize", EXAMPLE, "--lead", "0,2,6,0", "--trail", "3,0,0,5", "--format", "json"],

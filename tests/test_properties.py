@@ -21,8 +21,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 from oracles import (
     MemoOffEngine,
     brute_force_fiber,
+    divisor_degrees,
     face_masks,
     fourier_motzkin_point,
+    gcd_closure_degrees,
     greedy_extension,
     layered_delta,
     harvest_every_basis,
@@ -372,7 +374,7 @@ def _assert_harvest_is_the_walk(sg, m, max_level, field, order):
 
 @given(data=st.data())
 def test_harvest_matches_building_every_basis(data):
-    # harvest visits only the candidate degrees; the face walk at m that it
+    # harvest visits only the degrees of D(m); the face walk at m that it
     # replaced, building every basis there, must register the same generators
     sg = data.draw(presentations(max_dim=2, max_gens=4, min_codim=1))
     degrees = [m for m in sg.degrees_up_to(5) if len(sg.fiber(m, DEGREVLEX)) <= 10]
@@ -387,10 +389,34 @@ def test_harvest_matches_building_every_basis(data):
     ([[4], [5], [6], [7]], (40,), 1, "rational", "degrevlex"),
     ([[4], [5], [6], [7]], (34,), 3, 32003, "lex"),
     ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], (30, 30, 30), 3, 5, "degrevlex"),
-], ids=["s4567-at-40", "s4567-at-34", "free-e1-e2-e3"])
+    # D(m) has 125 degrees where the gcd closure at level 3 has 35
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1]], (4, 4, 4), 3, 5,
+     "degrevlex"),
+], ids=["s4567-at-40", "s4567-at-34", "free-e1-e2-e3", "path-e1-e2-e3-at-4"])
 def test_harvest_matches_the_walk_on_fixed_inputs(columns, m, max_level, field, order):
     _assert_harvest_is_the_walk(Semigroup(len(columns[0]), columns), m, max_level,
                                 field, order)
+
+
+@given(data=st.data())
+def test_divisor_set_has_the_homology_of_the_gcd_closure(data):
+    # the gcd closure C(m) lies in D(m), which harvest visits, and has the
+    # same degrees and levels of nonzero homology, so both register the same
+    # generators
+    sg = data.draw(presentations())
+    degrees = [m for m in sg.degrees_up_to(5) if len(sg.fiber(m, DEGREVLEX)) <= 10]
+    max_level = data.draw(st.integers(0, 3))
+    for field in FIELDS:
+        engine = ResolutionEngine(sg, Config(field=field))
+
+        def with_homology(degrees):
+            return {(mp, j) for mp in degrees for j in range(max_level + 1)
+                    if engine.betti_delta(mp, j)}
+
+        for m in degrees:
+            closure, divisors = gcd_closure_degrees(sg, m, max_level), divisor_degrees(sg, m)
+            assert closure <= divisors, (sg, m)
+            assert with_homology(closure) == with_homology(divisors), (sg, m, field)
 
 
 @given(data=st.data())

@@ -1,9 +1,8 @@
 import json
 import random
-from itertools import combinations
 
 import pytest
-from oracles import oracle_v0, registry_to_json
+from oracles import divisor_degrees, oracle_v0, registry_to_json
 
 from toricsyz import (
     Binomial,
@@ -625,14 +624,6 @@ class TestLevelZeroWithoutElimination:
         assert not edges & set(widths), sorted(edges & set(widths))
 
 
-def _candidates(sg, m, max_level):
-    """m - deg gcd(U) over every set U of at most min(r, max_level + 2) fiber monomials."""
-    size = min(sg.num_generators, max_level + 2)
-    return {sg.sub_degree(m, sg.degree_of(tuple(map(min, zip(*subset)))))
-            for k in range(1, size + 1)
-            for subset in combinations(sg.fiber(m, DEGREVLEX), k)}
-
-
 class TestComparisonComplexOnlyForCounts:
     def test_minimalize_builds_no_comparison_complex(self):
         engine = ResolutionEngine(Semigroup(1, [[3], [5]]), Config())
@@ -652,14 +643,17 @@ class TestComparisonComplexOnlyForCounts:
         monkeypatch.setattr(ResolutionEngine, "_decompose_reduced", recording)
         fragment = engine.harvest(m, max_level)
         assert fragment.report["passed"]
-        # a face set looked up for each candidate degree and no other, and
+        # a face set looked up for each degree of D(m) and no other, and
         # one shared complex per distinct face set among them
-        candidates = _candidates(engine.semigroup, m, max_level)
-        assert set(engine._delta_faces) == candidates
+        divisors = divisor_degrees(engine.semigroup, m)
+        assert set(engine._delta_faces) == divisors
         assert set(engine._delta) == {build_delta(engine.semigroup, mp).masks
-                                      for mp in candidates}
+                                      for mp in divisors}
+        assert (len(divisors), len(engine._delta)) == (109, 29)
         assert all(engine._delta[faces].masks is faces
                    for faces in engine._delta_faces.values())
+        # m has no homology, so its fiber complex is never built
+        assert m not in engine._nabla
         # a fiber basis only where a generator sits or the recursion splits a cycle
         registered = {(rec.degree, rec.level) for rec in engine.registry.records.values()}
         assert set(engine._bases) == registered | read
@@ -708,9 +702,10 @@ class TestHugeMaxLevel:
         fragment, faces, betti = traced(10 ** 5)
         r = example_semigroup.num_generators
         assert fragment.report["passed"] and fragment.ranks() == {0: 4, 1: 4, 2: 1}
-        # at most r - 1 levels per candidate, plus the report's one per (level, degree)
-        candidates = _candidates(example_semigroup, (60, 10), r - 2)
-        assert betti <= len(candidates) * (r - 1) + len(
+        # at most r - 1 levels per degree of D(m), plus the report's one per
+        # (level, degree)
+        divisors = divisor_degrees(example_semigroup, (60, 10))
+        assert betti <= len(divisors) * (r - 1) + len(
             {(rec.level, rec.degree) for rec in fragment.all_records()})
         # a level beyond r - 2 changes nothing
         assert traced(r - 2)[1:] == (faces, betti)
