@@ -671,21 +671,19 @@ class ResolutionEngine:
         They sit in the divisor set D(m) = {m' in S : m - m' in S}, where
         the comparison complex gives their number per level.  Its reduced
         homology vanishes from dimension r - 1 on, so levels beyond r - 2
-        cost nothing.  D(m) is read off one enumeration of S up to the
-        weight of m, which also answers every membership test of the
-        comparison complexes, m's own included, by lookup.
+        cost nothing.  `Semigroup.divisors` enumerates S only inside m - C,
+        C the real cone of S, which also answers every membership test of
+        the comparison complexes, m's own included, by lookup.
         """
         if max_level < 0:
             raise ResolutionError(f"--max-level must be nonnegative, got {max_level}")
         m = tuple(m)
         sg = self.semigroup
         levels: dict[int, list] = {}
-        below = sg.degrees_up_to(sg.weight(m))
+        divisors = sg.divisors(m)
         if sg.member(m):
             top = min(max_level, sg.num_generators - 2)
-            for mp in below:
-                if not sg.member(sg.sub_degree(m, mp)):
-                    continue
+            for mp in sorted(divisors):
                 for j in range(top + 1):
                     for idx in range(self.betti_delta(mp, j)):
                         self._ensure_generator(j, mp, idx)

@@ -22,14 +22,17 @@ cross-multiplication, and each coordinate is reduced once.  This gives
 the same w as rational arithmetic, and the numerators are also the
 integer weights of the fiber search and of the degree enumeration.
 
-Membership has two answers that always agree.  `members_up_to` lists
-every element up to a weight bound, breadth first over the generators in
-those integer weights, and the semigroup keeps the largest such list: a
-degree at or below its bound is a member exactly when it is listed, so
-`member` answers it by lookup.  Any other degree gets a depth-first
-search.  Only an explicit `members_up_to` or `degrees_up_to` call
-enumerates; a membership query never does, so call history changes what
-an answer costs, never the answer.
+Membership has two answers that always agree.  An enumeration lists
+every element in a region {x : y.x <= b for each row (y, b)} whose rows
+are nonnegative on the generators, breadth first over the generators, and
+the semigroup keeps the last one: a degree in its region is a member
+exactly when it is listed, so `member` answers it by lookup.  Any other
+degree gets a depth-first search.  `members_up_to` enumerates a weight
+ball (and keeps the largest), `divisors(m)` the region m - C cut out by
+the facets of the real cone C of S, which holds the divisor set
+D(m) = {m' in S : m - m' in S} and, on a normal semigroup, nothing else.
+Only those calls enumerate; a membership query never does, so call
+history changes what an answer costs, never the answer.
 
 Presentations are read strictly: dim and every generator entry must be
 ints (not bools), so a float, string or null in a JSON input is an error
@@ -39,8 +42,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import combinations
 from math import floor, gcd, lcm
-from operator import add, mul
+from operator import add, le, mul, sub
 
 from .homology import RationalField, gauss_reduce
 from .orders import Monomial, TermOrder
@@ -61,7 +65,12 @@ class NotCombinatoriallyFinite(SemigroupError):
 
 
 def _dot(w, v):
-    return sum(a * b for a, b in zip(w, v))
+    return sum(map(mul, w, v))
+
+
+def _sparse_rows(rows):
+    """Integer rows as gauss_reduce reads them: (column, entry) per nonzero entry."""
+    return [[(k, x) for k, x in enumerate(row) if x] for row in rows]
 
 
 def _shown(x) -> str:
@@ -224,11 +233,12 @@ class Semigroup:
         # products with the generators, for the fiber and membership search
         self.grading, self._int_grading, self._wdots = self._positive_grading()
         self._member_cache: dict[Degree, bool] = {}
-        # the largest enumeration so far: every element m with v.m at most
-        # _members_bound (v the integer grading); none yet, and no element
-        # has v.m <= -1
+        # the kept enumeration: every element x with y.x <= b for each row
+        # (y, b) of _region; none yet, and no element has v.x <= -1 (v the
+        # integer grading)
         self._members: frozenset[Degree] = frozenset()
-        self._members_bound = -1
+        self._region = ((self._int_grading, -1),)
+        self._facets = None  # the real cone's facet normals, once asked for
 
     @classmethod
     def from_dict(cls, data) -> "Semigroup":
@@ -291,8 +301,8 @@ class Semigroup:
     def member(self, m: Degree) -> bool:
         """Is m a nonnegative integer combination of the generators?
 
-        A degree within the largest enumeration so far (`members_up_to`)
-        is answered by lookup; any other runs the depth-first search.
+        A degree within the region of the kept enumeration is answered by
+        lookup; any other runs the depth-first search.
         """
         m = tuple(m)
         if m in self._members:
@@ -300,7 +310,7 @@ class Semigroup:
         cached = self._member_cache.get(m)
         if cached is not None:
             return cached
-        if _dot(self._int_grading, m) <= self._members_bound:
+        if all(_dot(y, m) <= b for y, b in self._region):
             return False
         result = self._search(m, find_all=False) is True
         self._member_cache[m] = result
@@ -377,36 +387,99 @@ class Semigroup:
             return bool(solutions)
         return solutions
 
+    def _enumerate(self, region) -> frozenset[Degree]:
+        """Every element x with y.x <= b for each row (y, b) of region, kept for `member`.
+
+        Each y is nonnegative on the generators, so the region holds every
+        partial sum of a factorization of each element in it, and a breadth
+        first walk from 0 that steps only inside the region reaches them
+        all.  Row values are carried along as integers, summed only for a
+        step to an element not seen yet.
+        """
+        zero = self.zero_degree()
+        bounds = tuple(b for _, b in region)
+        steps = tuple((n, tuple(_dot(y, n) for y, _ in region)) for n in self.generators)
+        seen = {zero} if min(bounds) >= 0 else set()
+        frontier = [(zero, (0,) * len(region))] if seen else []
+        while frontier:
+            nxt = []
+            for m, vals in frontier:
+                for n, dn in steps:
+                    m2 = tuple(map(add, m, n))
+                    if m2 not in seen:
+                        vals2 = tuple(map(add, vals, dn))
+                        if all(map(le, vals2, bounds)):
+                            seen.add(m2)
+                            nxt.append((m2, vals2))
+            frontier = nxt
+        self._members, self._region = frozenset(seen), region
+        return self._members
+
     def members_up_to(self, w_bound) -> frozenset[Degree]:
         """All semigroup elements of weight at most w_bound.
 
-        Enumerated breadth first over the generators in integer weights:
-        w.m <= w_bound exactly when v.m <= floor(w_bound * L), v = L.w
-        being the certificate's numerators.  The largest enumeration so
-        far is kept, and `member` answers every degree within it by lookup.
+        In integer weights w.m <= w_bound exactly when v.m <= floor(w_bound
+        * L), v = L.w being the certificate's numerators.  A weight ball is
+        enumerated only when the kept enumeration is no ball at least this
+        large, so the largest ball so far stays kept.
         """
-        bound = floor(Fraction(w_bound) * min(self._wdots))
-        if bound > self._members_bound:
-            zero = self.zero_degree()
-            seen = {zero}
-            frontier = [(zero, 0)]
-            steps = tuple(zip(self.generators, self._wdots))
-            while frontier:
-                nxt = []
-                for m, vm in frontier:
-                    for n, vn in steps:
-                        if vm + vn <= bound:
-                            m2 = tuple(map(add, m, n))
-                            if m2 not in seen:
-                                seen.add(m2)
-                                nxt.append((m2, vm + vn))
-                frontier = nxt
-            self._members = frozenset(seen)
-            self._members_bound = bound
-        if bound == self._members_bound:
-            return self._members
         v = self._int_grading
+        bound = floor(Fraction(w_bound) * min(self._wdots))
+        (y, kept), *others = self._region
+        if others or y != v or kept < bound:
+            return self._enumerate(((v, bound),))
+        if bound == kept:
+            return self._members
         return frozenset(m for m in self._members if _dot(v, m) <= bound)
+
+    def divisors(self, m: Degree) -> frozenset[Degree]:
+        """D(m) = {m' in S : m - m' in S}; empty when m is not in S.
+
+        Enumerates the elements m' with y.m' <= y.m for each facet normal y
+        of the real cone C (`_cone_facets`), that is m - m' in C, and keeps
+        them for `member`.  D(m) lies there, and so does every degree q with
+        m - q in S, so m itself and the face tests of each comparison
+        complex at a degree of D(m) are lookups.  The facets imply the
+        weight row v.m' <= v.m, which is kept so that the walk stays
+        bounded by its first row alone.
+        """
+        m = tuple(m)
+        rows = (self._int_grading, *self._cone_facets())
+        found = self._enumerate(tuple((y, _dot(y, m)) for y in rows))
+        return frozenset(x for x in found if tuple(map(sub, m, x)) in found)
+
+    def _cone_facets(self) -> tuple[tuple[int, ...], ...]:
+        """Primitive integer normals y of the facets of the real cone C of S.
+
+        Each has y.n_i >= 0 for every generator, with equality on rank(C) - 1
+        independent ones, so {x : y.x >= 0 for every y} meets the span of C
+        in C.  The normals live on the pivot coordinates of the generator
+        rows, on which the generators keep their rank: there C is
+        full-dimensional and pointed, so each facet is spanned by rank(C) - 1
+        independent generators with all the others on one side, and its
+        normal is their kernel.  Computed once, sorted.
+        """
+        if self._facets is None:
+            field = RationalField()
+            coords = gauss_reduce(_sparse_rows(self.generators), self.dim, field, keep="").pivots
+            points = [tuple(n[c] for c in coords) for n in self.generators]
+            rank = len(coords)
+            normals = set()
+            for spanning in combinations(points, rank - 1):
+                reduced = gauss_reduce(_sparse_rows(spanning), rank, field, keep="q")
+                if reduced.rank < rank - 1:
+                    continue  # dependent: spans no hyperplane
+                (kernel,) = reduced.kernel_columns()
+                den = lcm(*(x.denominator for x in kernel.values()))
+                z = [int(kernel.get(c, 0) * den) for c in range(rank)]
+                dots = [_dot(z, q) for q in points]  # not all 0: the points span
+                if min(dots) < 0 < max(dots):
+                    continue  # generators on both sides: no facet
+                scale = gcd(*z) if max(dots) > 0 else -gcd(*z)
+                lifted = dict(zip(coords, z))
+                normals.add(tuple(lifted.get(c, 0) // scale for c in range(self.dim)))
+            self._facets = tuple(sorted(normals))
+        return self._facets
 
     def degrees_up_to(self, w_bound) -> list[Degree]:
         """All semigroup elements of weight at most w_bound, canonically ordered.
@@ -419,8 +492,7 @@ class Semigroup:
 
     def matrix_rank(self) -> int:
         """Rank of the generator matrix over the rationals."""
-        rows = [[(i, n[j]) for i, n in enumerate(self.generators) if n[j]]
-                for j in range(self.dim)]
+        rows = _sparse_rows(zip(*self.generators))
         return gauss_reduce(rows, self.num_generators, RationalField(), keep="").rank
 
     def __repr__(self):

@@ -60,6 +60,22 @@ def divisor_degrees(sg, m) -> set:
             for alpha in product(*(range(b + 1) for b in beta))}
 
 
+def in_real_cone(sg, z) -> bool:
+    """Is z a nonnegative real combination of the generators?
+
+    Asks the engine's Fourier-Motzkin elimination for a point of
+    {lambda >= 0, A lambda = z}, with each equation as two inequalities:
+    an elimination independent of the facet normals `Semigroup.divisors`
+    cuts its region with.
+    """
+    r = sg.num_generators
+    rows = [(tuple(int(i == k) for i in range(r)), 0) for k in range(r)]
+    for j, zj in enumerate(z):
+        row = tuple(n[j] for n in sg.generators)
+        rows += [(row, zj), (tuple(-x for x in row), -zj)]
+    return _fourier_motzkin_numerators(rows, r) is not None
+
+
 def fourier_motzkin_point(rows: list[tuple[tuple[int, ...], int]], dim: int):
     """Feasible rational point for the system {coeffs . x >= rhs}, or None.
 

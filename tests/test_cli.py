@@ -721,10 +721,10 @@ class TestInternalCheckFailures:
 
 class TestMembershipBySetLookup:
     """scan and harvest answer their membership tests from their own degree
-    enumeration: scan lists the degrees it reports, harvest the divisor set
-    D(M) of its degree.  betti and delta never enumerate, since an
-    enumeration up to the weight of a large degree costs far more than the
-    searches it saves."""
+    enumeration: scan lists the degrees it reports, harvest the elements m'
+    with M - m' in the real cone of S, which hold its divisor set D(M).
+    betti and delta never enumerate, since an enumeration up to the weight
+    of a large degree costs far more than the searches it saves."""
 
     def test_scan_searches_for_no_member_after_enumerating(self, capsys, semigroup_file,
                                                            monkeypatch):
@@ -749,30 +749,50 @@ class TestMembershipBySetLookup:
         assert len(out.splitlines()) > 100  # a row for each degree of weight <= 10
         assert searches == []
 
-    def test_harvest_searches_for_no_member_after_enumerating(self, capsys,
-                                                              semigroup_file,
-                                                              monkeypatch):
-        searches, enumerated = [], []
-        degrees_up_to, search = Semigroup.degrees_up_to, Semigroup._search
+    @pytest.mark.parametrize("columns, argv, sizes", [
+        ([[4, 1], [5, 1], [7, 1], [8, 1]], ["-m", "60,10", "--max-level", "3"], (110, 109)),
+        # degrees on an edge of the cone: one monomial in the fiber and about
+        # 4.6 million elements of weight at most 300, but D(M) and the
+        # enumeration are the 301 multiples of e1 (of e3) up to M
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], ["-m", "300,0,0", "--max-level", "3"],
+         (301, 301)),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1]],
+         ["-m", "0,0,300", "--max-level", "3"], (301, 301)),
+    ], ids=["example-60-10", "e1-e2-e3-at-300e1", "path-e1-e2-e3-at-300e3"])
+    def test_harvest_enumerates_only_below_its_degree(self, capsys, tmp_path, monkeypatch,
+                                                      columns, argv, sizes):
+        path = tmp_path / "sg.json"
+        path.write_text(json.dumps({"dim": len(columns[0]), "generators": columns}))
+        searches, enumerated, divisor_sets = [], [], []
+        enumerate_region, divisors, search = (
+            Semigroup._enumerate, Semigroup.divisors, Semigroup._search)
 
-        def enumerate_degrees(self, w_bound):
-            enumerated.append(w_bound)
-            return degrees_up_to(self, w_bound)
+        def logged_enumerate(self, region):
+            found = enumerate_region(self, region)
+            enumerated.append(len(found))
+            return found
+
+        def logged_divisors(self, m):
+            found = divisors(self, m)
+            divisor_sets.append(found)
+            return found
 
         def logged_search(self, m, find_all):
             if not find_all:
                 searches.append(m)
             return search(self, m, find_all)
 
-        monkeypatch.setattr(Semigroup, "degrees_up_to", enumerate_degrees)
+        monkeypatch.setattr(Semigroup, "_enumerate", logged_enumerate)
+        monkeypatch.setattr(Semigroup, "divisors", logged_divisors)
         monkeypatch.setattr(Semigroup, "_search", logged_search)
-        code, out = run(capsys, "harvest", semigroup_file, "-m", "60,10",
-                        "--max-level", "3")
-        assert code == 0
-        assert "level 2: 1 generator(s)" in out
-        # one enumeration, up to the weight of (60,10) under w = (0, 1),
-        # made before any membership test, (60,10)'s own included
-        assert enumerated == [10]
+        code, out = run(capsys, "harvest", str(path), *argv)
+        assert code == 0 and "verification: passed" in out
+        # one enumeration, made before any membership test, the degree's
+        # own and verify's included; of its elements, all but the holes of
+        # S below the degree are in D(M)
+        (divisor_set,) = divisor_sets
+        assert (enumerated[0], len(divisor_set)) == sizes
+        assert len(enumerated) == 1
         assert searches == []
 
     @pytest.mark.parametrize("argv", [

@@ -14,6 +14,7 @@ import json
 import tempfile
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -28,6 +29,7 @@ from oracles import (
     greedy_extension,
     layered_delta,
     harvest_every_basis,
+    in_real_cone,
     oracle_v0,
     pruned_fourier_motzkin_point,
     q_fixed_cycle_basis,
@@ -220,6 +222,35 @@ def test_membership_lookup_matches_the_search(data):
             assert sg.member(m) == reference._search(m, find_all=False), m
             if sg.weight(m) <= kept:
                 assert search.call_count == calls, m  # answered by lookup
+
+
+@given(data=st.data())
+def test_divisor_enumeration_is_the_cone_below_the_degree(data):
+    sg = data.draw(presentations())
+    members = sg.degrees_up_to(4)
+    m = data.draw(st.sampled_from(members))
+    divisors = sg.divisors(m)
+    region = sg._members
+    assert divisors == divisor_degrees(sg, m)
+    # the facet normals cut out the real cone: the enumeration holds the
+    # elements m' with m - m' in it, and no other
+    assert all(sum(map(mul, y, n)) >= 0 for y in sg._cone_facets() for n in sg.generators)
+    assert region == {x for x in Semigroup(sg.dim, sg.generators).members_up_to(sg.weight(m))
+                      if in_real_cone(sg, sg.sub_degree(m, x))}
+    # a shift of m, often off the semigroup (then D(m) is empty): every
+    # degree with m minus it in S is answered by lookup, correctly
+    shift = data.draw(st.lists(st.integers(-1, 1), min_size=sg.dim, max_size=sg.dim))
+    m = tuple(a + b for a, b in zip(m, shift))
+    divisors = sg.divisors(m)
+    member = Semigroup(sg.dim, sg.generators).member
+    assert divisors == (divisor_degrees(sg, m) if member(m) else frozenset())
+    queries = {sg.sub_degree(x, n) for x in divisors for n in sg.generators}
+    queries |= {m} | {x for x in members if member(sg.sub_degree(m, x))}
+    search = mock.Mock(wraps=sg._search)
+    with mock.patch.object(sg, "_search", search):
+        for q in sorted(queries):
+            assert sg.member(q) == member(q), (m, q)
+    assert search.call_count == 0
 
 
 @given(data=st.data())

@@ -230,6 +230,29 @@ def test_degrees_up_to_negative_bound_is_empty(example_semigroup, numerical_semi
         assert sg.degrees_up_to(0) == [sg.zero_degree()]
 
 
+@pytest.mark.parametrize("columns, facets", [
+    ([[4, 1], [5, 1], [7, 1], [8, 1]], ((-1, 8), (1, -4))),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], ((0, 0, 1), (0, 1, 0), (1, 0, 0))),
+    ([[-3], [-5]], ((-1,),)),
+    # rank 2 in Z^3: the normals use the first two coordinates, and the
+    # generator (1, 1, 2) lies inside the cone
+    ([[1, 0, 1], [0, 1, 1], [1, 1, 2]], ((0, 1, 0), (1, 0, 0))),
+    ([[1, -1], [1, 1], [1, 0]], ((1, -1), (1, 1))),
+], ids=["example", "e1-e2-e3", "negative-line", "plane-in-z3", "mixed-signs"])
+def test_cone_facets(columns, facets):
+    assert Semigroup(len(columns[0]), columns)._cone_facets() == facets
+
+
+def test_divisors_on_a_plane_in_z3():
+    # degrees off the plane z = x + y, or outside the cone, divide nothing
+    sg = Semigroup(3, [[1, 0, 1], [0, 1, 1], [1, 1, 2]])
+    assert sg.divisors((2, 1, 3)) == {(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2),
+                                      (2, 0, 2), (2, 1, 3)}
+    assert sg.divisors((2, 1, 4)) == frozenset()
+    assert sg.divisors((-1, 1, 0)) == frozenset()
+    assert not sg.member((2, 1, 4)) and not sg.member((1, 0, 2))
+
+
 def test_matrix_rank(example_semigroup, numerical_semigroup):
     assert example_semigroup.matrix_rank() == 2
     assert numerical_semigroup.matrix_rank() == 1
