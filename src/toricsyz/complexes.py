@@ -22,11 +22,7 @@ from __future__ import annotations
 from itertools import combinations
 from operator import sub
 
-from .orders import (
-    Monomial,
-    TermOrder,
-    mono_gcd,
-)
+from .orders import Monomial, TermOrder
 from .semigroup import Degree, Semigroup
 
 Face = tuple[int, ...]
@@ -71,11 +67,12 @@ class NablaComplex:
     def dimension(self) -> int:
         return max((len(d) for d in self.cover), default=0) - 1
 
-    def face_gcd(self, face: Face) -> Monomial:
-        return mono_gcd(*(self.vertices[i] for i in face))
-
     def faces_of_dim(self, j: int) -> tuple[Face, ...]:
-        """All j-faces, largest gcd first, ties by ascending index tuple."""
+        """All j-faces, largest gcd first, ties by ascending index tuple.
+
+        Vertices are distinct and decreasing, so 0-faces in index order
+        are in gcd order; higher faces take one sort (TermOrder.sort_faces).
+        """
         if j < 0 or j > self.dimension:
             return ()
         cached = self._faces.get(j)
@@ -85,9 +82,7 @@ class NablaComplex:
         for cover_set in self.cover:
             if len(cover_set) > j:
                 found.update(combinations(sorted(cover_set), j + 1))
-        ordered = sorted(found)
-        ordered.sort(key=lambda f: self.order.key(self.face_gcd(f)), reverse=True)
-        result = tuple(ordered)
+        result = tuple(sorted(found) if j == 0 else self.order.sort_faces(found, self.vertices))
         self._faces[j] = result
         return result
 

@@ -557,27 +557,25 @@ def _spanning_forest(complex_, j: int, field) -> GaussDecomposition:
 
     The pivot edges of d_1, those independent of all edges to their left,
     are the edges that join two trees of the forest grown from the edges
-    before them: Kruskal's rule (see the module docstring).  d_0 is a row
-    of ones: rank 1 with pivot 0 when there is a vertex.
+    before them: Kruskal's rule (see the module docstring), on a parent
+    list up to the largest vertex id (a comparison complex's 0-faces can
+    skip ids) with path halving.  d_0 is a row of ones: rank 1 with pivot
+    0 when there is a vertex.
     """
     vertices = complex_.faces_of_dim(0)
     if j == 0:
         pivots = [0] if vertices else []
         return GaussDecomposition(field, 1, len(vertices), len(pivots), None, None, pivots)
     edges = complex_.faces_of_dim(1)
-    parent = {v: v for (v,) in vertices}
-
-    def root(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    parent = list(range(vertices[-1][0] + 1 if edges else 0))
     pivots = []
     for k, (a, b) in enumerate(edges):
-        ra, rb = root(a), root(b)
-        if ra != rb:
-            parent[rb] = ra
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[b] = a
             pivots.append(k)
     return GaussDecomposition(field, len(vertices), len(edges), len(pivots),
                               None, None, pivots)

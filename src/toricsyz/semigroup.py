@@ -239,6 +239,7 @@ class Semigroup:
         self._members: frozenset[Degree] = frozenset()
         self._region = ((self._int_grading, -1),)
         self._facets = None  # the real cone's facet normals, once asked for
+        self._cuts = None  # the fiber search's facet bounds, once it runs
 
     @classmethod
     def from_dict(cls, data) -> "Semigroup":
@@ -328,22 +329,38 @@ class Semigroup:
         return fiber
 
     def _search(self, m: Degree, find_all: bool):
-        """DFS over exponent vectors with weight-bound pruning.
+        """DFS over exponent vectors with weight and facet pruning.
 
         Any solution alpha satisfies sum(a_i * w.n_i) = w.m with every
         w.n_i >= 1, so each exponent is bounded by the residual weight.
         The weights are the certificate's numerators v = L.w, where the
         positive integer L is min_k v.n_k, so they are ints with
         L.w.n_i >= L; the residual weight never goes negative, so floor
-        division gives the bounds of the rational quotient and the search
-        visits the same nodes in the same order.
+        division gives the bounds of the rational quotient.
+        Each facet normal y of the real cone (`_cone_facets`) has
+        y.n_k >= 0 for every generator, so likewise a_i <= y.res / y.n_i
+        wherever y.n_i > 0, and there is no solution when y.m < 0.  These
+        bounds cut only branches without solutions, so the search finds
+        the same solutions in the same order.  They matter near the
+        boundary of the cone, where the weight alone lets every exponent
+        run: at k.e3 over <e1, e2, e3, e1+e2, e2+e3> the search visits
+        2k + 5 nodes, where the weight bound alone visits 84,315 at k = 40.
+        Normals parallel to v add nothing and are skipped.
         The last coordinate is solved exactly instead of scanned.
         """
         r = self.num_generators
         gens = self.generators
         wdots = self._wdots
         wm = _dot(self._int_grading, m)
-        if wm < 0:
+        if self._cuts is None:
+            v = self._int_grading
+            grading = tuple(x // gcd(*v) for x in v)  # primitive, as the normals are
+            rows = [y for y in self._cone_facets() if y != grading]
+            # per generator, the facet rows positive on it, with that product
+            self._cuts = rows, tuple(tuple((y, _dot(y, n)) for y in rows if _dot(y, n) > 0)
+                                     for n in gens)
+        rows, cuts = self._cuts
+        if wm < 0 or any(_dot(y, m) < 0 for y in rows):
             return [] if find_all else False
         solutions: list[Monomial] = []
         last = gens[-1]
@@ -366,6 +383,8 @@ class Semigroup:
                     return not find_all
                 return False
             bound = wres // wdots[i]
+            for y, yn in cuts[i]:
+                bound = min(bound, sum(map(mul, y, residual)) // yn)
             res = list(residual)
             n = gens[i]
             for a in range(bound + 1):

@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 from toricsyz.complexes import DeltaComplex, NablaComplex
 from toricsyz.homology import ChainBasis, GaussDecomposition, boundary_matrix, gauss_reduce
-from toricsyz.orders import DEGREVLEX, mono_div, mono_is_unit, mono_mul
+from toricsyz.orders import DEGREVLEX, mono_div, mono_gcd, mono_is_unit, mono_mul
 from toricsyz.resolution import ResolutionEngine, ResolutionFragment
 from toricsyz.semigroup import _fourier_motzkin_numerators
 from toricsyz.serialize import record_to_json
@@ -276,12 +276,30 @@ def q_fixed_cycle_basis(complex_, j, field) -> ChainBasis:
     return basis
 
 
+def face_gcd(complex_, face):
+    """The gcd of the vertices of a fiber-complex face."""
+    return mono_gcd(*(complex_.vertices[i] for i in face))
+
+
+def nabla_face_order(complex_, j: int) -> tuple:
+    """The j-faces of a fiber complex in the fixed order, by plain sorting.
+
+    Faces are all (j+1)-sets of vertices with a nontrivial gcd, sorted by
+    index tuple and then, stably, by the term order's key of their gcd,
+    largest first: ties stay in ascending index order.
+    """
+    faces = sorted(f for f in combinations(range(len(complex_.vertices)), j + 1)
+                   if not mono_is_unit(face_gcd(complex_, f)))
+    return tuple(sorted(faces, key=lambda f: complex_.order.key(face_gcd(complex_, f)),
+                        reverse=True))
+
+
 def nabla_is_face(complex_, face) -> bool:
     """Whether a vertex tuple of a fiber complex is a face: its gcd is not 1."""
     face = tuple(face)
     if not face or any(not 0 <= i < len(complex_.vertices) for i in face):
         return False
-    return not mono_is_unit(complex_.face_gcd(face))
+    return not mono_is_unit(face_gcd(complex_, face))
 
 
 def delta_is_face(complex_, face) -> bool:

@@ -30,6 +30,9 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 EXAMPLE = os.path.join(GOLDEN, "example.json")
 S35 = os.path.join(GOLDEN, "s35.json")
 S4567 = os.path.join(GOLDEN, "s4567.json")
+# <e1, e2, e3, e1+e2, e2+e3>, whose degrees near an edge of the cone have
+# tiny fibers but weight-ball search trees
+ORTHANT5 = os.path.join(GOLDEN, "orthant5.json")
 
 # golden file -> command line; each writes its JSON document via --output
 OUTPUTS = {
@@ -50,12 +53,27 @@ OUTPUTS = {
     # x1^100 - x2^60 in <3,5>: a large sparse 1-skeleton
     "minimalize_s35_k100.json":
         ["minimalize", S35, "--lead", "100,0", "--trail", "0,60", "--format", "json"],
+    # the lex face order: the same commands under --order lex
+    "harvest_60_10_l2_lex.json":
+        ["harvest", EXAMPLE, "-m", "60,10", "--max-level", "2", "--order", "lex",
+         "--format", "json"],
+    "minimalize_52_8_lex.json":
+        ["minimalize", EXAMPLE, "--lead", "0,2,6,0", "--trail", "3,0,0,5", "--order", "lex",
+         "--format", "json"],
+    "minimalize_s35_k100_lex.json":
+        ["minimalize", S35, "--lead", "100,0", "--trail", "0,60", "--order", "lex",
+         "--format", "json"],
     "scan_w6_j2.json":
         ["scan", EXAMPLE, "--w-bound", "6", "--jmax", "2", "--format", "json"],
     "validate_example.json":
         ["validate", EXAMPLE, "--format", "json"],
     "fiber_52_8.json":
         ["fiber", EXAMPLE, "-m", "52,8", "--format", "json"],
+    # one degree on an edge of the cone and one inside it
+    "fiber_orthant5_0_0_30.json":
+        ["fiber", ORTHANT5, "-m", "0,0,30", "--format", "json"],
+    "fiber_orthant5_4_6_5.json":
+        ["fiber", ORTHANT5, "-m", "4,6,5", "--format", "json"],
     "nabla_24_4.json":
         ["nabla", EXAMPLE, "-m", "24,4", "--format", "json"],
     "delta_12_2.json":

@@ -30,6 +30,7 @@ from oracles import (
     layered_delta,
     harvest_every_basis,
     in_real_cone,
+    nabla_face_order,
     oracle_v0,
     pruned_fourier_motzkin_point,
     q_fixed_cycle_basis,
@@ -37,6 +38,7 @@ from oracles import (
 
 from toricsyz import (
     DEGREVLEX,
+    LEX,
     Config,
     DeltaComplex,
     NablaComplex,
@@ -80,20 +82,22 @@ def presentations(draw, max_dim=3, max_gens=5, min_codim=None):
 
 
 @st.composite
-def small_complexes(draw):
+def small_complexes(draw, fiber_only=False):
     """A fiber or comparison complex on up to 5 variables, not from a fiber search.
 
     Vertex sets of a fiber complex and face sets of a comparison complex
     are drawn directly, so edgeless, disconnected, irrelevant and void
-    complexes come up often.
+    complexes come up often.  A fiber complex's vertices are sorted in
+    degrevlex or lex, and may hold the unit monomial.
     """
     r = draw(st.integers(1, 5))
     sg = Semigroup(1, [[i + 1] for i in range(r)])
-    if draw(st.booleans()):
+    if fiber_only or draw(st.booleans()):
         # mostly-zero exponents keep the variables' covers apart
         monomial = st.tuples(*[st.sampled_from((0, 0, 0, 1, 2))] * r)
         vertices = draw(st.lists(monomial, max_size=12, unique=True))
-        return NablaComplex(sg, (0,), DEGREVLEX, tuple(DEGREVLEX.sort_decreasing(vertices)))
+        order = draw(st.sampled_from((DEGREVLEX, LEX)))
+        return NablaComplex(sg, (0,), order, tuple(order.sort_decreasing(vertices)))
     faces = {()} if draw(st.booleans()) else set()
     facets = st.sets(st.integers(0, r - 1), min_size=1, max_size=3)
     for facet in draw(st.lists(facets, max_size=6)):
@@ -568,6 +572,9 @@ _SG3 = Semigroup(1, [[1], [2], [3]])
 @example(NablaComplex(_SG2, (0,), DEGREVLEX, ((1, 0), (0, 1))))  # edgeless
 @example(DeltaComplex(_SG3, (0,), face_masks({()})))  # irrelevant
 @example(DeltaComplex(_SG3, (0,), face_masks({(), (0,), (1,), (2,), (0, 1)})))  # disconnected
+@example(DeltaComplex(_SG3, (0,), face_masks({(), (1,), (2,), (1, 2)})))  # no vertex 0
+@example(DeltaComplex(Semigroup(1, [[1], [2], [3], [4], [5]]), (0,),
+                      face_masks({(), (0,), (1,), (3,), (4,), (3, 4)})))  # top two ids joined
 def test_spanning_forest_gives_the_pivots_of_elimination(cx):
     # d_0 and d_1 are never eliminated; rank and pivots are the greedy
     # forest's, which must be those of the left-to-right elimination
@@ -578,3 +585,16 @@ def test_spanning_forest_gives_the_pivots_of_elimination(cx):
             got = reduce_boundary(cx, j, field)
             assert (got.rank, got.pivots, got.nrows, got.ncols) == \
                 (want.rank, want.pivots, want.nrows, want.ncols), (cx, j, field)
+
+
+@settings(max_examples=200)
+@given(small_complexes(fiber_only=True))
+@example(NablaComplex(_SG3, (0,), DEGREVLEX,
+                      ((1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 0, 0), (0, 0, 0))))  # with unit
+@example(NablaComplex(_SG3, (0,), LEX,
+                      ((2, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (0, 0, 0))))  # with unit
+def test_face_order_is_the_gcd_key_sort(cx):
+    # one decorated sort per dimension against sorting by index tuple and
+    # then, stably, by the term order's key of the gcd, largest first
+    for j in range(min(cx.dimension, 3) + 1):
+        assert cx.faces_of_dim(j) == nabla_face_order(cx, j), (cx.vertices, cx.order, j)

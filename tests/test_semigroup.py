@@ -1,5 +1,6 @@
 import random
 import signal
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -194,6 +195,52 @@ class TestFiber:
         assert len(set(keys)) == len(keys)
         again = Semigroup(2, [[4, 1], [5, 1], [7, 1], [8, 1]]).fiber((52, 8), DEGREVLEX)
         assert again == fiber
+
+
+def search_nodes(sg, m):
+    """The number of calls of the fiber search's recursive step while sg searches m."""
+    calls = 0
+
+    def count(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "rec":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        fiber = sg.fiber(m, DEGREVLEX)
+    finally:
+        sys.setprofile(None)
+    return fiber, calls
+
+
+class TestFacetPruning:
+    # <e1, e2, e3, e1+e2, e2+e3>: the grading is (1, 1, 1), and the facets
+    # of the real cone, the coordinate planes, are not parallel to it
+    SG = Semigroup(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1]])
+
+    @pytest.mark.parametrize("k", [10, 40, 160])
+    def test_edge_degree_visits_linearly_many_nodes(self, k):
+        # the weight bound alone lets x3, x4 and x5 each run to k; the facets
+        # x1 >= 0 and x2 >= 0 hold x1, x2 and x4 at 0, so only x3 is scanned
+        fiber, nodes = search_nodes(self.SG, (0, 0, k))
+        assert fiber == ((0, 0, k, 0, 0),)
+        assert nodes <= 2 * k + 5
+
+    def test_degree_outside_the_cone_visits_no_node(self):
+        # weight 5 >= 0, but the facet x1 >= 0 rules it out at once
+        assert search_nodes(self.SG, (-1, 3, 3)) == ((), 0)
+        assert not self.SG.member((-1, 3, 3))
+
+    def test_matches_boxed_brute_force(self):
+        sg = self.SG
+        for m in [(0, 0, 4), (2, 0, 3), (0, 3, 0), (2, 3, 1), (1, 4, 2), (3, 3, 3)]:
+            assert set(sg.fiber(m, DEGREVLEX)) == brute_force_fiber(sg, m)
+
+    def test_grading_parallel_facet_adds_no_bound(self, numerical_semigroup):
+        # <3, 5>: the one facet is the grading itself
+        numerical_semigroup.fiber((30,), DEGREVLEX)
+        assert numerical_semigroup._cuts == ([], ((), ()))
 
 
 class TestDivisibilityOrder:
