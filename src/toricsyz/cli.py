@@ -253,18 +253,22 @@ def _cmd_scan(args, engine):
             nabla = [engine.multigraded_betti(m, j) for j in range(jmax + 1)]
             if nabla != ranks:
                 disagreements.append({"degree": list(m), "nabla": nabla, "delta": ranks})
-    body = {"kind": "scan", "w_bound": str(args.w_bound), "jmax": jmax, "rows": rows,
-            "obstruction_dim": obstruction_dim}
+    code = 1 if disagreements else 0
+    if args.format == "json":
+        body = {"kind": "scan", "w_bound": str(args.w_bound), "jmax": jmax, "rows": rows,
+                "obstruction_dim": obstruction_dim}
+        if args.delta_crosscheck:
+            body["crosscheck_disagreements"] = disagreements
+        return code, [], body
     lines = [f"scan up to weight {args.w_bound}, j <= {jmax}"]
     for row in rows:
         flag = "  CM-obstruction!" if row["cm_obstruction"] else ""
         lines.append(f"  {tuple(row['degree'])}: {row['ranks']}{flag}")
     if args.delta_crosscheck:
-        body["crosscheck_disagreements"] = disagreements
         lines.append(f"delta crosscheck disagreements: {len(disagreements)}")
         lines += [f"  {tuple(d['degree'])}: nabla {d['nabla']}, delta {d['delta']}"
                   for d in disagreements]
-    return (1 if disagreements else 0), lines, body
+    return code, lines, {}
 
 
 def _cmd_verify(args, engine):

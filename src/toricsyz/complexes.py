@@ -16,6 +16,10 @@ faces and needs no fiber.  The test suite checks the equality as a
 property.  Its faces are subset masks of the r indices, and since the
 complex depends on m only through which subsets pass the test, many
 degrees share one face set: the engine reduces one complex per face set.
+Neighbouring degrees determine it: F containing i is a face at m exactly
+when F - {i} is one at m - n_i, and the empty face is one exactly when m
+is in S, so the engine reads Delta_m off the face sets at the m - n_i it
+holds; build_delta builds the complex of one degree on its own.
 """
 from __future__ import annotations
 

@@ -24,6 +24,7 @@ queries pieces of one and the same minimal system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from operator import sub
 
 from .complexes import DeltaComplex, NablaComplex, build_delta, build_nabla
 from .config import Config
@@ -266,6 +267,8 @@ class ResolutionEngine:
         # one complex, with its reductions, that all those degrees share
         self._delta_faces: dict[Degree, frozenset[int]] = {}
         self._delta: dict[frozenset[int], DeltaComplex] = {}
+        self._delta_unions: dict[tuple, frozenset[int]] = {}  # see _delta_face_set
+        self._delta_betti: dict[tuple, int] = {}  # (face set, j) -> Betti number
         self._bases: dict[tuple, ChainBasis] = {}
         self._psi: dict[tuple, SyzygyVector] = {}
         self._lifts: dict[tuple, tuple] = {}
@@ -325,14 +328,52 @@ class ResolutionEngine:
         face set, so every degree with the same face set shares one
         complex, built at the first of them; that complex keeps its
         boundary reductions, so each (face set, dimension) is reduced once
-        and neighbouring dimensions share them.
+        and neighbouring dimensions share them; the count itself is kept
+        per (face set, dimension).
+
+        Face sets are read off those at the degrees m - n_i, by
+
+            Delta_m = ({empty} if m in S) | U_i {G + {i} : G in Delta_(m - n_i), i not in G},
+
+        as F containing i is a face at m exactly when F - {i} is one at
+        m - n_i.  This needs every m - n_i known here or outside S, as in
+        `scan`, which walks by weight; otherwise build_delta builds Delta_m.
         """
         m = tuple(m)
         faces = self._delta_faces.get(m)
         if faces is None:
-            cx = build_delta(self.semigroup, m)
-            faces = self._delta_faces[m] = self._delta.setdefault(cx.masks, cx).masks
-        return betti_reduced(self._delta[faces], j, self.field)
+            faces = self._delta_faces[m] = self._delta_face_set(m)
+        key = (faces, j)
+        betti = self._delta_betti.get(key)
+        if betti is None:
+            betti = self._delta_betti[key] = betti_reduced(self._delta[faces], j, self.field)
+        return betti
+
+    def _delta_face_set(self, m: Degree) -> frozenset[int]:
+        """The face set at m, found as betti_delta says and held once in `_delta`."""
+        sg = self.semigroup
+        below = []
+        for n in sg.generators:
+            shifted = tuple(map(sub, m, n))
+            faces = self._delta_faces.get(shifted)
+            if faces is None:
+                if sg.member(shifted):
+                    cx = build_delta(sg, m)
+                    return self._delta.setdefault(cx.masks, cx).masks
+                faces = frozenset()
+            below.append(faces)
+        # with every neighbour void, Delta_m still depends on whether m is in S
+        key = (*below, any(below) or sg.member(m))
+        faces = self._delta_unions.get(key)
+        if faces is None:
+            found = {0} if key[-1] else set()
+            for i, faces_i in enumerate(below):
+                bit = 1 << i
+                found.update(g | bit for g in faces_i if not g & bit)
+            found = frozenset(found)
+            faces = self._delta_unions[key] = self._delta.setdefault(
+                found, DeltaComplex(sg, m, found)).masks
+        return faces
 
     # -- one recursion step, every level ----------------------------------
 

@@ -33,6 +33,9 @@ S4567 = os.path.join(GOLDEN, "s4567.json")
 # <e1, e2, e3, e1+e2, e2+e3>, whose degrees near an edge of the cone have
 # tiny fibers but weight-ball search trees
 ORTHANT5 = os.path.join(GOLDEN, "orthant5.json")
+# the paper's example under the shear (a, b) -> (a - 5b, b): generator
+# (-1, 1) makes sorted(D(M)) visit some m before m - n_i
+SHEARED = os.path.join(GOLDEN, "example_sheared.json")
 
 # golden file -> command line; each writes its JSON document via --output
 OUTPUTS = {
@@ -65,6 +68,12 @@ OUTPUTS = {
          "--format", "json"],
     "scan_w6_j2.json":
         ["scan", EXAMPLE, "--w-bound", "6", "--jmax", "2", "--format", "json"],
+    # mixed signs: harvest meets degrees whose neighbours m - n_i it has not
+    # visited yet, where scan, walking by weight, always has
+    "scan_sheared_w5_j2.json":
+        ["scan", SHEARED, "--w-bound", "5", "--jmax", "2", "--format", "json"],
+    "harvest_sheared_10_10_l2_rational.json":
+        ["harvest", SHEARED, "-m", "10,10", "--max-level", "2", "--format", "json"],
     "validate_example.json":
         ["validate", EXAMPLE, "--format", "json"],
     "fiber_52_8.json":

@@ -295,6 +295,20 @@ def test_comparison_complex_memo_matches_the_layered_oracle(data):
         assert set(engine._delta) == {cx.masks for cx in oracle.values()}
 
 
+@given(sg=presentations())
+def test_comparison_complexes_read_off_their_neighbours_match_the_oracle(sg):
+    # in weight order every m - n_i in S comes first, so each face set is read
+    # off the neighbours'; in reverse order every degree but 0 falls back to
+    # build_delta.  Both must give the complex grown as index tuples.
+    degrees = sg.degrees_up_to(8)
+    oracle = {m: layered_delta(sg, m).masks for m in degrees}
+    for walk in (degrees, degrees[::-1]):
+        engine = ResolutionEngine(sg, Config())
+        for m in walk:
+            engine.betti_delta(m, 0)
+        assert {m: engine._delta_faces[m] for m in degrees} == oracle, sg
+
+
 @given(data=st.data())
 def test_homology_representatives_are_the_greedy_extension(data):
     sg = data.draw(presentations())

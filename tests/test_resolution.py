@@ -663,7 +663,7 @@ class TestComparisonComplexOnlyForCounts:
                                              monkeypatch):
         from collections import Counter
 
-        from toricsyz import homology
+        from toricsyz import homology, resolution
         from toricsyz.cli import main
 
         reductions = Counter()  # (face set, dimension) -> boundary maps reduced
@@ -672,17 +672,39 @@ class TestComparisonComplexOnlyForCounts:
                 reductions[complex_.masks, j] += 1
                 return _original(complex_, j, *args)
             monkeypatch.setattr(homology, name, counted)
+        builds = _count_calls(monkeypatch, resolution, "build_delta")
+        members = _count_calls(monkeypatch, Semigroup, "member")
         path = tmp_path / "example.json"
         path.write_text(json.dumps(example_semigroup.to_dict()))
         # the bench scan: weight <= 10, j <= 2, over Z/32003
         assert main(["scan", str(path), "--w-bound", "10", "--jmax", "2",
                      "--field", "32003", "--format", "json"]) == 0
         degrees = [tuple(row["degree"]) for row in json.loads(capsys.readouterr().out)["rows"]]
+        # walked by weight, each face set is read off those at m - n_i: no
+        # degree is built on its own, and only neighbours outside S (and
+        # degree 0) take a membership test
+        assert builds == [] and len(members) < len(degrees)
         face_sets = {build_delta(example_semigroup, m).masks for m in degrees}
         assert (len(degrees), len(face_sets)) == (230, 29)
         assert max(reductions.values()) == 1
         # the irrelevant complex at degree 0 has no vertex, so nothing to reduce
         assert {faces for faces, _j in reductions} == face_sets - {frozenset({0})}
+
+    def test_mixed_sign_harvest_falls_back_to_build_delta(self, monkeypatch):
+        from toricsyz import resolution
+
+        # generator (-1, 1) puts m - n_1 after m in sorted(D(M)), so there the
+        # harvest builds the comparison complex on its own
+        sg = Semigroup(2, [[-1, 1], [0, 1], [2, 1], [3, 1]])
+        builds = _count_calls(monkeypatch, resolution, "build_delta")
+        engine = ResolutionEngine(sg, Config())
+        fragment = engine.harvest((10, 10), 2)
+        assert fragment.report["passed"] and fragment.ranks() == {0: 4, 1: 4, 2: 1}
+        divisors = divisor_degrees(sg, (10, 10))
+        assert set(engine._delta_faces) == divisors
+        assert 0 < len(builds) < len(divisors)
+        for m, faces in engine._delta_faces.items():
+            assert faces == build_delta(sg, m).masks, m
 
 
 class TestHugeMaxLevel:
