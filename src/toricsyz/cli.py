@@ -14,8 +14,8 @@ the two disagree.  The --cache directory holds fixed bases, which only the
 generator-making commands (minimalize, harvest) and the cross-check read
 or write.
 
-The argument parser is built once per process, on the first main() call,
-and reused by later calls; building it costs more than a small command.
+main() reads a plain command line straight off the grammar table; the
+argparse parser is built, once per process, only for help and errors.
 """
 from __future__ import annotations
 
@@ -64,22 +64,42 @@ def _jmax(args, sg: Semigroup) -> int:
     return args.jmax
 
 
-def _add_global_options(parser, suppress: bool):
-    # registered on the main parser and on the parent of every subcommand,
-    # so the flags are accepted on either side of the command word
-    default = (lambda v: argparse.SUPPRESS if suppress else v)
-    parser.add_argument("--order", default=default("degrevlex"),
-                        choices=["degrevlex", "lex"])
-    parser.add_argument("--field", default=default("rational"),
-                        help="'rational' (default) or a prime, e.g. 32003")
-    parser.add_argument("--cache", default=default(None),
-                        help="directory for the fixed-basis cache, read and "
-                             "written by minimalize, harvest and "
-                             "--delta-crosscheck")
-    parser.add_argument("--format", default=default("text"),
-                        choices=["text", "json"])
-    parser.add_argument("--output", default=default(None),
-                        help="also write the result here")
+# The grammar that build_parser and _plain_parse read: each argument is its
+# names (the last one names its attribute) and add_argument keywords, and
+# each command has its help, positionals and own options, in help order.
+_GLOBAL_OPTIONS = (
+    (("--order",), {"default": "degrevlex", "choices": ["degrevlex", "lex"]}),
+    (("--field",), {"default": "rational", "help": "'rational' (default) or a prime, e.g. 32003"}),
+    (("--cache",), {"default": None, "help": "directory for the fixed-basis cache, read and "
+                    "written by minimalize, harvest and --delta-crosscheck"}),
+    (("--format",), {"default": "text", "choices": ["text", "json"]}),
+    (("--output",), {"default": None, "help": "also write the result here"}),
+)
+_SEMIGROUP = ((("semigroup",), {"help": "semigroup JSON file"}),)
+_DEGREE = (("-m", "--degree"), {"required": True})
+_JMAX = (("--jmax",), {"type": int, "default": None})
+_CROSSCHECK = (("--delta-crosscheck",), {"action": "store_true", "default": False})
+_EXPONENTS = {"required": True, "help": "comma separated exponents"}
+_COMMANDS = {
+    "validate": ("check combinatorial finiteness and print the grading", _SEMIGROUP, ()),
+    "fiber": ("list the monomials of one degree", _SEMIGROUP, (_DEGREE,)),
+    "nabla": ("export the fiber complex of one degree", _SEMIGROUP, (_DEGREE,)),
+    "delta": ("export the index-set comparison complex of one degree", _SEMIGROUP, (_DEGREE,)),
+    "betti": ("multigraded Betti ranks at one degree", _SEMIGROUP,
+              (_DEGREE, _JMAX, _CROSSCHECK)),
+    "minimalize": ("decompose a homogeneous binomial over minimal generators", _SEMIGROUP,
+                   ((("--lead",), _EXPONENTS), (("--trail",), _EXPONENTS))),
+    "harvest": ("extract the resolution fragment one degree teaches", _SEMIGROUP,
+                (_DEGREE, (("--max-level",), {"type": int, "default": 1}))),
+    "scan": ("Betti table over all degrees up to a weight bound", _SEMIGROUP,
+             ((("--w-bound",), {"required": True}), _JMAX, _CROSSCHECK)),
+    "verify": ("re-check a fragment JSON produced by harvest",
+               _SEMIGROUP + ((("fragment",), {"help": "fragment JSON file"}),), ()),
+}
+
+
+def _dest(flags) -> str:
+    return flags[-1].lstrip("-").replace("-", "_")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,50 +107,63 @@ def build_parser() -> argparse.ArgumentParser:
         prog="toricsyz",
         description="Exact minimal generators and syzygies of semigroup algebras",
     )
-    _add_global_options(parser, suppress=False)
-    # one registration shared by every subcommand; its SUPPRESS defaults
-    # leave the main parser's values in place when a flag is not repeated
+    # every subcommand takes the global options from one parent, whose
+    # SUPPRESS defaults leave the main parser's values in place when a
+    # flag is not repeated after the command word
     common = argparse.ArgumentParser(add_help=False)
-    _add_global_options(common, suppress=True)
+    for flags, kwargs in _GLOBAL_OPTIONS:
+        parser.add_argument(*flags, **kwargs)
+        common.add_argument(*flags, **{**kwargs, "default": argparse.SUPPRESS})
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
+    for name, (help_text, positionals, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, parents=[common])
-        p.add_argument("semigroup", help="semigroup JSON file")
-        return p
-
-    add("validate", "check combinatorial finiteness and print the grading")
-
-    p = add("fiber", "list the monomials of one degree")
-    p.add_argument("-m", "--degree", required=True)
-
-    p = add("nabla", "export the fiber complex of one degree")
-    p.add_argument("-m", "--degree", required=True)
-
-    p = add("delta", "export the index-set comparison complex of one degree")
-    p.add_argument("-m", "--degree", required=True)
-
-    p = add("betti", "multigraded Betti ranks at one degree")
-    p.add_argument("-m", "--degree", required=True)
-    p.add_argument("--jmax", type=int, default=None)
-    p.add_argument("--delta-crosscheck", action="store_true")
-
-    p = add("minimalize", "decompose a homogeneous binomial over minimal generators")
-    p.add_argument("--lead", required=True, help="comma separated exponents")
-    p.add_argument("--trail", required=True, help="comma separated exponents")
-
-    p = add("harvest", "extract the resolution fragment one degree teaches")
-    p.add_argument("-m", "--degree", required=True)
-    p.add_argument("--max-level", type=int, default=1)
-
-    p = add("scan", "Betti table over all degrees up to a weight bound")
-    p.add_argument("--w-bound", required=True)
-    p.add_argument("--jmax", type=int, default=None)
-    p.add_argument("--delta-crosscheck", action="store_true")
-
-    p = add("verify", "re-check a fragment JSON produced by harvest")
-    p.add_argument("fragment", help="fragment JSON file")
+        for flags, kwargs in positionals + options:
+            p.add_argument(*flags, **kwargs)
     return parser
+
+
+def _plain_parse(argv):
+    """parse_args's namespace for a plain argv, else None (help, errors and the rest).
+
+    Plain: exact option strings, a command's own after its word (the first
+    bare token, the rest its positionals), each value the next token, not
+    starting with "-", of its type and in its choices; no required one missing.
+    """
+    values = {_dest(flags): kwargs["default"] for flags, kwargs in _GLOBAL_OPTIONS}
+    options, positionals, tokens = _GLOBAL_OPTIONS, [], iter(argv)
+    for token in tokens:
+        if not token.startswith("-"):
+            if "command" in values:
+                positionals.append(token)
+            elif token in _COMMANDS:
+                values["command"] = token
+                options += _COMMANDS[token][2]
+            else:
+                return None
+            continue
+        flags, kwargs = next((spec for spec in options if token in spec[0]), ((), None))
+        if kwargs is None:
+            return None
+        if "action" in kwargs:
+            values[_dest(flags)] = True
+            continue
+        value = next(tokens, "-")
+        try:
+            value = None if value.startswith("-") else kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        if value is None or value not in kwargs.get("choices", [value]):
+            return None
+        values[_dest(flags)] = value
+    command = _COMMANDS.get(values.get("command"))
+    if command is None or len(positionals) != len(command[1]):
+        return None
+    values.update(zip((_dest(flags) for flags, _ in command[1]), positionals))
+    for flags, kwargs in command[2]:
+        if kwargs.get("required") and _dest(flags) not in values:
+            return None
+        values.setdefault(_dest(flags), kwargs.get("default"))
+    return argparse.Namespace(**values)
 
 
 def _engine(args) -> ResolutionEngine:
@@ -297,7 +330,7 @@ _HANDLERS = {
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The process's one parser, built by the first main() call.
+    """The process's one parser, built by the first argv _plain_parse declines.
 
     parse_args leaves the parser as it was and fills a fresh namespace on
     every call, and help is laid out when it is printed, so nothing carries
@@ -307,7 +340,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _plain_parse(argv) or _parser().parse_args(argv)
     try:
         engine = _engine(args)
         code, lines, body = _HANDLERS[args.command](args, engine)

@@ -337,7 +337,8 @@ class ResolutionEngine:
 
         as F containing i is a face at m exactly when F - {i} is one at
         m - n_i.  This needs every m - n_i known here or outside S, as in
-        `scan`, which walks by weight; otherwise build_delta builds Delta_m.
+        `scan` and `harvest`, which walk by weight; otherwise build_delta
+        builds Delta_m.
         """
         m = tuple(m)
         faces = self._delta_faces.get(m)
@@ -714,7 +715,9 @@ class ResolutionEngine:
         homology vanishes from dimension r - 1 on, so levels beyond r - 2
         cost nothing.  `Semigroup.divisors` enumerates S only inside m - C,
         C the real cone of S, which also answers every membership test of
-        the comparison complexes, m's own included, by lookup.
+        the comparison complexes, m's own included, by lookup.  D(m) is
+        walked by weight: each m' - n_i in S lies in D(m) and weighs less
+        than m', so every face set is read off its neighbours.
         """
         if max_level < 0:
             raise ResolutionError(f"--max-level must be nonnegative, got {max_level}")
@@ -724,7 +727,7 @@ class ResolutionEngine:
         divisors = sg.divisors(m)
         if sg.member(m):
             top = min(max_level, sg.num_generators - 2)
-            for mp in sorted(divisors):
+            for mp in sg.by_weight(divisors):
                 for j in range(top + 1):
                     for idx in range(self.betti_delta(mp, j)):
                         self._ensure_generator(j, mp, idx)

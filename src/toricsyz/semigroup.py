@@ -506,8 +506,12 @@ class Semigroup:
         The order is by weight, ties by degree; the elements are those of
         `members_up_to`, which this enumerates and keeps for `member`.
         """
+        return self.by_weight(self.members_up_to(w_bound))
+
+    def by_weight(self, degrees) -> list[Degree]:
+        """The degrees sorted by weight, ties by degree."""
         v = self._int_grading
-        return sorted(self.members_up_to(w_bound), key=lambda d: (_dot(v, d), d))
+        return sorted(degrees, key=lambda d: (_dot(v, d), d))
 
     def matrix_rank(self) -> int:
         """Rank of the generator matrix over the rationals."""

@@ -6,7 +6,7 @@ order, so identical configurations produce byte-identical documents.
 """
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _string
 
 from .orders import mono_str
 from .resolution import (
@@ -88,8 +88,44 @@ def decomposition_to_json(result: DecompositionResult, engine: ResolutionEngine,
     }
 
 
+def _write(x, pad, out):
+    """Append x's JSON to out, nested at pad (a newline and its indent)."""
+    t = type(x)
+    if t is str:
+        out.append(_string(x))
+    elif t is int:
+        out.append(int.__repr__(x))
+    elif t is bool or x is None:
+        out.append("true" if x else "false" if x is False else "null")
+    elif (t is list or t is tuple) and all(type(v) is int for v in x):
+        inner = pad + "  "
+        out.append("[" + inner + ("," + inner).join(map(int.__repr__, x)) + pad + "]"
+                   if x else "[]")
+    elif t is list or t is tuple:
+        inner = pad + "  "
+        for i, v in enumerate(x):
+            out.append(("," if i else "[") + inner)
+            _write(v, inner, out)
+        out.append(pad + "]")
+    elif t is dict and all(type(k) is str for k in x):
+        inner = pad + "  "
+        for i, key in enumerate(sorted(x)):
+            out.append(("," if i else "{") + inner + _string(key) + ": ")
+            _write(x[key], inner, out)
+        out.append(pad + "}" if x else "{}")
+    else:
+        raise TypeError(f"cannot write this {t.__name__} as JSON")
+
+
 def dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """json.dumps(payload, sort_keys=True, indent=2) + "\\n", byte for byte.
+
+    One walk, as json's indented form never uses its C encoder.  Payloads hold
+    dicts with str keys, lists or tuples, str, int, bool and None; else TypeError.
+    """
+    out: list = []
+    _write(payload, "\n", out)
+    return "".join(out) + "\n"
 
 
 class MalformedFragment(ValueError):

@@ -1,11 +1,18 @@
+import importlib.util
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+import test_golden
 
-from toricsyz import DEGREVLEX, ChainBasis, ResolutionEngine, Semigroup, build_nabla, homology
+from toricsyz import (DEGREVLEX, ChainBasis, Config, ResolutionEngine, Semigroup, build_nabla,
+                      cli, homology)
 from toricsyz.cli import main
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 EXAMPLE = {"dim": 2, "generators": [[4, 1], [5, 1], [7, 1], [8, 1]]}
 
@@ -371,6 +378,28 @@ class TestParserReuse:
         capsys.readouterr()
         code, out = run(capsys, "--order", "lex", "validate", semigroup_file)
         assert code == 0 and out == "combinatorially finite, w = (0, 1)\n"
+
+    def test_bench_and_golden_command_lines_never_build_the_parser(
+            self, capsys, monkeypatch, tmp_path):
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        argvs = [command["argv"] for name in workloads.WORKLOADS
+                 for command in workloads.write_inputs(name, 1, str(tmp_path))]
+        argvs += [*test_golden.OUTPUTS.values(), *test_golden.TEXT_COMMANDS,
+                  test_golden.CACHE_ARGV]
+        # main() parses and writes as usual; only the engine's work is left out
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "_engine", lambda args: SimpleNamespace(config=Config()))
+        monkeypatch.setattr(cli, "_HANDLERS", dict.fromkeys(
+            cli._HANDLERS, lambda args, engine: (0, [], {"kind": args.command})))
+        parser = cli.build_parser()
+        cli._parser.cache_clear()
+        for argv in argvs:
+            assert vars(cli._plain_parse(argv)) == vars(parser.parse_args(argv)), argv
+            assert main(argv) == 0, argv
+        assert cli._parser.cache_info().misses == 0
+        capsys.readouterr()
 
 
 class TestDeterminism:

@@ -34,7 +34,7 @@ S4567 = os.path.join(GOLDEN, "s4567.json")
 # tiny fibers but weight-ball search trees
 ORTHANT5 = os.path.join(GOLDEN, "orthant5.json")
 # the paper's example under the shear (a, b) -> (a - 5b, b): generator
-# (-1, 1) makes sorted(D(M)) visit some m before m - n_i
+# (-1, 1) puts some m before m - n_i in sorted(D(M)), though not by weight
 SHEARED = os.path.join(GOLDEN, "example_sheared.json")
 
 # golden file -> command line; each writes its JSON document via --output
@@ -68,8 +68,8 @@ OUTPUTS = {
          "--format", "json"],
     "scan_w6_j2.json":
         ["scan", EXAMPLE, "--w-bound", "6", "--jmax", "2", "--format", "json"],
-    # mixed signs: harvest meets degrees whose neighbours m - n_i it has not
-    # visited yet, where scan, walking by weight, always has
+    # mixed signs: in degree order some m comes before its neighbours
+    # m - n_i; harvest and scan walk by weight, which never does
     "scan_sheared_w5_j2.json":
         ["scan", SHEARED, "--w-bound", "5", "--jmax", "2", "--format", "json"],
     "harvest_sheared_10_10_l2_rational.json":

@@ -9,7 +9,9 @@ which are kept whether or not a grading exists.  Fiber and comparison
 complexes for the spanning-forest check are drawn directly, as vertex and
 face sets.
 """
+import contextlib
 import copy
+import io
 import json
 import tempfile
 from fractions import Fraction
@@ -55,6 +57,7 @@ from toricsyz import (
     gauss_reduce,
     get_field,
 )
+from toricsyz import cli
 from toricsyz.homology import load_cached_basis, reduce_boundary
 from toricsyz.resolution import syz_mono_mul
 from toricsyz.serialize import (
@@ -612,3 +615,86 @@ def test_face_order_is_the_gcd_key_sort(cx):
     # then, stably, by the term order's key of the gcd, largest first
     for j in range(min(cx.dimension, 3) + 1):
         assert cx.faces_of_dim(j) == nabla_face_order(cx, j), (cx.vertices, cx.order, j)
+
+
+# keys and strings with quotes, backslashes, control and non-ASCII
+# characters, lone surrogates included, next to any other character
+_JSON_TEXT = st.text(st.sampled_from('a"\\/\x00\x1f\n\x7f\xe9\u2028\ud800\U0001f600')
+                     | st.characters(), max_size=6)
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _JSON_TEXT,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(st.integers(), max_size=4)
+                  | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(_JSON_TEXT, kids, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=200)
+@given(_JSON_TREES)
+def test_json_writer_gives_the_bytes_of_json_dumps(tree):
+    assert dumps(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("payload", [1.5, {1: "a"}, {"a": [{"b"}]}, Fraction(1, 2), [True, 1.0]])
+def test_json_writer_refuses_other_types(payload):
+    with pytest.raises(TypeError):
+        dumps(payload)
+
+
+# every option string and command word, the values the options take, and
+# what only argparse may answer: abbreviations, "=" forms, an attached
+# short value, negative numbers, help, "--" and the empty string
+_OPTION_STRINGS = sorted({flag for flags, _ in cli._GLOBAL_OPTIONS for flag in flags}
+                         | {flag for _, _, options in cli._COMMANDS.values()
+                            for flags, _ in options for flag in flags})
+_ARGV_VALUES = [*cli._COMMANDS, "lex", "degrevlex", "json", "text", "32003", "60,10", "3",
+                "x.json", " 7", "1_0", "", "-1", "-2,5"]
+_ARGV_ODD = ["--form", "--deg", "--max", "--format=json", "--jmax=2", "-m60,10", "-h", "--help",
+             "--", "-", "-x"]
+_TOKENS = st.sampled_from(_OPTION_STRINGS + _ARGV_VALUES + _ARGV_ODD)
+
+
+@st.composite
+def _argvs(draw):
+    """A command line, most often well formed, then up to three tokens edited."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    _, positionals, options = cli._COMMANDS[command]
+
+    def chunk(flags, kwargs):
+        flag = draw(st.sampled_from(flags))
+        if "action" in kwargs:
+            return [flag]
+        return [flag, draw(st.sampled_from(kwargs.get("choices", []) + _ARGV_VALUES))]
+
+    before = [chunk(*draw(st.sampled_from(cli._GLOBAL_OPTIONS)))
+              for _ in range(draw(st.integers(0, 2)))]
+    after = [[draw(st.sampled_from(_ARGV_VALUES))] for _ in positionals]
+    after += [chunk(*spec) for spec in options
+              if spec[1].get("required") and draw(st.integers(0, 4))]
+    after += [chunk(*draw(st.sampled_from(cli._GLOBAL_OPTIONS + options)))
+              for _ in range(draw(st.integers(0, 3)))]
+    argv = sum(before, []) + [command] + sum(draw(st.permutations(after)), [])
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "drop", "replace"]))
+        if edit != "insert":
+            del argv[i:i + 1]
+        if edit != "drop":
+            argv.insert(i, draw(_TOKENS))
+    return argv
+
+
+@settings(max_examples=500)
+@given(st.lists(_TOKENS, max_size=8) | _argvs())
+@example(["--format", "json", "verify", "a", "--order", "lex", "b", "--format", "text"])
+@example(["scan", "s", "--w-bound", "scan", "--jmax", " 7", "--delta-crosscheck"])
+def test_plain_parse_gives_the_namespace_of_argparse(argv):
+    got = cli._plain_parse(argv)
+    if got is None:
+        return
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            want = cli._parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"argparse refuses {argv}, which the plain pass takes")
+    assert vars(got) == vars(want), argv

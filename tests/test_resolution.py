@@ -690,11 +690,12 @@ class TestComparisonComplexOnlyForCounts:
         # the irrelevant complex at degree 0 has no vertex, so nothing to reduce
         assert {faces for faces, _j in reductions} == face_sets - {frozenset({0})}
 
-    def test_mixed_sign_harvest_falls_back_to_build_delta(self, monkeypatch):
+    def test_mixed_sign_harvest_builds_no_delta(self, monkeypatch):
         from toricsyz import resolution
 
-        # generator (-1, 1) puts m - n_1 after m in sorted(D(M)), so there the
-        # harvest builds the comparison complex on its own
+        # generator (-1, 1) puts m - n_1 after m in sorted(D(M)); walked by
+        # weight, m - n_1 comes first, so every face set is read off its
+        # neighbours and none is built on its own
         sg = Semigroup(2, [[-1, 1], [0, 1], [2, 1], [3, 1]])
         builds = _count_calls(monkeypatch, resolution, "build_delta")
         engine = ResolutionEngine(sg, Config())
@@ -702,7 +703,7 @@ class TestComparisonComplexOnlyForCounts:
         assert fragment.report["passed"] and fragment.ranks() == {0: 4, 1: 4, 2: 1}
         divisors = divisor_degrees(sg, (10, 10))
         assert set(engine._delta_faces) == divisors
-        assert 0 < len(builds) < len(divisors)
+        assert builds == []
         for m, faces in engine._delta_faces.items():
             assert faces == build_delta(sg, m).masks, m
 
