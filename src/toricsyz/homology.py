@@ -1,47 +1,35 @@
 """Reduced simplicial homology over an exact field with fixed bases.
 
-Boundary matrices are taken with respect to the deterministic face orders
-of the host complex.  Gaussian elimination with a fixed pivot rule (scan
-columns left to right, take the topmost nonzero entry, eliminate rows top
-to bottom then columns left to right) produces invertible P and Q with
+Boundary matrices are taken in the fixed face orders of the host complex.
+Elimination scans columns left to right; its pivot columns are the first
+columns independent of all columns to their left, the greedy basis of the
+column matroid, so A restricted to them is injective.  Every basis and
+decomposition here is read off what the pivot columns alone decide:
+normal-form kernel vectors, and the one solution supported on the pivot
+columns.  The pivot columns are load bearing; the row rule is not, so
+gauss_reduce picks its pivot rows to keep fill-in low.
 
-    P^-1 A Q = [[I_r, 0], [0, 0]].
-
-Its pivot columns are the first columns independent of all columns to
-their left, the greedy basis of the column matroid, so A restricted to
-them is injective.  The fixed basis of the cycles in dimension j has two
-parts.  Its boundary part is the boundaries of the pivot faces of d_{j+1},
-and the preimage of each is that one face; a boundary therefore has
-exactly one preimage on the pivot faces.  Its homology part is a set of
-kernel columns of Q_j, each with coefficient 1 at one free (non-pivot)
-column of d_j and its other support on pivot columns to its left:
-projecting onto the free columns is injective on cycles and turns these
-normal-form vectors into unit vectors.  The free columns, listed in the
-order of Q_j's kernel columns, follow from d_j's pivots alone.  One
+The fixed basis of the cycles in dimension j has two parts.  Its boundary
+part is the boundaries of the pivot faces of d_{j+1}, each with that one
+face as its preimage on the pivot faces.  Its homology part is a set of
+kernel vectors of d_j with coefficient 1 at one free (non-pivot) column,
+0 at the others: projecting onto the free columns, in their fixed order
+(_free_columns), is injective on cycles and makes them unit vectors.  One
 reduction of the projected [boundary part | units] both selects and
 solves: its pivot units, the first whose units extend the projected
 boundary part, are the free columns of the representatives, and solving a
 projected cycle against it gives that cycle's coordinates in the basis.
-Representatives exist only where nullity(d_j) > rank(d_{j+1}), so only
-there is Q_j kept.  Every choice here is load bearing: the resolution
-machinery is only well defined relative to these bases.
+Only where nullity(d_j) > rank(d_{j+1}) are there representatives, and
+is d_j reduced for its kernel.  Every choice here is load bearing: the
+resolution machinery is only well defined relative to these bases.
 
-Elimination is sparse from input to solution: every matrix is built as
-rows of (column, nonzero entry) pairs, the one format gauss_reduce reads,
-where the rows of A, the columns of Q and the rows of P^-1 are dicts of
-nonzeros and column swaps a permutation; solve maps nonzeros to nonzeros.
-Boundary maps have j+1 nonzeros per column, so time and memory stay near
-the fill-in.  The
-pivot rule and every row and column operation are those of the dense
-elimination, in exact arithmetic, so Q, P^-1 and therefore the bases are
-unchanged.  Each call tracks only what its caller reads: Q for the
-kernel columns, P^-1 and Q for the projected reduction, neither for rank
-and pivots.  The rank-and-pivot reduction of a boundary map is made once
-per dimension and field and kept on its complex (reduce_boundary), so
-Betti numbers and fixed bases of one complex share it.  A basis read from
-the on-disk cache takes only its homology representatives from the file;
-its pivots, free columns and boundary part come from these reductions, as
-in a basis built afresh.
+Every matrix is built as rows of (column, nonzero entry) pairs, the one
+format gauss_reduce reads; it keeps echelon rows of nonzeros and row
+steps, so time and memory stay near the fill-in.  The rank and pivots of
+a boundary map are reduced once per dimension and field and kept on its
+complex (reduce_boundary), shared by Betti numbers and fixed bases.  A
+basis read from the on-disk cache takes only its homology representatives
+from the file, and the rest from these reductions.
 
 d_0 and d_1 are never eliminated for their rank and pivots.  d_1 is the
 signed incidence matrix of the 1-skeleton, whose column matroid is the
@@ -325,120 +313,119 @@ def representative_fault(chain: Chain, face_index: dict, field, dim: int, degree
 
 
 class GaussDecomposition:
-    """Result of gauss_reduce: rank, Q as sparse columns, P^-1 as sparse rows.
+    """Result of gauss_reduce: rank, pivots, echelon rows and row steps.
 
-    ``q_cols[k]`` and ``p_inv_rows[i]`` are dicts index -> nonzero scalar,
-    or None where gauss_reduce was told not to keep them, so a reader of
-    a matrix that was not tracked fails at once.  ``pivots`` lists the
-    input columns of the pivots in ascending order: the columns
-    independent of all input columns to their left.  Complexes keep many
-    of them (reduce_boundary), hence the slots.
+    ``pivots`` lists the input columns of the pivots in ascending order: the
+    columns independent of all input columns to their left.  They alone fix
+    kernel_columns and solve, whichever rows gauss_reduce picked to pivot.
+    ``rows[t]``, a dict column -> nonzero scalar, is the echelon row of
+    pivot t: 1 at pivots[t] and nothing to its left.  ``steps[t]`` is (row
+    swapped with t, scale of row t, [(row, multiple of row t added)]).
+    Both are None where only rank and pivots are kept (reduce_boundary,
+    _spanning_forest), so a reader of them fails at once.  Complexes keep
+    many of those, hence the slots.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "rank", "p_inv_rows", "q_cols", "pivots")
+    __slots__ = ("field", "nrows", "ncols", "rank", "rows", "steps", "pivots")
 
-    def __init__(self, field, nrows, ncols, rank, p_inv_rows, q_cols, pivots):
+    def __init__(self, field, nrows, ncols, rank, rows, steps, pivots):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
         self.rank = rank
-        self.p_inv_rows = p_inv_rows
-        self.q_cols = q_cols
+        self.rows = rows
+        self.steps = steps
         self.pivots = pivots
 
     def kernel_columns(self):
-        """Last ncols - rank columns of Q: a basis of the kernel."""
-        return self.q_cols[self.rank:]
+        """The normal-form kernel basis, one vector per free column f.
+
+        In _free_columns order, the kernel vector with 1 at f and 0 at the
+        other free columns.  The echelon rows are reduced upward, each by the
+        rows below it, which are already 0 at every other pivot; then minus
+        row t's entry at f is the vector's entry at pivots[t].
+        """
+        field, pivots = self.field, self.pivots
+        pos = {c: t for t, c in enumerate(pivots)}
+        rows = [dict(row) for row in self.rows]
+        for t in range(self.rank - 1, -1, -1):
+            for c in [c for c in rows[t] if c in pos and c != pivots[t]]:
+                field.axpy(rows[t], rows[pos[c]], field.neg(rows[t][c]))
+        kernel = {f: {f: field.one} for f in _free_columns(pivots, self.ncols)}
+        for p, row in zip(pivots, rows):
+            for f, v in row.items():
+                if f != p:
+                    kernel[f][p] = field.neg(v)
+        return list(kernel.values())
 
     def solve(self, vec: dict):
-        """One solution x of A x = vec as {column: nonzero}, or None when inconsistent.
+        """The solution of A x = vec on the pivot columns, or None when inconsistent.
 
-        vec is {row: value}.  Uses x = Q . [(P^-1 vec)_{1..r}; 0], which is
-        deterministic and linear in vec; needs both P^-1 and Q.
+        vec is {row: value}.  The row steps are replayed on it; a nonzero
+        left past the rank means no solution.  Back-substitution on the
+        echelon rows then gives x as {column: nonzero}: unique, since the
+        pivot columns are independent, and linear in vec.
         """
-        field = self.field
-
-        def u(i):
-            return field.of(sum(c * vec[k] for k, c in self.p_inv_rows[i].items()
-                                if k in vec))
-
-        if any(u(i) for i in range(self.rank, self.nrows)):
+        of = self.field.of
+        y = [0] * self.nrows
+        for i, v in vec.items():
+            y[i] = of(v)
+        for t, (piv, scale, ops) in enumerate(self.steps):
+            y[t], y[piv] = y[piv], y[t]
+            if y[t]:
+                y[t] = v = of(y[t] * scale)
+                for i, f in ops:
+                    y[i] = of(y[i] + f * v)
+        if any(y[self.rank:]):
             return None
         x = {}
-        for i in range(self.rank):
-            field.axpy(x, self.q_cols[i], u(i))
+        for t in range(self.rank - 1, -1, -1):
+            v = of(y[t] - sum(c * x[k] for k, c in self.rows[t].items() if k in x))
+            if v:
+                x[self.pivots[t]] = v
         return x
 
 
-def gauss_reduce(rows, ncols: int, field, keep: str = "pq") -> GaussDecomposition:
-    """Reduce a matrix to the block identity form with fixed pivoting.
+def gauss_reduce(rows, ncols: int, field) -> GaussDecomposition:
+    """Row-reduce a matrix to echelon form, recording the row steps.
 
-    Each row is a list of (column, nonzero entry) pairs, in any order.  Pivot rule:
-    scan columns left to right; within a column take the topmost nonzero
-    entry below the finished block, swapping that row up and the column
-    into the block's next position.  Rows are cleared top to bottom, then
-    columns left to right; the column swaps are kept as a permutation, and
-    Q's columns are listed in the permuted order.
-
-    ``keep`` names the transforms to track: "p" for P^-1, "q" for Q.
-    Neither changes a pivot, so rank and pivots are the same in every
-    mode, and a kept P^-1 or Q is the same with or without the other.
+    Each row is a list of (column, nonzero entry) pairs, in any order.
+    Columns are scanned left to right, and each one that a row below the
+    finished block hits is a pivot.  Of those rows the pivot row has a unit
+    entry (+-1) there if one does, then the fewest nonzeros, then the
+    lowest index (Markowitz, Management Sci. 3, 1957), which keeps 0/+-1
+    boundary matrices off Fraction arithmetic.  It is swapped up, scaled to
+    1 and cleared from the rows below.  Any row rule gives the same
+    pivots, kernel columns and solutions.
     """
-    if not set(keep) <= {"p", "q"}:
-        raise ValueError(f"keep must name only 'p' and 'q', not {keep!r}")
-    keep_p, keep_q = "p" in keep, "q" in keep
     m = len(rows)
-    fo = field.one
-    of = field.of
-    axpy = field.axpy
+    fo, of = field.one, field.of
+    units = (fo, field.neg(fo))
     M = [{k: w for k, v in row if (w := of(v))} for row in rows]
-    p_inv = [{i: fo} for i in range(m)] if keep_p else None
-    q_cols = [{k: fo} for k in range(ncols)] if keep_q else None
-    col_at = list(range(ncols))  # position -> column of the input
-    pos_of = list(range(ncols))  # column of the input -> position
-    t = 0
+    pivots, steps = [], []
     for c in range(ncols):
+        t = len(pivots)
         if t >= m:
             break
-        # position c still holds input column c: each swap exchanges the
-        # scanned position with an earlier one, never a later one
         hits = [i for i in range(t, m) if c in M[i]]
         if not hits:
             continue
-        piv = hits[0]
-        if piv != t:
-            M[t], M[piv] = M[piv], M[t]
-            if keep_p:
-                p_inv[t], p_inv[piv] = p_inv[piv], p_inv[t]
-        if c != t:
-            moved = col_at[t]
-            col_at[t], col_at[c] = c, moved
-            pos_of[c], pos_of[moved] = t, c
-            if keep_q:
-                q_cols[t], q_cols[c] = q_cols[c], q_cols[t]
+        piv = hits[0] if len(hits) == 1 else min(
+            hits, key=lambda i: (M[i][c] not in units, len(M[i])))
+        M[t], M[piv] = M[piv], M[t]
         src = M[t]
-        pivot = src[c]
-        if pivot != fo:
-            inv = field.div(fo, pivot)
-            for row in (src, p_inv[t]) if keep_p else (src,):
-                for k, v in row.items():
-                    row[k] = of(v * inv)
-        # hits[1:] keep their indices: the swap only moved rows t and piv
-        for i in hits[1:]:
-            f = -M[i][c]
-            axpy(M[i], src, f)
-            if keep_p:
-                axpy(p_inv[i], p_inv[t], f)
-        if keep_q:
-            # column c is now e_t, so clearing row t by column operations
-            # is bookkeeping on Q only; the row itself is no longer needed
-            qt = q_cols[t]
+        scale = src[c] if src[c] in units else field.div(fo, src[c])  # 1/(+-1) is +-1
+        if scale != fo:
             for k, v in src.items():
-                if k != c:
-                    axpy(q_cols[pos_of[k]], qt, -v)
-        M[t] = None
-        t += 1
-    return GaussDecomposition(field, m, ncols, t, p_inv, q_cols, col_at[:t])
+                src[k] = of(v * scale)
+        # the swap moved only rows t and piv: row t's old entries are at piv
+        below = [piv if i == t else i for i in hits if i != piv]
+        ops = [(i, field.neg(M[i][c])) for i in below]
+        for i, f in ops:
+            field.axpy(M[i], src, f)
+        steps.append((piv, scale, ops))
+        pivots.append(c)
+    return GaussDecomposition(field, m, ncols, len(pivots), M[:len(pivots)], steps, pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +440,8 @@ class ChainBasis:
     pivot face, in that order; the face itself is its preimage.
     ``homology`` holds the normal-form kernel vectors whose classes form a
     basis of reduced homology.  ``free`` lists the free (non-pivot) faces
-    of d_j, given as indices into faces, in the order of Q_j's kernel
-    columns (_free_columns): the rows of the projection.
+    of d_j, given as indices into faces, in the fixed free order
+    (_free_columns): the rows of the projection.
     """
 
     def __init__(self, degree, dim, field, faces, up_faces, pivots, homology, free):
@@ -472,7 +459,7 @@ class ChainBasis:
         self._solver = None
 
     def solver(self) -> GaussDecomposition:
-        """[projected boundary cycles | units] reduced keeping P^-1 and Q.
+        """[projected boundary cycles | units] reduced, for its pivots and solve.
 
         Built on first use and kept.  Its pivot columns past the boundaries
         are the units of the representatives' last faces, in order: the
@@ -485,7 +472,7 @@ class ChainBasis:
                 for face, v in cycle.items():
                     if face in rows:
                         rows[face].append((b, v))
-            self._solver = gauss_reduce(list(rows.values()), nb + len(rows), field, keep="pq")
+            self._solver = gauss_reduce(list(rows.values()), nb + len(rows), field)
         return self._solver
 
     def express(self, chain: Chain):
@@ -518,10 +505,11 @@ class ChainBasis:
 
 
 def _free_columns(pivots, ncols: int) -> list:
-    """The non-pivot columns in the order of gauss_reduce's kernel columns of Q.
+    """The non-pivot columns in the fixed free order of the bases.
 
-    Replays gauss_reduce's column swaps, which the pivots alone decide.
-    The order is not ascending in general and decides the representatives.
+    Swapping position t with pivots[t], for each t in turn, leaves them past
+    the rank in this order.  It is not ascending in general, and as the
+    order of kernel_columns and ChainBasis.free it decides the representatives.
     """
     col_at = list(range(ncols))
     for t, c in enumerate(pivots):
@@ -530,10 +518,10 @@ def _free_columns(pivots, ncols: int) -> list:
 
 
 def reduce_boundary(complex_, j: int, field) -> GaussDecomposition:
-    """The j-th boundary map of complex_ reduced keeping no transform.
+    """The rank and pivots of the j-th boundary map of complex_.
 
-    Reduced once per (dimension, field) and kept in the complex's
-    ``_reductions``, so every reader of a rank or of pivots shares one
+    Reduced once per (dimension, field) and kept, without its rows and
+    steps, in the complex's ``_reductions``, so every reader of a rank or of pivots shares one
     elimination.  d_0 and d_1 need none: their rank and pivots are those of
     the greedy spanning forest (_spanning_forest).  Without j-faces there is
     nothing to eliminate: rank 0, no pivots.
@@ -543,11 +531,12 @@ def reduce_boundary(complex_, j: int, field) -> GaussDecomposition:
     if decomp is None:
         if j in (0, 1):
             decomp = _spanning_forest(complex_, j, field)
+        elif complex_.faces_of_dim(j):
+            decomp = gauss_reduce(boundary_matrix(complex_, j).data,
+                                  len(complex_.faces_of_dim(j)), field)
+            decomp.rows = decomp.steps = None
         else:
-            faces = complex_.faces_of_dim(j)
-            decomp = (
-                gauss_reduce(boundary_matrix(complex_, j).data, len(faces), field, keep="")
-                if faces else GaussDecomposition(field, 0, 0, 0, None, None, []))
+            decomp = GaussDecomposition(field, 0, 0, 0, None, None, [])
         complex_._reductions[key] = decomp
     return decomp
 
@@ -598,16 +587,16 @@ def fixed_cycle_basis(complex_, j: int, field) -> ChainBasis:
 
     There is homology only where nullity(d_j) > rank(d_{j+1}), that is where
     there are more free faces than pivot up-faces, and only there is d_j
-    reduced a second time, keeping Q, for its kernel columns; the basis's
-    solver then selects the representatives among them, and express solves
-    with that same reduction.
+    reduced a second time, keeping its echelon rows, for its normal-form
+    kernel columns; the basis's solver then selects the representatives
+    among them, and express solves with that same reduction.
     """
     basis = _boundary_basis(complex_, j, field)
     faces, nb = basis.faces, len(basis.boundary)
     if len(basis.free) <= nb:
         return basis
-    kernel = gauss_reduce(boundary_matrix(complex_, j).data, len(faces), field,
-                          keep="q").kernel_columns()
+    kernel = gauss_reduce(boundary_matrix(complex_, j).data, len(faces),
+                          field).kernel_columns()
     free = set(basis.free)
     for col, face in zip(kernel, basis.free):
         if [(faces[k], v) for k, v in col.items() if faces[k] in free] != [(face, field.one)]:

@@ -480,12 +480,12 @@ class Semigroup:
         """
         if self._facets is None:
             field = RationalField()
-            coords = gauss_reduce(_sparse_rows(self.generators), self.dim, field, keep="").pivots
+            coords = gauss_reduce(_sparse_rows(self.generators), self.dim, field).pivots
             points = [tuple(n[c] for c in coords) for n in self.generators]
             rank = len(coords)
             normals = set()
             for spanning in combinations(points, rank - 1):
-                reduced = gauss_reduce(_sparse_rows(spanning), rank, field, keep="q")
+                reduced = gauss_reduce(_sparse_rows(spanning), rank, field)
                 if reduced.rank < rank - 1:
                     continue  # dependent: spans no hyperplane
                 (kernel,) = reduced.kernel_columns()
@@ -516,7 +516,7 @@ class Semigroup:
     def matrix_rank(self) -> int:
         """Rank of the generator matrix over the rationals."""
         rows = _sparse_rows(zip(*self.generators))
-        return gauss_reduce(rows, self.num_generators, RationalField(), keep="").rank
+        return gauss_reduce(rows, self.num_generators, RationalField()).rank
 
     def __repr__(self):
         return f"Semigroup(dim={self.dim}, generators={list(self.generators)})"

@@ -1,13 +1,17 @@
-"""Dense reference elimination and dense views for test assertions.
+"""Dense reference elimination and checks of a sparse decomposition.
 
-``dense_gauss_reduce`` is the original dense implementation of
-``toricsyz.homology.gauss_reduce``: it keeps M, an m x m P^-1 and an n x n Q
-as lists of lists and swaps columns physically. The library's sparse
-routine must reproduce its rank, Q, P^-1 and ``solve`` results exactly.
-``densify`` turns a sparse decomposition into the same dense form, so
-assertions written against dense lists read it unchanged.  ``to_pairs`` and
-``to_dense`` convert between dense rows and the library's rows of
-(column, nonzero entry) pairs; a vector is a one-row matrix.
+``dense_gauss_reduce`` is an independent dense elimination with the
+topmost-row rule: it keeps M, an m x m P^-1 and an n x n Q as lists of
+lists and swaps columns physically, so P^-1 A Q is the block identity.
+The library's sparse ``toricsyz.homology.gauss_reduce`` picks its pivot
+rows freely, so its row operations differ, but whatever it returns depends
+on the pivot columns alone and must equal the reference exactly: rank,
+pivots, the kernel columns (Q's last columns) and every ``solve`` result
+(Q's pivot columns applied to P^-1 vec), None included.
+``check_decomposition`` checks a sparse decomposition against its matrix
+directly.  ``to_pairs`` and ``to_dense`` convert between dense rows and the
+library's rows of (column, nonzero entry) pairs; a vector is a one-row
+matrix.
 """
 from __future__ import annotations
 
@@ -39,31 +43,19 @@ def _row_axpy(dst, src, factor, p):
 
 
 class DenseDecomposition:
-    """Rank, Q as dense columns, P^-1 as dense rows, and P on demand."""
+    """Rank, pivots, Q as dense columns and P^-1 as dense rows."""
 
-    def __init__(self, field, nrows, ncols, rank, p_inv_rows, q_cols):
+    def __init__(self, field, nrows, ncols, rank, p_inv_rows, q_cols, pivots):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
         self.rank = rank
         self.p_inv_rows = p_inv_rows
         self.q_cols = q_cols
+        self.pivots = pivots
 
     def kernel_columns(self):
         return self.q_cols[self.rank:]
-
-    @property
-    def p_columns(self):
-        """Columns of P, computed by inverting P^-1; fails if it is singular."""
-        inv = dense_gauss_reduce(self.p_inv_rows, self.nrows, self.field)
-        if inv.rank != self.nrows:
-            raise ArithmeticError("P^-1 is singular; elimination is broken")
-        cols = []
-        for i in range(self.nrows):
-            e = [self.field.zero] * self.nrows
-            e[i] = self.field.one
-            cols.append(inv.solve(e))
-        return cols
 
     def solve(self, vec):
         """x = Q . [(P^-1 vec)_{1..r}; 0], or None when A x = vec is inconsistent."""
@@ -95,6 +87,7 @@ def dense_gauss_reduce(rows, ncols, field) -> DenseDecomposition:
     M = [[field.of(v) for v in row] for row in rows]
     p_inv = [[fo if i == k else fz for k in range(m)] for i in range(m)]
     q_cols = [[fo if i == k else fz for i in range(n)] for k in range(n)]
+    pivots = []
     t = 0
     for c in range(n):
         if t >= m:
@@ -127,28 +120,41 @@ def dense_gauss_reduce(rows, ncols, field) -> DenseDecomposition:
             if jj != t and src[jj]:
                 _row_axpy(q_cols[jj], qt, src[jj], p)
                 src[jj] = fz
+        pivots.append(c)
         t += 1
-    return DenseDecomposition(field, m, n, t, p_inv, q_cols)
+    return DenseDecomposition(field, m, n, t, p_inv, q_cols, pivots)
 
 
-def densify(g) -> DenseDecomposition:
-    """Dense copy of a sparse GaussDecomposition (dict rows and columns).
+def check_decomposition(g, rows, field):
+    """Assert what a sparse decomposition of rows (pairs) promises, directly.
 
-    A P^-1 or Q the decomposition did not keep stays None.
+    Echelon row t has 1 at pivots[t] and nothing to its left, so 0 at every
+    earlier pivot; A k = 0 for every kernel column k; and for every column
+    a_c of A, solve(a_c) is a solution supported on the pivots, which is
+    e_c itself when c is a pivot.  Every vector holds nonzeros only.
     """
-    fz = g.field.zero
+    pivots = set(g.pivots)
+    assert g.rank == len(g.pivots) == len(g.rows)
+    for t, row in enumerate(g.rows):
+        assert row[g.pivots[t]] == field.one and min(row) == g.pivots[t]
+    columns = [{} for _ in range(g.ncols)]
+    for i, row in enumerate(rows):
+        for k, v in row:
+            columns[k][i] = v
 
-    def dense(vecs, size):
-        if vecs is None:
-            return None
-        out = []
-        for vec in vecs:
-            out.append([fz] * size)
-            for k, v in vec.items():
-                out[-1][k] = v
+    def image(x):
+        out = {}
+        for k, v in x.items():
+            field.axpy(out, columns[k], v)
         return out
 
-    return DenseDecomposition(
-        g.field, g.nrows, g.ncols, g.rank,
-        dense(g.p_inv_rows, g.nrows), dense(g.q_cols, g.ncols),
-    )
+    kernel = g.kernel_columns()
+    assert len(kernel) == g.ncols - g.rank
+    for k in kernel:
+        assert all(k.values()) and image(k) == {}
+    for c, col in enumerate(columns):
+        x = g.solve({i: field.of(v) for i, v in col.items()})
+        assert x is not None and all(x.values()) and x.keys() <= pivots
+        assert image(x) == image({c: field.one})
+        if c in pivots:
+            assert x == {c: field.one}

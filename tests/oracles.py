@@ -4,8 +4,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
+from dense_gauss import DenseDecomposition, dense_gauss_reduce, to_dense
+
 from toricsyz.complexes import DeltaComplex, NablaComplex
-from toricsyz.homology import ChainBasis, GaussDecomposition, boundary_matrix, gauss_reduce
+from toricsyz.homology import ChainBasis, boundary_matrix
 from toricsyz.orders import DEGREVLEX, mono_div, mono_gcd, mono_is_unit, mono_mul
 from toricsyz.resolution import ResolutionEngine, ResolutionFragment
 from toricsyz.semigroup import _fourier_motzkin_numerators
@@ -194,16 +196,28 @@ class MemoOffEngine(ResolutionEngine):
         self._decompositions = _NeverStores()
 
 
-def reduce_columns(columns, nrows: int, field, keep: str = "pq") -> GaussDecomposition:
-    """gauss_reduce of the matrix whose columns are the sparse vectors given.
+def reduce_columns(columns, nrows: int, field) -> DenseDecomposition:
+    """The dense reference reduction of the matrix whose columns are the vectors given.
 
     Each column is a dict row index -> scalar.
     """
-    rows = [[] for _ in range(nrows)]
+    rows = [[field.zero] * len(columns) for _ in range(nrows)]
     for k, col in enumerate(columns):
         for i, v in col.items():
-            rows[i].append((k, v))
-    return gauss_reduce(rows, len(columns), field, keep=keep)
+            rows[i][k] = v
+    return dense_gauss_reduce(rows, len(columns), field)
+
+
+def _reference_q(complex_, j, field) -> DenseDecomposition:
+    """The dense reference reduction of d_j, for its Q."""
+    mat = boundary_matrix(complex_, j)
+    return dense_gauss_reduce(to_dense(mat.data, len(mat.col_faces)), len(mat.col_faces),
+                              field)
+
+
+def _nonzeros(vec, field) -> dict:
+    """A dense vector as {index: nonzero}, in index order."""
+    return {k: field.of(v) for k, v in enumerate(vec) if v}
 
 
 class QChainBasis(ChainBasis):
@@ -227,7 +241,9 @@ class QChainBasis(ChainBasis):
 def q_fixed_cycle_basis(complex_, j, field) -> ChainBasis:
     """fixed_cycle_basis as it was when the boundary part came from Q.
 
-    Reduces d_j and d_{j+1} afresh, keeping Q.  Each boundary element is
+    Reduces d_j and d_{j+1} afresh with the dense reference
+    (dense_gauss_reduce), so its Q shares no elimination code with the
+    engine.  Each boundary element is
     the image of one pivot column of Q_{j+1}, with that column as its
     preimage; the homology representatives are the kernel columns of Q_j
     whose free coordinates extend the projected boundary cycles, and the
@@ -242,12 +258,11 @@ def q_fixed_cycle_basis(complex_, j, field) -> ChainBasis:
     if not faces:
         return ChainBasis(complex_.degree, j, field, (), up_faces, [], [], [])
     face_index = {f: i for i, f in enumerate(faces)}
-    g_down = gauss_reduce(boundary_matrix(complex_, j).data, len(faces), field, keep="q")
-    g_up = gauss_reduce(boundary_matrix(complex_, j + 1).data, len(up_faces), field,
-                        keep="q")
+    g_down = _reference_q(complex_, j, field)
+    g_up = _reference_q(complex_, j + 1, field)
     cycles, preimages = [], []
     for qcol in g_up.q_cols[:g_up.rank]:
-        preimage = {k: qcol[k] for k in sorted(qcol)}
+        preimage = _nonzeros(qcol, field)
         vec = {}
         for k, v in preimage.items():
             face = up_faces[k]
@@ -255,7 +270,7 @@ def q_fixed_cycle_basis(complex_, j, field) -> ChainBasis:
                              for p in range(len(face))}, v)
         preimages.append(preimage)
         cycles.append(vec)
-    kernel = g_down.kernel_columns()
+    kernel = [_nonzeros(col, field) for col in g_down.kernel_columns()]
     pivot_set = set(g_down.pivots)
     free_row = {}
     for i, col in enumerate(kernel):
@@ -264,7 +279,7 @@ def q_fixed_cycle_basis(complex_, j, field) -> ChainBasis:
     projected = [{free_row[k]: v for k, v in vec.items() if k in free_row} for vec in cycles]
     projected += [{i: field.one} for i in range(len(kernel))]
     nb = len(cycles)
-    pivots = reduce_columns(projected, len(kernel), field, keep="").pivots
+    pivots = reduce_columns(projected, len(kernel), field).pivots
     assert pivots[:nb] == list(range(nb)), "boundary cycles are dependent"
     homology = [{faces[k]: col[k] for k in sorted(col)}
                 for col in (kernel[p - nb] for p in pivots[nb:])]

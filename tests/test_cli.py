@@ -720,23 +720,21 @@ class TestInternalCheckFailures:
         assert err.startswith("error: internal check failed: ")
 
     def test_dependent_basis_exits_one(self, capsys, tmp_path, monkeypatch):
-        original = homology.gauss_reduce
+        original = homology.ChainBasis.solver
 
-        def first_column_dependent(rows, ncols, field, keep="pq"):
-            decomp = original(rows, ncols, field, keep=keep)
-            if keep == "pq":
-                decomp.pivots = [c for c in decomp.pivots if c != 0]
+        def first_column_dependent(self):
+            decomp = original(self)
+            decomp.pivots = [c for c in decomp.pivots if c != 0]
             return decomp
 
-        # The representative selection is the only reduction in homology
-        # that keeps both transforms, and a fixed basis runs it at once only
-        # where the fiber complex has homology.  Column 0 of its matrix is
-        # the first boundary: the fiber x1^3, x1*x3, x2^2 of 6 in <2,3,4>
-        # has one edge and two components, so the selection there has a
-        # boundary column.
+        # A fixed basis runs the representative selection, its solver, at
+        # once only where the fiber complex has homology.  Column 0 of its
+        # matrix is the first boundary: the fiber x1^3, x1*x3, x2^2 of 6 in
+        # <2,3,4> has one edge and two components, so the selection there
+        # has a boundary column.
         semigroup = tmp_path / "s234.json"
         semigroup.write_text('{"dim": 1, "generators": [[2], [3], [4]]}', encoding="utf-8")
-        monkeypatch.setattr(homology, "gauss_reduce", first_column_dependent)
+        monkeypatch.setattr(homology.ChainBasis, "solver", first_column_dependent)
         code = main(["minimalize", str(semigroup), "--lead", "3,0,0", "--trail", "0,2,0"])
         captured = capsys.readouterr()
         assert captured.out == ""

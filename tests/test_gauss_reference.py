@@ -1,23 +1,24 @@
 """The sparse gauss_reduce against the dense reference in dense_gauss.py.
 
-Both use the same pivot rule and the same row and column operations in
-exact arithmetic, so rank, every column of Q, every row of P^-1 and every
-``solve`` result (None included) must be equal, not just equivalent.  The
-library reads the reference's dense rows as pairs (to_pairs), and its
-solutions hold exactly the reference's nonzeros.
-Every keep mode of gauss_reduce is checked: rank and pivots never depend
-on it, a kept P^-1 or Q equals the reference and one not kept is None.
+The reference pivots on the topmost row and keeps P^-1 and Q; the library
+picks its pivot rows freely and keeps echelon rows and row steps.  Their
+row operations differ, but what the library returns depends on the pivot
+columns alone: rank, pivots, the normal-form kernel columns (the
+reference's kernel columns of Q) and every ``solve`` result, None
+included, must be equal, not just equivalent.  The library reads the
+reference's dense rows as pairs (to_pairs), and its vectors hold exactly
+the reference's nonzeros.
 """
 import random
 from fractions import Fraction
 
 import pytest
-from dense_gauss import dense_gauss_reduce, densify, to_pairs
+from dense_gauss import check_decomposition, dense_gauss_reduce, to_pairs
+from hypothesis import given, settings, strategies as st
 
 from toricsyz import PrimeField, RationalField, gauss_reduce
 
 FIELDS = [RationalField(), PrimeField(5), PrimeField(32003)]
-KEEPS = ["pq", "q", "p", ""]
 
 
 def random_matrix(rng, field, m, n, density, rank_cap=None):
@@ -64,34 +65,68 @@ def random_target(rng, field, rows, m):
     return vec
 
 
+def assert_matches_reference(rows, n, field, targets):
+    """Rank, pivots, kernel columns and the solve of each target, as the reference's.
+
+    Returns how many targets were consistent.
+    """
+    ref = dense_gauss_reduce([list(r) for r in rows], n, field)
+    sparse = gauss_reduce(to_pairs(rows), n, field)
+    assert (sparse.rank, sparse.pivots) == (ref.rank, ref.pivots), rows
+    assert sparse.kernel_columns() == [dict(*to_pairs([col])) for col in ref.kernel_columns()], \
+        rows
+    check_decomposition(sparse, to_pairs(rows), field)
+    consistent = 0
+    for vec in targets:
+        expected = ref.solve(vec)
+        got = sparse.solve(dict(*to_pairs([vec])))
+        assert got == (None if expected is None else dict(*to_pairs([expected]))), (rows, vec)
+        consistent += expected is not None
+    return consistent
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 def test_sparse_matches_dense_reference(field):
     rng = random.Random(f"gauss-{field.name}")
     consistent = inconsistent = 0
     for m, n, density, rank_cap in shapes(rng):
         rows = random_matrix(rng, field, m, n, density, rank_cap)
-        ref = dense_gauss_reduce([list(r) for r in rows], n, field)
-        decomps = {keep: gauss_reduce(to_pairs(rows), n, field, keep=keep)
-                   for keep in KEEPS}
-        for keep, sparse in decomps.items():
-            dense = densify(sparse)
-            assert sparse.rank == ref.rank, (rows, keep)
-            assert dense.q_cols == (ref.q_cols if "q" in keep else None), (rows, keep)
-            assert dense.p_inv_rows == (ref.p_inv_rows if "p" in keep else None), (rows, keep)
-            # readers copy these dicts into chains, so a stored zero would show
-            kept = (sparse.q_cols or []) + (sparse.p_inv_rows or [])
-            assert all(v for vec in kept for v in vec.values())
-        for _ in range(4):
-            vec = random_target(rng, field, rows, m)
-            expected = ref.solve(vec)
-            got = decomps["pq"].solve(dict(*to_pairs([vec])))
-            assert got == (None if expected is None else dict(*to_pairs([expected]))), \
-                (rows, vec)
-            if expected is None:
-                inconsistent += 1
-            else:
-                consistent += 1
+        solved = assert_matches_reference(
+            rows, n, field, [random_target(rng, field, rows, m) for _ in range(4)])
+        consistent += solved
+        inconsistent += 4 - solved
     assert consistent and inconsistent
+
+
+@st.composite
+def non_unit_systems(draw):
+    """(field, rows, ncols, targets): entries 0, +-1, 2, -3, 4 (and 1/2 over Q)."""
+    field = draw(st.sampled_from(FIELDS))
+    m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    values = [0, 0, 1, -1, 2, -3, 4] + ([Fraction(1, 2)] if field.modulus is None else [])
+    entry = st.sampled_from(values)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    # half of the targets lie in the column space (A x), half are arbitrary
+    targets = []
+    for _ in range(4):
+        if draw(st.booleans()):
+            x = draw(st.lists(entry, min_size=n, max_size=n))
+            targets.append([sum(a * b for a, b in zip(row, x)) for row in rows])
+        else:
+            targets.append(draw(st.lists(entry, min_size=m, max_size=m)))
+    if field.modulus is not None:
+        rows = [[v % field.modulus for v in row] for row in rows]
+        targets = [[v % field.modulus for v in vec] for vec in targets]
+    return field, rows, n, targets
+
+
+@settings(max_examples=300)
+@given(non_unit_systems())
+def test_kernel_and_solve_match_the_reference_on_non_unit_entries(system):
+    # pivot rows without a unit entry are scaled by a non-unit, and the
+    # row rule then departs from the reference's topmost row
+    field, rows, n, targets = system
+    assert_matches_reference(rows, n, field, targets)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
@@ -102,23 +137,19 @@ def test_pivots_are_where_prefix_rank_grows(field):
         ranks = [dense_gauss_reduce([row[:k] for row in rows], k, field).rank
                  for k in range(n + 1)]
         expected = [k for k in range(n) if ranks[k + 1] > ranks[k]]
-        for keep in KEEPS:
-            decomp = gauss_reduce(to_pairs(rows), n, field, keep=keep)
-            assert decomp.pivots == expected, (rows, keep)
+        assert gauss_reduce(to_pairs(rows), n, field).pivots == expected, rows
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 def test_pivot_columns_of_q_are_supported_on_the_pivots(field):
-    # A restricted to its pivot columns is injective, so a chain on them is
-    # fixed by its image: a fixed basis needs the pivots, not Q
+    # solve applies what were Q's pivot columns: A restricted to the pivot
+    # columns is injective, so a chain on them is fixed by its image, and a
+    # fixed basis needs the pivots, not Q
     rng = random.Random(f"gauss-{field.name}")
     for m, n, density, rank_cap in shapes(rng):
         rows = random_matrix(rng, field, m, n, density, rank_cap)
-        decomp = gauss_reduce(to_pairs(rows), n, field, keep="q")
+        decomp = gauss_reduce(to_pairs(rows), n, field)
         pivots = set(decomp.pivots)
-        assert all(col.keys() <= pivots for col in decomp.q_cols[:decomp.rank]), rows
-
-
-def test_unknown_keep_mode_is_rejected():
-    with pytest.raises(ValueError):
-        gauss_reduce([[(0, 1)]], 1, RationalField(), keep="pqx")
+        for _ in range(4):
+            sol = decomp.solve(dict(*to_pairs([random_target(rng, field, rows, m)])))
+            assert sol is None or sol.keys() <= pivots, rows

@@ -7,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from dense_gauss import densify, to_dense, to_pairs
+from dense_gauss import check_decomposition, to_dense, to_pairs
 
 from toricsyz import (
     DEGREVLEX,
@@ -25,6 +25,7 @@ from toricsyz import (
     get_field,
 )
 from toricsyz.homology import (
+    GaussDecomposition,
     basis_cache_key,
     face_boundary,
     load_cached_basis,
@@ -129,18 +130,19 @@ class TestBoundaryMatrix:
 
 class TestGaussReduce:
     def test_all_ones_row(self):
-        g = densify(gauss_reduce(to_pairs([[1, 1, 1, 1]]), 4, Q))
+        rows = to_pairs([[1, 1, 1, 1]])
+        g = gauss_reduce(rows, 4, Q)
         assert g.rank == 1
         kernel = g.kernel_columns()
-        assert len(kernel) == 3
-        for col in kernel:
-            assert sum(col) == 0
+        assert kernel == [{1: 1, 0: -1}, {2: 1, 0: -1}, {3: 1, 0: -1}]
+        check_decomposition(g, rows, Q)
 
     def test_zero_matrix(self):
-        g = densify(gauss_reduce(to_pairs([[0, 0], [0, 0]]), 2, Q))
-        assert g.rank == 0
-        assert g.q_cols == [[1, 0], [0, 1]]
-        assert g.p_inv_rows == [[1, 0], [0, 1]]
+        g = gauss_reduce(to_pairs([[0, 0], [0, 0]]), 2, Q)
+        assert (g.rank, g.pivots, g.rows, g.steps) == (0, [], [], [])
+        assert g.kernel_columns() == [{0: 1}, {1: 1}]
+        assert g.solve({}) == {}
+        assert g.solve({1: 3}) is None
 
     def test_path_complex_rank(self, example_semigroup):
         # two edges on three vertices: rank 2, trivial kernel
@@ -152,29 +154,15 @@ class TestGaussReduce:
 
     @pytest.mark.parametrize("m", [(52, 8), (36, 6), (45, 7)])
     def test_block_form_and_invertibility(self, example_semigroup, m):
+        # echelon rows, kernel columns and solutions, checked on the matrix
         cx = build_nabla(example_semigroup, m, DEGREVLEX)
         for j in range(0, 3):
             mat = boundary_matrix(cx, j)
             if not mat.col_faces:
                 continue
-            g = densify(gauss_reduce(mat.data, len(mat.col_faces), Q))
-            dense = to_dense(mat.data, len(mat.col_faces))
-            assert g.rank == echelon_rank(dense)
-            p = g.p_columns  # materializes the inverse; fails if singular
-            rows_p = [[p[k][i] for k in range(g.nrows)] for i in range(g.nrows)]
-            ident = matmul(g.p_inv_rows, rows_p)
-            assert all(
-                ident[i][k] == (1 if i == k else 0)
-                for i in range(g.nrows) for k in range(g.nrows)
-            )
-            q_rows = [[g.q_cols[k][i] for k in range(g.ncols)]
-                      for i in range(g.ncols)]
-            assert echelon_rank(q_rows) == g.ncols
-            product = matmul(matmul(g.p_inv_rows, dense), q_rows)
-            for i in range(g.nrows):
-                for k in range(g.ncols):
-                    expected = 1 if i == k < g.rank else 0
-                    assert product[i][k] == expected
+            g = gauss_reduce(mat.data, len(mat.col_faces), Q)
+            assert g.rank == echelon_rank(to_dense(mat.data, len(mat.col_faces)))
+            check_decomposition(g, mat.data, Q)
 
     def test_solve_consistency(self):
         g = gauss_reduce(to_pairs([[1, 2], [2, 4]]), 2, Q)
@@ -243,25 +231,21 @@ class TestFixedCycleBasis:
 
     def test_kernel_column_off_normal_form_is_rejected(self, example_semigroup,
                                                        monkeypatch):
-        # the representatives are read off Q only where there is homology:
-        # the two vertices of the fiber of (21,3) in dimension 0
-        from toricsyz import homology
+        # the representatives are read off kernel columns only where there
+        # is homology: the two vertices of the fiber of (21,3) in dimension 0
+        original = GaussDecomposition.kernel_columns
 
-        original = homology.gauss_reduce
-
-        def broken(rows, ncols, field, keep="pq"):
-            g_down = original(rows, ncols, field, keep=keep)
-            if keep == "q":
-                # doubling the free coefficient keeps a cycle but breaks the
-                # normal form the free-coordinate selection relies on
-                column = g_down.kernel_columns()[0]
-                free = next(k for k in column if k not in g_down.pivots)
-                column[free] *= 2
-            return g_down
+        def broken(self):
+            # doubling the free coefficient keeps a cycle but breaks the
+            # normal form the free-coordinate selection relies on
+            kernel = original(self)
+            free = next(k for k in kernel[0] if k not in self.pivots)
+            kernel[0][free] *= 2
+            return kernel
 
         cx = build_nabla(example_semigroup, (21, 3), DEGREVLEX)
         assert len(fixed_cycle_basis(cx, 0, Q).homology) == 1
-        monkeypatch.setattr(homology, "gauss_reduce", broken)
+        monkeypatch.setattr(GaussDecomposition, "kernel_columns", broken)
         with pytest.raises(ArithmeticError, match="normal form"):
             fixed_cycle_basis(cx, 0, Q)
 
@@ -274,9 +258,9 @@ class TestBoundaryReductionMemo:
         calls = []
         original = homology.gauss_reduce
 
-        def reduce(rows, ncols, field, keep="pq"):
-            calls.append((keep, field.name, ncols))
-            return original(rows, ncols, field, keep=keep)
+        def reduce(rows, ncols, field):
+            calls.append((field.name, len(rows), ncols))
+            return original(rows, ncols, field)
 
         monkeypatch.setattr(homology, "gauss_reduce", reduce)
         # two vertices and no edge: d_0 and d_1 take rank and pivots from
@@ -288,13 +272,14 @@ class TestBoundaryReductionMemo:
         assert homology.reduce_boundary(cx, 1, Q).pivots == []
         basis = fixed_cycle_basis(cx, 0, Q)
         assert len(basis.homology) == 1
-        # d_0 only for its Q, then the selection on the projected
-        # boundaries and units (1 column); d_0 and d_1 come from the memo
-        assert calls == [("q", "rational", 2), ("pq", "rational", 1)]
+        # d_0 (1 x 2) only for its kernel, then the selection on the
+        # projected boundaries and units (1 x 1); d_0 and d_1 come from the
+        # memo
+        assert calls == [("rational", 1, 2), ("rational", 1, 1)]
         # the selection is also the solver
         assert basis.express({(0,): 1, (1,): -1}) == ([-1], [])
         assert basis.express({(0,): 2, (1,): -2}) == ([-2], [])
-        assert calls == [("q", "rational", 2), ("pq", "rational", 1)]
+        assert calls == [("rational", 1, 2), ("rational", 1, 1)]
         del calls[:]
         f5 = PrimeField(5)
         assert betti_reduced(cx, 0, f5) == 1
@@ -593,13 +578,9 @@ class TestFieldModes:
         f = PrimeField(2)
         cx = build_nabla(example_semigroup, (52, 8), DEGREVLEX)
         mat = boundary_matrix(cx, 1)
-        g = densify(gauss_reduce(mat.data, len(mat.col_faces), f))
-        q_rows = [[g.q_cols[k][i] for k in range(g.ncols)] for i in range(g.ncols)]
-        product = matmul(matmul(g.p_inv_rows, to_dense(mat.data, len(mat.col_faces))), q_rows)
-        for i in range(g.nrows):
-            for k in range(g.ncols):
-                expected = 1 if i == k < g.rank else 0
-                assert product[i][k] % 2 == expected
+        g = gauss_reduce(mat.data, len(mat.col_faces), f)
+        assert g.rank == len(cx.vertices) - 1  # connected
+        check_decomposition(g, mat.data, f)
 
 
 class TestBasisVectorsAreCycles:

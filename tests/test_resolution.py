@@ -611,9 +611,9 @@ class TestLevelZeroWithoutElimination:
         widths = []
         original = homology.gauss_reduce
 
-        def counted(rows, ncols, field, keep="pq"):
+        def counted(rows, ncols, field):
             widths.append(ncols)
-            return original(rows, ncols, field, keep=keep)
+            return original(rows, ncols, field)
 
         monkeypatch.setattr(homology, "gauss_reduce", counted)
         engine = ResolutionEngine(Semigroup(1, [[3], [5]]), Config())
@@ -736,23 +736,24 @@ class TestHugeMaxLevel:
 
 class TestNoTransformWithoutAReader:
     def test_q_is_kept_only_where_the_degree_has_homology(self, monkeypatch):
+        # a kernel elimination reduces a boundary matrix as it was built;
+        # reduce_boundary does that too, but only for d_j with j >= 2
         from toricsyz import homology, resolution
 
-        at = [None]  # (degree, dimension) of the boundary matrix built last
-        by_keep = {}
-        kept_q_at = []
+        built = [None]  # (degree, dimension, rows) of the boundary matrix built last
+        calls = []  # (degree and dimension of a kernel elimination or None, shape)
         original_matrix = homology.boundary_matrix
         original_reduce = homology.gauss_reduce
 
         def matrix(complex_, j, *args, **kwargs):
-            at[0] = (complex_.degree, j)
-            return original_matrix(complex_, j, *args, **kwargs)
+            mat = original_matrix(complex_, j, *args, **kwargs)
+            built[0] = (complex_.degree, j, mat.data)
+            return mat
 
-        def reduce(rows, ncols, field, keep="pq"):
-            by_keep[keep] = by_keep.get(keep, 0) + 1
-            if keep == "q":
-                kept_q_at.append(at[0])
-            return original_reduce(rows, ncols, field, keep=keep)
+        def reduce(rows, ncols, field):
+            at = built[0][:2] if built[0] and rows is built[0][2] else None
+            calls.append((at, (len(rows), ncols)))
+            return original_reduce(rows, ncols, field)
 
         for module in (homology, resolution):
             monkeypatch.setattr(module, "boundary_matrix", matrix)
@@ -760,10 +761,13 @@ class TestNoTransformWithoutAReader:
         engine = ResolutionEngine(Semigroup(1, [[3], [5]]), Config())
         result = engine.minimalize_binomial((100, 0), (0, 60))
         assert [rec.degree for rec, _poly in result.entries] == [(15,)]
-        # the fiber elimination that keeps Q is the one at x1^5 - x2^3
-        assert kept_q_at == [((15,), 0)]
-        assert [engine.betti_delta(m, j) for m, j in kept_q_at] == [1]
-        assert set(by_keep) <= {"", "q", "pq"}
+        # the one kernel elimination is d_0 (1 x 2) at x1^5 - x2^3
+        kernels = [(at, shape) for at, shape in calls if at is not None]
+        assert kernels == [(((15,), 0), (1, 2))]
+        assert [engine.betti_delta(m, j) for (m, j), _shape in kernels] == [1]
+        # besides it, the lift solve and the 1 x 1 selection of the one
+        # representative there
+        assert sorted(shape for at, shape in calls if at is None) == [(1, 1), (20, 40)]
 
 
 class TestOracle:

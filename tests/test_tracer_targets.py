@@ -42,8 +42,8 @@ def test_gauss_counters_read_pair_rows():
     tracer = tracer_module.Tracer()
     rows = [[(0, 1), (2, -1)], [], [(1, 3), (2, 2), (4, 1)]]
     args = (rows, 5, RationalField())
-    result = gauss_reduce(*args, keep="")
-    tracer_module._count_gauss(tracer, args, {"keep": ""}, result)
+    result = gauss_reduce(*args)
+    tracer_module._count_gauss(tracer, args, {}, result)
     counts = tracer.counts
     assert counts["homology.gauss_calls"] == 1
     assert counts["homology.gauss_nnz_in"] == 5
