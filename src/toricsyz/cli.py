@@ -15,12 +15,11 @@ generator-making commands (minimalize, harvest) and the cross-check read
 or write.
 
 main() reads a plain command line straight off the grammar table; the
-argparse parser is built, once per process, only for help and errors.
+argparse parser is built only for help and errors.
 """
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from fractions import Fraction
@@ -328,20 +327,9 @@ _HANDLERS = {
 }
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser, built by the first argv _plain_parse declines.
-
-    parse_args leaves the parser as it was and fills a fresh namespace on
-    every call, and help is laid out when it is printed, so nothing carries
-    over from one call to the next.
-    """
-    return build_parser()
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _plain_parse(argv) or _parser().parse_args(argv)
+    args = _plain_parse(argv) or build_parser().parse_args(argv)
     try:
         engine = _engine(args)
         code, lines, body = _HANDLERS[args.command](args, engine)

@@ -38,7 +38,7 @@ class NablaComplex:
     Vertices are stored in decreasing term order; all face lists are
     deterministic for a fixed presentation, degree and order.  Immutable
     after construction, except for two memos: the face lists, and the
-    boundary reductions that homology.reduce_boundary keeps in
+    boundary pivots that homology.reduce_boundary keeps in
     ``_reductions``.
     """
 
@@ -142,7 +142,7 @@ class DeltaComplex:
     export reads the degree, so the engine lets one complex stand for
     every degree with its face set.  Immutable after construction, except
     for two memos: the face lists by dimension, and the boundary
-    reductions that homology.reduce_boundary keeps in ``_reductions``.
+    pivots that homology.reduce_boundary keeps in ``_reductions``.
     """
 
     def __init__(self, semigroup: Semigroup, degree: Degree, masks: frozenset[int]):
@@ -160,10 +160,6 @@ class DeltaComplex:
     @property
     def is_irrelevant(self) -> bool:
         return self.masks == {0}
-
-    @property
-    def dimension(self) -> int:
-        return max((k.bit_count() for k in self.masks), default=0) - 1
 
     def faces_of_dim(self, j: int) -> tuple[Face, ...]:
         cached = self._by_dim.get(j)

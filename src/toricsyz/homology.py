@@ -25,11 +25,12 @@ resolution machinery is only well defined relative to these bases.
 
 Every matrix is built as rows of (column, nonzero entry) pairs, the one
 format gauss_reduce reads; it keeps echelon rows of nonzeros and row
-steps, so time and memory stay near the fill-in.  The rank and pivots of
-a boundary map are reduced once per dimension and field and kept on its
-complex (reduce_boundary), shared by Betti numbers and fixed bases.  A
-basis read from the on-disk cache takes only its homology representatives
-from the file, and the rest from these reductions.
+steps, so time and memory stay near the fill-in.  The pivot columns of a
+boundary map, all that its rank needs, are found once per dimension and
+field and kept on its complex as an ascending list (reduce_boundary),
+shared by Betti numbers and fixed bases.  A basis read from the on-disk
+cache takes only its homology representatives from the file, and the
+rest from these pivots.
 
 d_0 and d_1 are never eliminated for their rank and pivots.  d_1 is the
 signed incidence matrix of the 1-skeleton, whose column matroid is the
@@ -321,12 +322,7 @@ class GaussDecomposition:
     ``rows[t]``, a dict column -> nonzero scalar, is the echelon row of
     pivot t: 1 at pivots[t] and nothing to its left.  ``steps[t]`` is (row
     swapped with t, scale of row t, [(row, multiple of row t added)]).
-    Both are None where only rank and pivots are kept (reduce_boundary,
-    _spanning_forest), so a reader of them fails at once.  Complexes keep
-    many of those, hence the slots.
     """
-
-    __slots__ = ("field", "nrows", "ncols", "rank", "rows", "steps", "pivots")
 
     def __init__(self, field, nrows, ncols, rank, rows, steps, pivots):
         self.field = field
@@ -517,44 +513,42 @@ def _free_columns(pivots, ncols: int) -> list:
     return col_at[len(pivots):]
 
 
-def reduce_boundary(complex_, j: int, field) -> GaussDecomposition:
-    """The rank and pivots of the j-th boundary map of complex_.
+def reduce_boundary(complex_, j: int, field) -> list:
+    """The pivot columns of the j-th boundary map of complex_, ascending.
 
-    Reduced once per (dimension, field) and kept, without its rows and
-    steps, in the complex's ``_reductions``, so every reader of a rank or of pivots shares one
-    elimination.  d_0 and d_1 need none: their rank and pivots are those of
-    the greedy spanning forest (_spanning_forest).  Without j-faces there is
-    nothing to eliminate: rank 0, no pivots.
+    Their number is the map's rank.  Found once per (dimension, field) and
+    kept in the complex's ``_reductions``, so every reader of a rank or of
+    pivots shares one elimination.  d_0 and d_1 need none: their pivots
+    are those of the greedy spanning forest (_spanning_forest).  Without
+    j-faces there is nothing to eliminate and no pivot.
     """
     key = (j, field.name)
-    decomp = complex_._reductions.get(key)
-    if decomp is None:
+    pivots = complex_._reductions.get(key)
+    if pivots is None:
         if j in (0, 1):
-            decomp = _spanning_forest(complex_, j, field)
+            pivots = _spanning_forest(complex_, j)
         elif complex_.faces_of_dim(j):
-            decomp = gauss_reduce(boundary_matrix(complex_, j).data,
-                                  len(complex_.faces_of_dim(j)), field)
-            decomp.rows = decomp.steps = None
+            pivots = gauss_reduce(boundary_matrix(complex_, j).data,
+                                  len(complex_.faces_of_dim(j)), field).pivots
         else:
-            decomp = GaussDecomposition(field, 0, 0, 0, None, None, [])
-        complex_._reductions[key] = decomp
-    return decomp
+            pivots = []
+        complex_._reductions[key] = pivots
+    return pivots
 
 
-def _spanning_forest(complex_, j: int, field) -> GaussDecomposition:
-    """Rank and pivots of d_0 (j = 0) or d_1 (j = 1), with no elimination.
+def _spanning_forest(complex_, j: int) -> list:
+    """The pivot columns of d_0 (j = 0) or d_1 (j = 1), with no elimination.
 
     The pivot edges of d_1, those independent of all edges to their left,
     are the edges that join two trees of the forest grown from the edges
     before them: Kruskal's rule (see the module docstring), on a parent
     list up to the largest vertex id (a comparison complex's 0-faces can
-    skip ids) with path halving.  d_0 is a row of ones: rank 1 with pivot
-    0 when there is a vertex.
+    skip ids) with path halving.  d_0 is a row of ones: pivot 0 when there
+    is a vertex.  Both are the same over every field.
     """
     vertices = complex_.faces_of_dim(0)
     if j == 0:
-        pivots = [0] if vertices else []
-        return GaussDecomposition(field, 1, len(vertices), len(pivots), None, None, pivots)
+        return [0] if vertices else []
     edges = complex_.faces_of_dim(1)
     parent = list(range(vertices[-1][0] + 1 if edges else 0))
     pivots = []
@@ -566,8 +560,7 @@ def _spanning_forest(complex_, j: int, field) -> GaussDecomposition:
         if a != b:
             parent[b] = a
             pivots.append(k)
-    return GaussDecomposition(field, len(vertices), len(edges), len(pivots),
-                              None, None, pivots)
+    return pivots
 
 
 def _boundary_basis(complex_, j: int, field) -> ChainBasis:
@@ -578,8 +571,8 @@ def _boundary_basis(complex_, j: int, field) -> ChainBasis:
     """
     faces = complex_.faces_of_dim(j)
     return ChainBasis(complex_.degree, j, field, faces, complex_.faces_of_dim(j + 1),
-                      reduce_boundary(complex_, j + 1, field).pivots, [],
-                      _free_columns(reduce_boundary(complex_, j, field).pivots, len(faces)))
+                      reduce_boundary(complex_, j + 1, field), [],
+                      _free_columns(reduce_boundary(complex_, j, field), len(faces)))
 
 
 def fixed_cycle_basis(complex_, j: int, field) -> ChainBasis:
@@ -622,8 +615,8 @@ def betti_reduced(complex_, j: int, field) -> int:
     faces = complex_.faces_of_dim(j)
     if not faces:
         return 0
-    return (len(faces) - reduce_boundary(complex_, j, field).rank
-            - reduce_boundary(complex_, j + 1, field).rank)
+    return (len(faces) - len(reduce_boundary(complex_, j, field))
+            - len(reduce_boundary(complex_, j + 1, field)))
 
 
 # ---------------------------------------------------------------------------

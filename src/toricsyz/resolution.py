@@ -100,8 +100,6 @@ def poly_mono_mul(p: Polynomial, mono: Monomial) -> Polynomial:
 
 
 def poly_mono_div(p: Polynomial, mono: Monomial) -> Polynomial:
-    if mono_is_unit(mono):
-        return dict(p)
     return {mono_div(m, mono): c for m, c in p.items()}
 
 
@@ -191,7 +189,6 @@ class GeneratorRegistry:
 
     def __init__(self):
         self.records: dict[GenId, GeneratorRecord] = {}
-        self.by_level: dict[int, list[GeneratorRecord]] = {}
 
     def __contains__(self, gid):
         return gid in self.records
@@ -209,10 +206,6 @@ class GeneratorRegistry:
         if record.gid in self.records:
             raise ResolutionError(f"duplicate registration of {record.gid}")
         self.records[record.gid] = record
-        self.by_level.setdefault(record.level, []).append(record)
-
-    def level_records(self, level: int, semigroup: Semigroup):
-        return sorted(self.by_level.get(level, []), key=lambda r: r.sort_key(semigroup))
 
 
 @dataclass
@@ -309,9 +302,9 @@ class ResolutionEngine:
     def multigraded_betti(self, m: Degree, j: int) -> int:
         """Rank of degree-m homology in dim j, read off the fiber complex.
 
-        Builds the fixed basis there (and stores it in the disk cache), so
-        this is the path for generator-making code and the cross-check of
-        betti_delta; rank-only queries go through betti_delta.
+        Builds the fixed basis there (and stores it in the disk cache), as
+        generator-making code does through chain_basis; it serves as the
+        cross-check of betti_delta, and rank-only queries go through that.
         """
         cx = self.nabla(m)
         if not cx.faces_of_dim(j):
@@ -708,31 +701,34 @@ class ResolutionEngine:
     # -- harvesting -----------------------------------------------------------
 
     def harvest(self, m: Degree, max_level: int) -> ResolutionFragment:
-        """Register every generator up to max_level that the recursion from m reaches.
+        """The generators up to max_level in the divisor set D(m), registered on the walk.
 
-        They sit in the divisor set D(m) = {m' in S : m - m' in S}, where
-        the comparison complex gives their number per level.  Its reduced
-        homology vanishes from dimension r - 1 on, so levels beyond r - 2
-        cost nothing.  `Semigroup.divisors` enumerates S only inside m - C,
-        C the real cone of S, which also answers every membership test of
-        the comparison complexes, m's own included, by lookup.  D(m) is
-        walked by weight: each m' - n_i in S lies in D(m) and weighs less
-        than m', so every face set is read off its neighbours.
+        D(m) = {m' in S : m - m' in S}; the comparison complex gives their
+        number per level and degree.  The fragment holds these alone,
+        whatever the engine registered before, and every generator the
+        recursion registers on the way is one of them.  The comparison
+        complex's reduced homology vanishes from dimension r - 1 on, so
+        levels beyond r - 2 cost nothing.  `Semigroup.divisors` enumerates
+        S only inside m - C, C the real cone of S, which also answers every
+        membership test of the comparison complexes, m's own included, by
+        lookup.  D(m) is walked by weight: each m' - n_i in S lies in D(m)
+        and weighs less than m', so every face set is read off its
+        neighbours.
         """
         if max_level < 0:
             raise ResolutionError(f"--max-level must be nonnegative, got {max_level}")
         m = tuple(m)
         sg = self.semigroup
-        levels: dict[int, list] = {}
+        found: dict[int, list] = {}
         divisors = sg.divisors(m)
         if sg.member(m):
             top = min(max_level, sg.num_generators - 2)
             for mp in sg.by_weight(divisors):
                 for j in range(top + 1):
                     for idx in range(self.betti_delta(mp, j)):
-                        self._ensure_generator(j, mp, idx)
-            levels = {level: self.registry.level_records(level, sg)
-                      for level in sorted(self.registry.by_level) if level <= max_level}
+                        found.setdefault(j, []).append(self._ensure_generator(j, mp, idx))
+        levels = {level: sorted(records, key=lambda r: r.sort_key(sg))
+                  for level, records in sorted(found.items())}
         fragment = ResolutionFragment(m, max_level, levels)
         fragment.report = self.verify_fragment(fragment)
         return fragment

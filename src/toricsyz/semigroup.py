@@ -313,7 +313,7 @@ class Semigroup:
             return cached
         if all(_dot(y, m) <= b for y, b in self._region):
             return False
-        result = self._search(m, find_all=False) is True
+        result = self._search(m, find_all=False)
         self._member_cache[m] = result
         return result
 
@@ -360,28 +360,18 @@ class Semigroup:
             self._cuts = rows, tuple(tuple((y, _dot(y, n)) for y in rows if _dot(y, n) > 0)
                                      for n in gens)
         rows, cuts = self._cuts
-        if wm < 0 or any(_dot(y, m) < 0 for y in rows):
-            return [] if find_all else False
         solutions: list[Monomial] = []
         last = gens[-1]
         pivot = next(i for i, x in enumerate(last) if x)
 
-        def close(residual, prefix):
-            # residual must be a nonnegative multiple of the last generator
-            q, rem = divmod(residual[pivot], last[pivot])
-            if rem or q < 0:
-                return None
-            if any(residual[j] != q * last[j] for j in range(self.dim)):
-                return None
-            return prefix + (q,)
-
         def rec(i, residual, wres, prefix):
             if i == r - 1:
-                sol = close(residual, prefix)
-                if sol is not None:
-                    solutions.append(sol)
-                    return not find_all
-                return False
+                # residual must be a nonnegative multiple of the last generator
+                q, rem = divmod(residual[pivot], last[pivot])
+                if rem or q < 0 or any(x != q * n for x, n in zip(residual, last)):
+                    return False
+                solutions.append(prefix + (q,))
+                return not find_all
             bound = wres // wdots[i]
             for y, yn in cuts[i]:
                 bound = min(bound, sum(map(mul, y, residual)) // yn)
@@ -394,17 +384,9 @@ class Semigroup:
                     res[j] -= n[j]
             return False
 
-        if r == 1:
-            sol = close(tuple(m), ())
-            if sol is not None:
-                solutions.append(sol)
-        else:
-            found = rec(0, tuple(m), wm, ())
-            if not find_all:
-                return found
-        if not find_all:
-            return bool(solutions)
-        return solutions
+        found = (wm >= 0 and all(_dot(y, m) >= 0 for y in rows)
+                 and rec(0, tuple(m), wm, ()))
+        return solutions if find_all else found
 
     def _enumerate(self, region) -> frozenset[Degree]:
         """Every element x with y.x <= b for each row (y, b) of region, kept for `member`.

@@ -18,6 +18,15 @@ class DegreeMismatch(ValueError):
     """The restricting monomial's degree does not divide the complex degree."""
 
 
+def level_records(engine) -> dict:
+    """Every generator the engine registered, by level, each level in canonical order."""
+    levels = {}
+    for rec in engine.registry.records.values():
+        levels.setdefault(rec.level, []).append(rec)
+    return {level: sorted(records, key=lambda r: r.sort_key(engine.semigroup))
+            for level, records in sorted(levels.items())}
+
+
 def brute_force_fiber(sg, m) -> set:
     """Independent boxed enumeration of the fiber of m, for cross-checking.
 
@@ -166,12 +175,8 @@ def harvest_every_basis(engine, m, max_level) -> ResolutionFragment:
     for dim in range(1, max_level + 2):
         for face in cx.faces_of_dim(dim):
             engine._psi_face(m, dim, face)
-    levels = {}
-    for level in sorted(engine.registry.by_level):
-        if level <= max_level:
-            records = engine.registry.level_records(level, engine.semigroup)
-            if records:
-                levels[level] = records
+    levels = {level: records for level, records in level_records(engine).items()
+              if level <= max_level}
     fragment = ResolutionFragment(m, max_level, levels)
     fragment.report = engine.verify_fragment(fragment)
     return fragment
@@ -451,12 +456,8 @@ def oracle_v0(engine, m) -> int:
 
 def registry_to_json(engine):
     """Every registered generator, in canonical order, as one JSON document."""
-    records = []
-    for level in sorted(engine.registry.by_level):
-        records.extend(
-            record_to_json(rec, engine.field)
-            for rec in engine.registry.level_records(level, engine.semigroup)
-        )
+    records = [record_to_json(rec, engine.field)
+               for records_at in level_records(engine).values() for rec in records_at]
     return {
         "config": engine.config.describe(),
         "kind": "registry",

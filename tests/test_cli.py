@@ -321,6 +321,23 @@ class TestHarvestAndVerify:
         assert out == ("verification: FAILED\n  violation: (0, (21, 3), 0): "
                        "binomial is not the image of its witness\n")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda value: {**value, "lead": [value["lead"][0] + 1, *value["lead"][1:]]},
+         "binomial is not homogeneous"),
+        (lambda value: {**value, "trail": [0, 0, 0, 0]}, "constant term in binomial"),
+    ], ids=["raised-lead", "zero-trail"])
+    def test_verify_checks_the_binomial_itself(self, capsys, tmp_path, edit, message):
+        with open(Path(test_golden.GOLDEN) / "harvest_60_10_l2_rational.json",
+                  encoding="utf-8") as fh:
+            data = json.load(fh)
+        gen = next(g for g in data["generators"] if g["id"] == [0, [12, 2], 0])
+        gen["value"] = edit(gen["value"])
+        frag_path = tmp_path / "fragment.json"
+        frag_path.write_text(json.dumps(data), encoding="utf-8")
+        code, out = run(capsys, "verify", test_golden.EXAMPLE, str(frag_path))
+        assert code == 1
+        assert f"  violation: (0, (12, 2), 0): {message}\n" in out
+
 
 class TestScan:
     def test_weight_zero(self, capsys, semigroup_file):
@@ -394,11 +411,13 @@ class TestParserReuse:
         monkeypatch.setattr(cli, "_HANDLERS", dict.fromkeys(
             cli._HANDLERS, lambda args, engine: (0, [], {"kind": args.command})))
         parser = cli.build_parser()
-        cli._parser.cache_clear()
+        builds = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
         for argv in argvs:
             assert vars(cli._plain_parse(argv)) == vars(parser.parse_args(argv)), argv
             assert main(argv) == 0, argv
-        assert cli._parser.cache_info().misses == 0
+        assert builds == []
         capsys.readouterr()
 
 

@@ -223,8 +223,8 @@ class TestFixedCycleBasis:
         for j in range(3):
             basis = fixed_cycle_basis(cx, j, Q)
             d_j = len(cx.faces_of_dim(j))
-            rank_down = reduce_boundary(cx, j, Q).rank
-            rank_up = reduce_boundary(cx, j + 1, Q).rank
+            rank_down = len(reduce_boundary(cx, j, Q))
+            rank_up = len(reduce_boundary(cx, j + 1, Q))
             assert len(basis.boundary) + len(basis.homology) == d_j - rank_down
             assert len(basis.boundary) == rank_up
             assert len(basis.homology) == betti_reduced(cx, j, Q)
@@ -268,8 +268,8 @@ class TestBoundaryReductionMemo:
         cx = build_nabla(example_semigroup, (21, 3), DEGREVLEX)
         assert betti_reduced(cx, 0, Q) == 1
         assert calls == []
-        assert homology.reduce_boundary(cx, 0, Q).pivots == [0]
-        assert homology.reduce_boundary(cx, 1, Q).pivots == []
+        assert homology.reduce_boundary(cx, 0, Q) == [0]
+        assert homology.reduce_boundary(cx, 1, Q) == []
         basis = fixed_cycle_basis(cx, 0, Q)
         assert len(basis.homology) == 1
         # d_0 (1 x 2) only for its kernel, then the selection on the
@@ -284,8 +284,6 @@ class TestBoundaryReductionMemo:
         f5 = PrimeField(5)
         assert betti_reduced(cx, 0, f5) == 1
         assert calls == []
-        assert homology.reduce_boundary(cx, 0, f5).field is f5
-        assert homology.reduce_boundary(cx, 0, Q).field is Q
         assert sorted(cx._reductions) == [(0, "prime:5"), (0, "rational"),
                                           (1, "prime:5"), (1, "rational")]
 
@@ -445,7 +443,7 @@ class TestDeterminismAndCache:
         old = {"degree": [45, 7], "dim": 1, "order": "degrevlex", "field": Q.name,
                "faces": [list(f) for f in basis.faces],
                "up_faces": [list(f) for f in basis.up_faces],
-               "rank_down": reduce_boundary(cx, 1, Q).rank, "rank_up": len(basis.pivots),
+               "rank_down": len(reduce_boundary(cx, 1, Q)), "rank_up": len(basis.pivots),
                "pivots": basis.pivots, **data}
         bad = corrupt(text, data, old)
         path.write_bytes(bad if isinstance(bad, bytes) else bad.encode("utf-8"))

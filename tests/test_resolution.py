@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from oracles import divisor_degrees, oracle_v0, registry_to_json
+from oracles import divisor_degrees, level_records, oracle_v0, registry_to_json
 
 from toricsyz import (
     Binomial,
@@ -389,6 +389,23 @@ class TestHarvest:
                      "--max-level", "3"]) == 0
         assert dumps(fragment_to_json(fragment, engine)) == capsys.readouterr().out
 
+    @pytest.mark.parametrize("earlier, m, max_level, ranks", [
+        (lambda e: e.harvest((60, 10), 3), (21, 3), 3, {0: 1}),
+        (lambda e: e.minimalize_binomial((0, 2, 6, 0), (3, 0, 0, 5)), (21, 3), 1, {0: 1}),
+    ], ids=["after-harvest", "after-minimalize"])
+    def test_fragment_holds_only_the_divisors_generators(self, example_semigroup,
+                                                         earlier, m, max_level, ranks):
+        from toricsyz.serialize import dumps, fragment_to_json
+
+        fresh = ResolutionEngine(example_semigroup, Config())
+        want = fresh.harvest(m, max_level)
+        assert want.ranks() == ranks
+        used = ResolutionEngine(example_semigroup, Config())
+        earlier(used)
+        got = used.harvest(m, max_level)
+        assert got.ranks() == ranks
+        assert dumps(fragment_to_json(got, used)) == dumps(fragment_to_json(want, fresh))
+
     def test_harvest_nonmember_is_empty(self, engine):
         fragment = engine.harvest((1, 0), 2)
         assert fragment.levels == {}
@@ -406,7 +423,7 @@ class TestHarvest:
 
     def test_level0_witness_components(self, engine):
         engine.harvest((60, 10), 2)
-        for rec in engine.registry.by_level[0]:
+        for rec in level_records(engine)[0]:
             cx = engine.nabla(rec.degree)
             comps = cx.components()
             spot = {
@@ -419,9 +436,8 @@ class TestHarvest:
 
 def _count_by(engine):
     counts = {}
-    for level, records in engine.registry.by_level.items():
-        for rec in records:
-            counts[(level, rec.degree)] = counts.get((level, rec.degree), 0) + 1
+    for rec in engine.registry.records.values():
+        counts[(rec.level, rec.degree)] = counts.get((rec.level, rec.degree), 0) + 1
     return counts
 
 
