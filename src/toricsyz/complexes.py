@@ -4,7 +4,10 @@ For a degree m the fiber complex has the monomials of degree m as
 vertices and declares a subset a face when its gcd is a proper monomial.
 Since the gcd of a set is nontrivial exactly when some variable divides
 every member, the complex is the union of one full simplex per variable
-(the cover sets below), which keeps face enumeration cheap.
+(the cover sets below), which keeps face enumeration cheap: each
+(j-1)-face is extended by the later vertices in the covers of the
+variables that divide its gcd, so every j-face is listed once, and the
+j-faces take one sort keyed by their gcds, computed per variable.
 
 The comparison complex lives on the variable indices themselves: a
 subset F is a face when m minus the sum of the corresponding generators
@@ -23,8 +26,8 @@ holds; build_delta builds the complex of one degree on its own.
 """
 from __future__ import annotations
 
-from itertools import combinations
-from operator import sub
+from bisect import bisect_right
+from operator import add, itemgetter, neg, sub
 
 from .orders import Monomial, TermOrder
 from .semigroup import Degree, Semigroup
@@ -49,12 +52,13 @@ class NablaComplex:
         self.order = order
         self.vertices = vertices
         self.vertex_index = {v: i for i, v in enumerate(vertices)}
-        r = semigroup.num_generators
-        self.cover = tuple(
-            frozenset(i for i, v in enumerate(vertices) if v[var] > 0)
-            for var in range(r)
-        )
-        self._faces: dict[int, tuple[Face, ...]] = {}
+        # per variable x_i: its exponent by vertex id, and its cover, the
+        # ascending list of the ids of the vertices that x_i divides
+        columns = tuple(zip(*vertices)) or ((),) * semigroup.num_generators
+        self._exponents = tuple([col.__getitem__ for col in columns])
+        self.cover = tuple([[i for i, e in enumerate(col) if e] for col in columns])
+        self.dimension = max(map(len, self.cover), default=0) - 1
+        self._faces: list[tuple[Face, ...]] = []  # by dimension, listed upwards
         self._reductions: dict = {}  # owned by homology.reduce_boundary
 
     @property
@@ -67,32 +71,92 @@ class NablaComplex:
         """Has vertices but no faces (only the unit monomial, degree zero)."""
         return bool(self.vertices) and not any(self.cover)
 
-    @property
-    def dimension(self) -> int:
-        return max((len(d) for d in self.cover), default=0) - 1
-
     def faces_of_dim(self, j: int) -> tuple[Face, ...]:
         """All j-faces, largest gcd first, ties by ascending index tuple.
 
-        Vertices are distinct and decreasing, so 0-faces in index order
-        are in gcd order; higher faces take one sort (TermOrder.sort_faces).
+        Vertices are distinct and decreasing, so 0-faces in index order are
+        in gcd order.  Dimensions are listed upwards, each once: a j-face is
+        the (j-1)-face of its first j vertices extended by its last one
+        (_extend), and the j-faces take one keyed sort.
         """
         if j < 0 or j > self.dimension:
             return ()
-        cached = self._faces.get(j)
-        if cached is not None:
-            return cached
-        found: set[Face] = set()
-        for cover_set in self.cover:
-            if len(cover_set) > j:
-                found.update(combinations(sorted(cover_set), j + 1))
-        result = tuple(sorted(found) if j == 0 else self.order.sort_faces(found, self.vertices))
-        self._faces[j] = result
-        return result
+        faces = self._faces
+        while len(faces) <= j:
+            faces.append(self._extend(faces[-1]) if faces else
+                         tuple((i,) for i, v in enumerate(self.vertices) if any(v)))
+        return faces[j]
+
+    def _extend(self, lower: tuple[Face, ...]) -> tuple[Face, ...]:
+        """The faces one vertex above ``lower``, in the order faces_of_dim gives.
+
+        The keys come from a separate call, so that its partner lists and
+        gcd columns are freed before the sort.
+        """
+        keys = self._extension_keys(lower)
+        keys.sort()
+        return tuple(map(itemgetter(-1), keys))
+
+    def _extension_keys(self, lower: tuple[Face, ...]) -> list[tuple]:
+        """Sort keys of the faces p + (w,), p in ``lower`` and w > p[-1].
+
+        Such a face has a nontrivial gcd exactly when w lies in the cover of
+        a variable that divides p's gcd g, so p's partners are the tails of
+        those covers past p[-1], found by bisection, and merged when several
+        contribute and none holds every later vertex.  Their gcds are
+        min(g[i], exponent of x_i in w), one comprehension per variable over
+        every partner list.  The keys are (-deg, g reversed, face) for
+        degrevlex and (-g, face) for lex: ascending, they run from the
+        largest gcd down, ties by index tuple.  Only variables whose cover
+        is larger than p take part: every other one has exponent 0 in all
+        these gcds, so it can neither contribute a partner nor decide the
+        order.
+        """
+        size = len(lower[0])
+        covers, exponents, top = [], [], 0
+        for c, exponent in zip(self.cover, self._exponents):
+            if len(c) > size:
+                covers.append(c)
+                exponents.append(exponent)
+                top = max(top, c[-1])
+        lower = [p for p in lower if p[-1] < top]  # the others have no partner
+        # the gcds of the lower faces, one column per variable
+        positions = [*zip(*lower)]
+        lower_gcds = []
+        for exponent in exponents:
+            col = map(exponent, positions[0])
+            for ids in positions[1:]:
+                col = [a if a < b else b for a, b in zip(col, map(exponent, ids))]
+            lower_gcds.append(col)
+        prefixes, gcds, partners = [], [], []
+        for p, g in zip(lower, zip(*lower_gcds)):
+            last = p[-1]
+            tails = []
+            for c, e in zip(covers, g):
+                if e:
+                    s = bisect_right(c, last)
+                    if s < len(c):
+                        tails.append(c[s:])
+            if tails:
+                ws = tails[0] if len(tails) == 1 else max(tails, key=len)
+                if len(ws) < top - last and len(tails) > 1:
+                    ws = [*set().union(*tails)]
+                prefixes.append(p)
+                gcds.append(g)
+                partners.append(ws)
+        columns = [[e if x > e else x for e, ws in zip(g, partners) for x in map(exponent, ws)]
+                   for exponent, g in zip(exponents, zip(*gcds))]
+        faces = (p + (w,) for p, ws in zip(prefixes, partners) for w in ws)
+        if self.order.kind == "lex":
+            return [*zip(*[map(neg, col) for col in columns], faces)]
+        degrees = columns[0]
+        for col in columns[1:]:
+            degrees = map(add, degrees, col)
+        return [*zip(map(neg, degrees), *reversed(columns), faces)]
 
     def facets(self) -> tuple[Face, ...]:
         """Maximal faces: the maximal distinct cover simplices."""
-        sets = {d for d in self.cover if d}
+        sets = {frozenset(d) for d in self.cover if d}
         maximal = [d for d in sets if not any(d < other for other in sets)]
         return tuple(sorted(tuple(sorted(d)) for d in maximal))
 
@@ -106,8 +170,7 @@ class NablaComplex:
                 a = parent[a]
             return a
 
-        for cover_set in self.cover:
-            members = sorted(cover_set)
+        for members in self.cover:
             for other in members[1:]:
                 ra, rb = find(members[0]), find(other)
                 if ra != rb:

@@ -270,14 +270,19 @@ def face_boundary(face: Face):
 
 
 def boundary_matrix(complex_, j: int) -> BoundaryMatrix:
-    """Matrix of the j-th boundary map; the target of d_0 is the empty face."""
+    """Matrix of the j-th boundary map; the target of d_0 is the empty face.
+
+    Column k holds face_boundary of the k-th j-face; every column has
+    j + 1 facets, so the signs are looked up once for the whole matrix.
+    """
     cols = complex_.faces_of_dim(j)
     rows = ((),) if j == 0 else complex_.faces_of_dim(j - 1)
-    row_index = {f: i for i, f in enumerate(rows)}
+    row_of = {f: i for i, f in enumerate(rows)}.__getitem__
     data = [[] for _ in rows]
+    signs = _facet_signs(j + 1)
     for k, face in enumerate(cols):
-        for sub, sign in face_boundary(face):
-            data[row_index[sub]].append((k, sign))
+        for i, sign in zip(map(row_of, combinations(face, j)), signs):
+            data[i].append((k, sign))
     return BoundaryMatrix(rows, cols, data)
 
 

@@ -7,8 +7,6 @@ every basis choice made later.
 """
 from __future__ import annotations
 
-from operator import neg
-
 Monomial = tuple[int, ...]
 
 
@@ -36,16 +34,6 @@ class TermOrder:
 
     def sort_decreasing(self, monos) -> list[Monomial]:
         return sorted(monos, key=self.key, reverse=True)
-
-    def sort_faces(self, faces, vertices) -> list[tuple[int, ...]]:
-        """Distinct faces (2+ vertex ids) by gcd, largest first, ties ascending; one sort."""
-        get = vertices.__getitem__
-        if self.kind == "degrevlex":  # ascending (-deg g, g reversed) is descending
-            decorated = [(-sum(g := tuple(map(min, *map(get, f)))), *g[::-1], f) for f in faces]
-        else:  # ascending -g is descending lex
-            decorated = [(*map(neg, map(min, *map(get, f))), f) for f in faces]
-        decorated.sort()
-        return [d[-1] for d in decorated]
 
     def __eq__(self, other):
         return isinstance(other, TermOrder) and other.kind == self.kind

@@ -110,6 +110,14 @@ class TestFiber:
     def test_bad_degree_length(self, semigroup_file):
         assert main(["fiber", semigroup_file, "-m", "1,2,3"]) == 2
 
+    def test_negative_degree_attached_to_its_flag(self, capsys, tmp_path):
+        # after a space, "-1,2" would be read as an option; "-m=-1,2" is not
+        path = tmp_path / "mixed.json"
+        path.write_text('{"dim": 2, "generators": [[-1, 1], [1, 0], [0, 1]]}', encoding="utf-8")
+        code, out = run(capsys, "fiber", str(path), "-m=-1,2")
+        assert code == 0
+        assert out.startswith("fiber of (-1, 2): 2 monomial(s)\n")
+
 
 class TestComplexExports:
     def test_nabla_export(self, capsys, semigroup_file):

@@ -67,7 +67,7 @@ class TestIsFace:
         n = len(cx.vertices)
         for size in range(1, n + 1):
             for face in combinations(range(n), size):
-                covered = any(set(face) <= d for d in cx.cover)
+                covered = any(set(face) <= set(d) for d in cx.cover)
                 assert covered == face_oracle(cx.vertices, face)
                 listed = face in cx.faces_of_dim(size - 1)
                 assert listed == covered

@@ -608,11 +608,36 @@ def test_spanning_forest_gives_the_pivots_of_elimination(cx):
                       ((1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 0, 0), (0, 0, 0))))  # with unit
 @example(NablaComplex(_SG3, (0,), LEX,
                       ((2, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (0, 0, 0))))  # with unit
+# vertex 0's partners come from three overlapping covers; the gcd of (1, 2)
+# has lost x2 and x3, which vertex 3 has; (1, 2), (1, 4), (2, 4) and (0, 4)
+# share the gcd x1; the cover of x1 holds a 3-face
+@example(NablaComplex(_SG3, (0,), DEGREVLEX,
+                      ((1, 1, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 0, 0))))
+# the same in lex, with a unit vertex: (1, 2) gets vertex 3 but not 4
+@example(NablaComplex(_SG3, (0,), LEX,
+                      ((1, 1, 1), (1, 1, 0), (1, 0, 1), (1, 0, 0), (0, 1, 1), (0, 0, 0))))
+# all four triangles have the gcd x2, and (1, 2, 3) is listed first, from
+# the edge of largest gcd: the index tuple must still put (0, 1, 2) first
+@example(NablaComplex(_SG3, (0,), LEX, ((0, 2, 0), (0, 1, 2), (0, 1, 1), (0, 1, 0))))
 def test_face_order_is_the_gcd_key_sort(cx):
-    # one decorated sort per dimension against sorting by index tuple and
-    # then, stably, by the term order's key of the gcd, largest first
+    # faces listed as extensions of lower faces and sorted once, against
+    # sorting by index tuple and then, stably, by the term order's key of
+    # the gcd, largest first
     for j in range(min(cx.dimension, 3) + 1):
         assert cx.faces_of_dim(j) == nabla_face_order(cx, j), (cx.vertices, cx.order, j)
+
+
+@pytest.mark.parametrize("semigroup, m", [
+    (Semigroup(1, [[3], [5]]), (600,)),  # x1^200 - x2^120: 41 vertices
+    (Semigroup(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1]]), (6, 6, 6)),
+], ids=["3_5-at-600", "e1_e2_e3_e12_e23-at-6_6_6"])
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=str)
+def test_large_fiber_face_order_is_the_gcd_key_sort(semigroup, m, order):
+    cx = build_nabla(semigroup, m, order)
+    for j in range(4):
+        faces = cx.faces_of_dim(j)
+        assert len(set(faces)) == len(faces)
+        assert faces == nabla_face_order(cx, j), (m, order, j)
 
 
 # keys and strings with quotes, backslashes, control and non-ASCII
