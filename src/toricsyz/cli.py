@@ -276,7 +276,7 @@ def _cmd_scan(args, engine):
     obstruction_dim = sg.num_generators - sg.matrix_rank()
     rows = []
     disagreements = []
-    for m in sg.degrees_up_to(args.w_bound):
+    for m in engine.walk_face_sets(sg.degrees_up_to(args.w_bound)):
         ranks = [engine.betti_delta(m, j) for j in range(jmax + 1)]
         cm_rank = (engine.betti_delta(m, obstruction_dim)
                    if obstruction_dim > jmax else ranks[obstruction_dim])

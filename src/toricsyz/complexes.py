@@ -21,8 +21,9 @@ complex depends on m only through which subsets pass the test, many
 degrees share one face set: the engine reduces one complex per face set.
 Neighbouring degrees determine it: F containing i is a face at m exactly
 when F - {i} is one at m - n_i, and the empty face is one exactly when m
-is in S, so the engine reads Delta_m off the face sets at the m - n_i it
-holds; build_delta builds the complex of one degree on its own.
+is in S, so the engine, walking a divisor-closed set of S by weight,
+reads Delta_m off the face sets at the m - n_i; build_delta builds the
+complex of one degree on its own.
 """
 from __future__ import annotations
 
@@ -204,8 +205,9 @@ class DeltaComplex:
     dimension are listed as index tuples in ascending order.  Only the
     export reads the degree, so the engine lets one complex stand for
     every degree with its face set.  Immutable after construction, except
-    for two memos: the face lists by dimension, and the boundary
-    pivots that homology.reduce_boundary keeps in ``_reductions``.
+    for two memos: the face lists of every size, grouped in one pass over
+    the masks at the first ask, and the boundary pivots that
+    homology.reduce_boundary keeps in ``_reductions``.
     """
 
     def __init__(self, semigroup: Semigroup, degree: Degree, masks: frozenset[int]):
@@ -213,7 +215,7 @@ class DeltaComplex:
         self.degree = tuple(degree)
         self.masks = masks
         self.num_vertices = semigroup.num_generators
-        self._by_dim: dict[int, tuple[Face, ...]] = {}
+        self._by_size: list[tuple[Face, ...]] = []
         self._reductions: dict = {}  # owned by homology.reduce_boundary
 
     @property
@@ -225,12 +227,13 @@ class DeltaComplex:
         return self.masks == {0}
 
     def faces_of_dim(self, j: int) -> tuple[Face, ...]:
-        cached = self._by_dim.get(j)
-        if cached is None:
-            cached = tuple(sorted(_mask_face(k) for k in self.masks
-                                  if k.bit_count() == j + 1))
-            self._by_dim[j] = cached
-        return cached
+        """The j-faces in ascending index-tuple order; j = -1 gives the empty face."""
+        if not self._by_size:
+            by_size = [[] for _ in range(self.num_vertices + 1)]
+            for k in self.masks:
+                by_size[k.bit_count()].append(_mask_face(k))
+            self._by_size = [tuple(sorted(faces)) for faces in by_size]
+        return self._by_size[j + 1] if 0 <= j + 1 < len(self._by_size) else ()
 
     def facets(self) -> tuple[Face, ...]:
         proper = [k for k in self.masks if k]

@@ -15,7 +15,8 @@ is made once per engine: inputs that differ only by content share it.
 
 Harvesting a degree M walks no faces: the comparison complexes at the
 degrees of its divisor set D(M) = {m' in S : M - m' in S} say where the
-generators below M sit and how many there are.
+generators below M sit and how many there are, and only its degrees
+outside N + S, N the sum of the generators, can hold any.
 
 Every generator is identified by (level, degree, index of its homology
 representative in the fixed basis), which makes results of independent
@@ -260,7 +261,7 @@ class ResolutionEngine:
         # one complex, with its reductions, that all those degrees share
         self._delta_faces: dict[Degree, frozenset[int]] = {}
         self._delta: dict[frozenset[int], DeltaComplex] = {}
-        self._delta_unions: dict[tuple, frozenset[int]] = {}  # see _delta_face_set
+        self._delta_unions: dict[tuple, frozenset[int]] = {}  # see walk_face_sets
         self._delta_betti: dict[tuple, int] = {}  # (face set, j) -> Betti number
         self._bases: dict[tuple, ChainBasis] = {}
         self._psi: dict[tuple, SyzygyVector] = {}
@@ -324,50 +325,51 @@ class ResolutionEngine:
         and neighbouring dimensions share them; the count itself is kept
         per (face set, dimension).
 
-        Face sets are read off those at the degrees m - n_i, by
-
-            Delta_m = ({empty} if m in S) | U_i {G + {i} : G in Delta_(m - n_i), i not in G},
-
-        as F containing i is a face at m exactly when F - {i} is one at
-        m - n_i.  This needs every m - n_i known here or outside S, as in
-        `scan` and `harvest`, which walk by weight; otherwise build_delta
-        builds Delta_m.
+        The face set is the one a walk recorded (`walk_face_sets`), as in
+        `scan` and `harvest`; at a degree no walk recorded, as in `betti`
+        and `verify`, build_delta builds the complex.
         """
         m = tuple(m)
         faces = self._delta_faces.get(m)
         if faces is None:
-            faces = self._delta_faces[m] = self._delta_face_set(m)
+            cx = build_delta(self.semigroup, m)
+            faces = self._delta_faces[m] = self._delta.setdefault(cx.masks, cx).masks
         key = (faces, j)
         betti = self._delta_betti.get(key)
         if betti is None:
             betti = self._delta_betti[key] = betti_reduced(self._delta[faces], j, self.field)
         return betti
 
-    def _delta_face_set(self, m: Degree) -> frozenset[int]:
-        """The face set at m, found as betti_delta says and held once in `_delta`."""
+    def walk_face_sets(self, degrees: list) -> list:
+        """Record the comparison complex's face set at each degree of a walk; return the degrees.
+
+        The degrees are a set of S closed under divisors in S, by weight, as
+        `Semigroup.degrees_up_to` and `Semigroup.apery_divisors` list them:
+        each m - n_i in S is among them and weighs less than m, so its face
+        set is recorded first, and a neighbour without one lies outside S.
+        With m in S,
+
+            Delta_m = {empty} | U_i {G + {i} : G in Delta_(m - n_i), i not in G},
+
+        as F containing i is a face at m exactly when F - {i} is one at
+        m - n_i.  Degrees whose neighbours have the same face sets share one
+        union, and degrees with the same face set share one complex.
+        """
         sg = self.semigroup
-        below = []
-        for n in sg.generators:
-            shifted = tuple(map(sub, m, n))
-            faces = self._delta_faces.get(shifted)
+        known, unions, void = self._delta_faces, self._delta_unions, frozenset()
+        for m in degrees:
+            below = tuple(known.get(tuple(map(sub, m, n)), void) for n in sg.generators)
+            faces = unions.get(below)
             if faces is None:
-                if sg.member(shifted):
-                    cx = build_delta(sg, m)
-                    return self._delta.setdefault(cx.masks, cx).masks
-                faces = frozenset()
-            below.append(faces)
-        # with every neighbour void, Delta_m still depends on whether m is in S
-        key = (*below, any(below) or sg.member(m))
-        faces = self._delta_unions.get(key)
-        if faces is None:
-            found = {0} if key[-1] else set()
-            for i, faces_i in enumerate(below):
-                bit = 1 << i
-                found.update(g | bit for g in faces_i if not g & bit)
-            found = frozenset(found)
-            faces = self._delta_unions[key] = self._delta.setdefault(
-                found, DeltaComplex(sg, m, found)).masks
-        return faces
+                found = {0}
+                for i, faces_i in enumerate(below):
+                    bit = 1 << i
+                    found.update(g | bit for g in faces_i if not g & bit)
+                found = frozenset(found)
+                faces = unions[below] = self._delta.setdefault(
+                    found, DeltaComplex(sg, m, found)).masks
+            known[m] = faces
+        return degrees
 
     # -- one recursion step, every level ----------------------------------
 
@@ -708,25 +710,24 @@ class ResolutionEngine:
         whatever the engine registered before, and every generator the
         recursion registers on the way is one of them.  The comparison
         complex's reduced homology vanishes from dimension r - 1 on, so
-        levels beyond r - 2 cost nothing.  `Semigroup.divisors` enumerates
-        S only inside m - C, C the real cone of S, which also answers every
-        membership test of the comparison complexes, m's own included, by
-        lookup.  D(m) is walked by weight: each m' - n_i in S lies in D(m)
-        and weighs less than m', so every face set is read off its
-        neighbours.
+        levels beyond r - 2 cost nothing.  At m' with m' - N in S, N the
+        sum of the generators, every m' - n_F is in S, so the complex is the
+        full simplex and has no reduced homology: only the degrees of
+        `Semigroup.apery_divisors(m)`, those of D(m) outside N + S, are
+        read, along the walk that lists them (`walk_face_sets`), so neither
+        the counts nor the fragment's verification searches for a member.
         """
         if max_level < 0:
             raise ResolutionError(f"--max-level must be nonnegative, got {max_level}")
         m = tuple(m)
         sg = self.semigroup
         found: dict[int, list] = {}
-        divisors = sg.divisors(m)
-        if sg.member(m):
-            top = min(max_level, sg.num_generators - 2)
-            for mp in sg.by_weight(divisors):
-                for j in range(top + 1):
-                    for idx in range(self.betti_delta(mp, j)):
-                        found.setdefault(j, []).append(self._ensure_generator(j, mp, idx))
+        divisors = self.walk_face_sets(sg.apery_divisors(m))
+        top = min(max_level, sg.num_generators - 2)
+        for mp in divisors:
+            for j in range(top + 1):
+                for idx in range(self.betti_delta(mp, j)):
+                    found.setdefault(j, []).append(self._ensure_generator(j, mp, idx))
         levels = {level: sorted(records, key=lambda r: r.sort_key(sg))
                   for level, records in sorted(found.items())}
         fragment = ResolutionFragment(m, max_level, levels)

@@ -22,17 +22,15 @@ cross-multiplication, and each coordinate is reduced once.  This gives
 the same w as rational arithmetic, and the numerators are also the
 integer weights of the fiber search and of the degree enumeration.
 
-Membership has two answers that always agree.  An enumeration lists
-every element in a region {x : y.x <= b for each row (y, b)} whose rows
-are nonnegative on the generators, breadth first over the generators, and
-the semigroup keeps the last one: a degree in its region is a member
-exactly when it is listed, so `member` answers it by lookup.  Any other
-degree gets a depth-first search.  `members_up_to` enumerates a weight
-ball (and keeps the largest), `divisors(m)` the region m - C cut out by
-the facets of the real cone C of S, which holds the divisor set
-D(m) = {m' in S : m - m' in S} and, on a normal semigroup, nothing else.
-Only those calls enumerate; a membership query never does, so call
-history changes what an answer costs, never the answer.
+Membership is one memoized depth-first search (`member`).  Enumeration
+is one walk from 0 that steps by the generators inside a region
+{x : y.x <= b for each row (y, b)}, the rows nonnegative on the
+generators, and pops its elements in (weight, degree) order.
+`degrees_up_to` walks a weight ball; `apery_divisors(m)` walks m - C, C
+the real cone of S, and lists there only the Apéry set
+Ap(S, N) = S - (N + S) of N = n_1 + ... + n_r, so every test on the way
+is a set lookup.  Each walk lists a subset of S closed under divisors in
+S, by weight, which is what the engine reads comparison complexes along.
 
 Presentations are read strictly: dim and every generator entry must be
 ints (not bools), so a float, string or null in a JSON input is an error
@@ -42,9 +40,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations
 from math import floor, gcd, lcm
-from operator import add, le, mul, sub
+from operator import add, floordiv, le, mul, sub
 
 from .homology import RationalField, gauss_reduce
 from .orders import Monomial, TermOrder
@@ -66,6 +65,15 @@ class NotCombinatoriallyFinite(SemigroupError):
 
 def _dot(w, v):
     return sum(map(mul, w, v))
+
+
+def _meets(x, found, step, tries: int) -> bool:
+    """Is one of x, x - step, ..., x - (tries - 1) step in found?"""
+    for _ in range(tries):
+        if x in found:
+            return True
+        x = tuple(map(sub, x, step))
+    return False
 
 
 def _sparse_rows(rows):
@@ -198,7 +206,7 @@ class Semigroup:
     """Validated presentation of a combinatorially finite semigroup.
 
     Immutable after construction; all query methods are pure (membership
-    answers and the largest member enumeration are memoized internally).
+    answers are memoized internally).
     """
 
     def __init__(self, dim: int, generators):
@@ -233,11 +241,6 @@ class Semigroup:
         # products with the generators, for the fiber and membership search
         self.grading, self._int_grading, self._wdots = self._positive_grading()
         self._member_cache: dict[Degree, bool] = {}
-        # the kept enumeration: every element x with y.x <= b for each row
-        # (y, b) of _region; none yet, and no element has v.x <= -1 (v the
-        # integer grading)
-        self._members: frozenset[Degree] = frozenset()
-        self._region = ((self._int_grading, -1),)
         self._facets = None  # the real cone's facet normals, once asked for
         self._cuts = None  # the fiber search's facet bounds, once it runs
 
@@ -299,23 +302,20 @@ class Semigroup:
     def sub_degree(self, m: Degree, mp: Degree) -> Degree:
         return tuple(a - b for a, b in zip(m, mp))
 
-    def member(self, m: Degree) -> bool:
-        """Is m a nonnegative integer combination of the generators?
-
-        A degree within the region of the kept enumeration is answered by
-        lookup; any other runs the depth-first search.
-        """
+    def _degree(self, m: Degree) -> Degree:
+        """m as a tuple, checked to have dim coordinates."""
         m = tuple(m)
-        if m in self._members:
-            return True
+        if len(m) != self.dim:
+            raise SemigroupError(f"degree {m} has {len(m)} coordinates, but dim is {self.dim}")
+        return m
+
+    def member(self, m: Degree) -> bool:
+        """Is m a nonnegative integer combination of the generators?  Searched once."""
+        m = self._degree(m)
         cached = self._member_cache.get(m)
-        if cached is not None:
-            return cached
-        if all(_dot(y, m) <= b for y, b in self._region):
-            return False
-        result = self._search(m, find_all=False)
-        self._member_cache[m] = result
-        return result
+        if cached is None:
+            cached = self._member_cache[m] = self._search(m, find_all=False)
+        return cached
 
     def fiber(self, m: Degree, order: TermOrder) -> tuple[Monomial, ...]:
         """All monomials of degree m, sorted decreasing in the term order.
@@ -323,7 +323,7 @@ class Semigroup:
         Searched afresh on every call: the engine keeps the fiber complex
         of each degree it visits, so no caller asks for a fiber twice.
         """
-        m = tuple(m)
+        m = self._degree(m)
         fiber = tuple(order.sort_decreasing(self._search(m, find_all=True)))
         self._member_cache[m] = bool(fiber)
         return fiber
@@ -388,66 +388,74 @@ class Semigroup:
                  and rec(0, tuple(m), wm, ()))
         return solutions if find_all else found
 
-    def _enumerate(self, region) -> frozenset[Degree]:
-        """Every element x with y.x <= b for each row (y, b) of region, kept for `member`.
+    def _walk(self, rows, apery: Degree | None = None) -> list[Degree]:
+        """The elements x of S with y.x <= b for each row (y, b), by (weight, degree).
 
-        Each y is nonnegative on the generators, so the region holds every
-        partial sum of a factorization of each element in it, and a breadth
-        first walk from 0 that steps only inside the region reaches them
-        all.  Row values are carried along as integers, summed only for a
-        step to an element not seen yet.
+        rows[0] is the weight row (v, b), v the integer grading, and every
+        y is nonnegative on the generators, so the region holds each partial
+        sum of a factorization of each of its elements: a walk from 0 that
+        steps by the generators inside the region reaches them all, and a
+        heap pops them by weight, ties by degree.  Row values are carried
+        along as integers.
+
+        With apery = N, the sum of the generators, only the elements outside
+        N + S are listed and stepped from.  Every element seen lies in S, so
+        x is in N + S exactly when some x - kN, k >= 1, has been seen: such
+        an x is a + kN with a in the Apéry set, which is closed under
+        divisors in S, and a lies in the region and weighs less than x, so
+        the walk has listed it.
         """
+        bounds = tuple(b for _, b in rows)
+        steps = tuple((n, tuple(_dot(y, n) for y, _ in rows)) for n in self.generators)
+        at_sum = tuple(map(sum, zip(*(dn for _, dn in steps))))  # y.N per row, all > 0
         zero = self.zero_degree()
-        bounds = tuple(b for _, b in region)
-        steps = tuple((n, tuple(_dot(y, n) for y, _ in region)) for n in self.generators)
-        seen = {zero} if min(bounds) >= 0 else set()
-        frontier = [(zero, (0,) * len(region))] if seen else []
-        while frontier:
-            nxt = []
-            for m, vals in frontier:
-                for n, dn in steps:
-                    m2 = tuple(map(add, m, n))
-                    if m2 not in seen:
-                        vals2 = tuple(map(add, vals, dn))
-                        if all(map(le, vals2, bounds)):
-                            seen.add(m2)
-                            nxt.append((m2, vals2))
-            frontier = nxt
-        self._members, self._region = frozenset(seen), region
-        return self._members
+        listed, seen = [], {zero}
+        heap = [(0, zero, (0,) * len(rows))] if min(bounds) >= 0 else []
+        while heap:
+            _, x, vals = heappop(heap)
+            # only the x - kN with every y.(x - kN) >= 0 can have been seen
+            if apery and _meets(tuple(map(sub, x, apery)), seen, apery,
+                                min(map(floordiv, vals, at_sum))):
+                continue
+            listed.append(x)
+            for n, dn in steps:
+                x2 = tuple(map(add, x, n))
+                if x2 not in seen:
+                    vals2 = tuple(map(add, vals, dn))
+                    if all(map(le, vals2, bounds)):
+                        seen.add(x2)
+                        heappush(heap, (vals2[0], x2, vals2))
+        return listed
 
-    def members_up_to(self, w_bound) -> frozenset[Degree]:
-        """All semigroup elements of weight at most w_bound.
+    def degrees_up_to(self, w_bound) -> list[Degree]:
+        """All semigroup elements of weight at most w_bound, by weight, ties by degree.
 
         In integer weights w.m <= w_bound exactly when v.m <= floor(w_bound
-        * L), v = L.w being the certificate's numerators.  A weight ball is
-        enumerated only when the kept enumeration is no ball at least this
-        large, so the largest ball so far stays kept.
+        * L), v = L.w being the certificate's numerators.
         """
-        v = self._int_grading
         bound = floor(Fraction(w_bound) * min(self._wdots))
-        (y, kept), *others = self._region
-        if others or y != v or kept < bound:
-            return self._enumerate(((v, bound),))
-        if bound == kept:
-            return self._members
-        return frozenset(m for m in self._members if _dot(v, m) <= bound)
+        return self._walk(((self._int_grading, bound),))
 
-    def divisors(self, m: Degree) -> frozenset[Degree]:
-        """D(m) = {m' in S : m - m' in S}; empty when m is not in S.
+    def apery_divisors(self, m: Degree) -> list[Degree]:
+        """D(m) minus N + S, by weight, ties by degree; empty when m is not in S.
 
-        Enumerates the elements m' with y.m' <= y.m for each facet normal y
-        of the real cone C (`_cone_facets`), that is m - m' in C, and keeps
-        them for `member`.  D(m) lies there, and so does every degree q with
-        m - q in S, so m itself and the face tests of each comparison
-        complex at a degree of D(m) are lookups.  The facets imply the
-        weight row v.m' <= v.m, which is kept so that the walk stays
-        bounded by its first row alone.
+        D(m) = {m' in S : m - m' in S}, and N = n_1 + ... + n_r.  The walk
+        covers m - C, cut out by the facet normals y of the real cone C
+        (`_cone_facets`) and the weight row they imply, which keeps it
+        bounded by its first row alone, and lists the Apéry set
+        Ap(S, N) = S - (N + S) there.  S = Ap + kN over k >= 0, and each
+        such a = m - m' - kN with m - m' in S lies in m - C, so m' is kept
+        exactly when some m - m' - kN is listed.  The result is closed under
+        divisors in S: each m' - n_i in S lies in Ap and in D(m).
         """
-        m = tuple(m)
+        m = self._degree(m)
+        big_n = tuple(map(sum, zip(*self.generators)))
         rows = (self._int_grading, *self._cone_facets())
-        found = self._enumerate(tuple((y, _dot(y, m)) for y in rows))
-        return frozenset(x for x in found if tuple(map(sub, m, x)) in found)
+        listed = self._walk(tuple((y, _dot(y, m)) for y in rows), big_n)
+        found, v, wn = set(listed), self._int_grading, sum(self._wdots)
+        # only the m - x - kN of weight >= 0 can be listed
+        return [x for x in listed
+                if _meets(rest := tuple(map(sub, m, x)), found, big_n, _dot(v, rest) // wn + 1)]
 
     def _cone_facets(self) -> tuple[tuple[int, ...], ...]:
         """Primitive integer normals y of the facets of the real cone C of S.
@@ -481,19 +489,6 @@ class Semigroup:
                 normals.add(tuple(lifted.get(c, 0) // scale for c in range(self.dim)))
             self._facets = tuple(sorted(normals))
         return self._facets
-
-    def degrees_up_to(self, w_bound) -> list[Degree]:
-        """All semigroup elements of weight at most w_bound, canonically ordered.
-
-        The order is by weight, ties by degree; the elements are those of
-        `members_up_to`, which this enumerates and keeps for `member`.
-        """
-        return self.by_weight(self.members_up_to(w_bound))
-
-    def by_weight(self, degrees) -> list[Degree]:
-        """The degrees sorted by weight, ties by degree."""
-        v = self._int_grading
-        return sorted(degrees, key=lambda d: (_dot(v, d), d))
 
     def matrix_rank(self) -> int:
         """Rank of the generator matrix over the rationals."""

@@ -62,7 +62,7 @@ def gcd_closure_degrees(sg, m, max_level) -> set:
 
 
 def divisor_degrees(sg, m) -> set:
-    """D(m) = {m' in S : m - m' in S}, without the semigroup's enumeration.
+    """D(m) = {m' in S : m - m' in S}, without the semigroup's walk.
 
     m' is in D(m) exactly when m' is the degree of a monomial dividing one
     of degree m, so D(m) is read off the divisors of the fiber at m.
@@ -76,8 +76,8 @@ def in_real_cone(sg, z) -> bool:
 
     Asks the engine's Fourier-Motzkin elimination for a point of
     {lambda >= 0, A lambda = z}, with each equation as two inequalities:
-    an elimination independent of the facet normals `Semigroup.divisors`
-    cuts its region with.
+    an elimination independent of the facet normals that
+    `Semigroup.apery_divisors` cuts its walk's region with.
     """
     r = sg.num_generators
     rows = [(tuple(int(i == k) for i in range(r)), 0) for k in range(r)]

@@ -774,11 +774,11 @@ class TestInternalCheckFailures:
 
 
 class TestMembershipBySetLookup:
-    """scan and harvest answer their membership tests from their own degree
-    enumeration: scan lists the degrees it reports, harvest the elements m'
-    with M - m' in the real cone of S, which hold its divisor set D(M).
-    betti and delta never enumerate, since an enumeration up to the weight
-    of a large degree costs far more than the searches it saves."""
+    """scan and harvest make no membership search: each walks a set of S closed
+    under divisors in S by weight, scan the degrees it reports, harvest the
+    Apéry degrees of D(M), and reads every comparison complex off those of
+    its neighbours.  betti and delta never walk, since a walk up to the
+    weight of a large degree costs far more than the searches it saves."""
 
     def test_scan_searches_for_no_member_after_enumerating(self, capsys, semigroup_file,
                                                            monkeypatch):
@@ -804,10 +804,11 @@ class TestMembershipBySetLookup:
         assert searches == []
 
     @pytest.mark.parametrize("columns, argv, sizes", [
-        ([[4, 1], [5, 1], [7, 1], [8, 1]], ["-m", "60,10", "--max-level", "3"], (110, 109)),
+        # 109 degrees in D(M), 68 of them outside N + S
+        ([[4, 1], [5, 1], [7, 1], [8, 1]], ["-m", "60,10", "--max-level", "3"], (68, 68)),
         # degrees on an edge of the cone: one monomial in the fiber and about
-        # 4.6 million elements of weight at most 300, but D(M) and the
-        # enumeration are the 301 multiples of e1 (of e3) up to M
+        # 4.6 million elements of weight at most 300, but the walk and D(M)
+        # are the 301 multiples of e1 (of e3) up to M, none of them in N + S
         ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], ["-m", "300,0,0", "--max-level", "3"],
          (301, 301)),
         ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1]],
@@ -817,18 +818,18 @@ class TestMembershipBySetLookup:
                                                       columns, argv, sizes):
         path = tmp_path / "sg.json"
         path.write_text(json.dumps({"dim": len(columns[0]), "generators": columns}))
-        searches, enumerated, divisor_sets = [], [], []
-        enumerate_region, divisors, search = (
-            Semigroup._enumerate, Semigroup.divisors, Semigroup._search)
+        searches, walked, divisor_lists = [], [], []
+        walk, apery_divisors, search = (
+            Semigroup._walk, Semigroup.apery_divisors, Semigroup._search)
 
-        def logged_enumerate(self, region):
-            found = enumerate_region(self, region)
-            enumerated.append(len(found))
+        def logged_walk(self, rows, apery=None):
+            found = walk(self, rows, apery)
+            walked.append(len(found))
             return found
 
         def logged_divisors(self, m):
-            found = divisors(self, m)
-            divisor_sets.append(found)
+            found = apery_divisors(self, m)
+            divisor_lists.append(found)
             return found
 
         def logged_search(self, m, find_all):
@@ -836,17 +837,16 @@ class TestMembershipBySetLookup:
                 searches.append(m)
             return search(self, m, find_all)
 
-        monkeypatch.setattr(Semigroup, "_enumerate", logged_enumerate)
-        monkeypatch.setattr(Semigroup, "divisors", logged_divisors)
+        monkeypatch.setattr(Semigroup, "_walk", logged_walk)
+        monkeypatch.setattr(Semigroup, "apery_divisors", logged_divisors)
         monkeypatch.setattr(Semigroup, "_search", logged_search)
         code, out = run(capsys, "harvest", str(path), *argv)
         assert code == 0 and "verification: passed" in out
-        # one enumeration, made before any membership test, the degree's
-        # own and verify's included; of its elements, all but the holes of
-        # S below the degree are in D(M)
-        (divisor_set,) = divisor_sets
-        assert (enumerated[0], len(divisor_set)) == sizes
-        assert len(enumerated) == 1
+        # one walk, and no membership search at all, the degree's own and
+        # verify's included; of the Apéry elements it lists below the
+        # degree, those of D(M) are kept
+        (divisor_list,) = divisor_lists
+        assert (walked, len(divisor_list)) == ([sizes[0]], sizes[1])
         assert searches == []
 
     @pytest.mark.parametrize("argv", [
@@ -855,14 +855,14 @@ class TestMembershipBySetLookup:
     ], ids=["betti", "delta"])
     def test_single_degree_commands_enumerate_nothing(self, capsys, semigroup_file,
                                                       monkeypatch, argv):
-        enumerations = []
-        members_up_to = Semigroup.members_up_to
+        walks = []
+        walk = Semigroup._walk
 
-        def counted(self, w_bound):
-            enumerations.append(w_bound)
-            return members_up_to(self, w_bound)
+        def counted(self, rows, apery=None):
+            walks.append(rows)
+            return walk(self, rows, apery)
 
-        monkeypatch.setattr(Semigroup, "members_up_to", counted)
+        monkeypatch.setattr(Semigroup, "_walk", counted)
         code, _ = run(capsys, argv[0], semigroup_file, *argv[1:])
         assert code == 0
-        assert enumerations == []
+        assert walks == []

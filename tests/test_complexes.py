@@ -6,6 +6,7 @@ from oracles import DegreeMismatch, delta_is_face, face_gcd, nabla_is_face, rest
 
 from toricsyz import (
     DEGREVLEX,
+    DeltaComplex,
     build_delta,
     build_nabla,
 )
@@ -189,6 +190,25 @@ class TestDelta:
         for face in cx.masks:
             for k in range(face.bit_length()):
                 assert face & ~(1 << k) in cx.masks
+
+    def test_faces_of_every_dimension_from_one_pass(self, example_semigroup):
+        class CountedMasks(frozenset):
+            scans = 0
+
+            def __iter__(self):
+                CountedMasks.scans += 1
+                return super().__iter__()
+
+        built = build_delta(example_semigroup, (24, 4))
+        cx = DeltaComplex(example_semigroup, built.degree, CountedMasks(built.masks))
+        r = example_semigroup.num_generators
+        by_dim = {j: cx.faces_of_dim(j) for j in range(-2, r + 1)}
+        # the masks are scanned once, whatever dimensions are asked
+        assert CountedMasks.scans == 1
+        assert by_dim[-2] == by_dim[r] == () and by_dim[-1] == ((),)
+        for j in range(r):
+            assert by_dim[j] == tuple(sorted(f for f in combinations(range(r), j + 1)
+                                             if delta_is_face(built, f)))
 
 
 def test_facets_cover_all_faces(example_semigroup):

@@ -166,8 +166,7 @@ def test_fiber_search_matches_brute_force(data):
     shifted = tuple(a + b for a, b in zip(m, shift))
     if sg.weight(shifted) <= 4:
         m = shifted
-    # member answers before fiber fills its cache: by lookup within the
-    # enumeration above, by its own search beyond it
+    # member answers before fiber fills its cache, by its own search
     member = sg.member(m)
     fiber = sg.fiber(m, DEGREVLEX)
     assert set(fiber) == brute_force_fiber(sg, m)
@@ -201,63 +200,86 @@ weight_bounds = st.one_of(
 ).flatmap(lambda b: st.sampled_from((b, str(b))))
 
 
+def _sum(sg):
+    """N, the sum of the generators."""
+    return tuple(map(sum, zip(*sg.generators)))
+
+
 @given(data=st.data())
 def test_membership_lookup_matches_the_search(data):
+    # one enumeration, the walk, which searches nothing, and one membership
+    # answer, the search, made once per degree
     sg = data.draw(presentations())
     w_bound, smaller = data.draw(weight_bounds), data.draw(weight_bounds)
-    degrees = sg.degrees_up_to(w_bound)
-    assert degrees == _fraction_weight_degrees(sg, w_bound)
-    assert sg.members_up_to(w_bound) == frozenset(degrees)
-    # a bound below the kept enumeration is answered from it
-    assert sg.members_up_to(smaller) == frozenset(_fraction_weight_degrees(sg, smaller))
-    kept = max(Fraction(w_bound), Fraction(smaller))
-
-    # degrees at and below the bound, one generator above it, shifted off
-    # the semigroup, and of negative weight
-    queries = set(degrees) | {sg.zero_degree()}
-    queries |= {tuple(a + b for a, b in zip(m, n))
-                for m in degrees for n in sg.generators}
-    queries |= {tuple(-a for a in n) for n in sg.generators}
-    for m in list(queries):
-        shift = data.draw(st.lists(st.integers(-1, 1), min_size=sg.dim, max_size=sg.dim))
-        queries.add(tuple(a + b for a, b in zip(m, shift)))
-    reference = Semigroup(sg.dim, sg.generators)
     search = mock.Mock(wraps=sg._search)
     with mock.patch.object(sg, "_search", search):
-        for m in sorted(queries):
-            calls = search.call_count
+        degrees = sg.degrees_up_to(w_bound)
+        assert sg.degrees_up_to(smaller) == _fraction_weight_degrees(sg, smaller)
+        assert search.call_count == 0
+        # degrees at and below the bound, one generator above it, shifted
+        # off the semigroup, and of negative weight
+        queries = set(degrees) | {sg.zero_degree()}
+        queries |= {tuple(a + b for a, b in zip(m, n))
+                    for m in degrees for n in sg.generators}
+        queries |= {tuple(-a for a in n) for n in sg.generators}
+        for m in list(queries):
+            shift = data.draw(st.lists(st.integers(-1, 1), min_size=sg.dim, max_size=sg.dim))
+            queries.add(tuple(a + b for a, b in zip(m, shift)))
+        reference = Semigroup(sg.dim, sg.generators)
+        for m in sorted(queries) * 2:
             assert sg.member(m) == reference._search(m, find_all=False), m
-            if sg.weight(m) <= kept:
-                assert search.call_count == calls, m  # answered by lookup
+        assert search.call_count == len(queries)
+    assert degrees == _fraction_weight_degrees(sg, w_bound)
+    assert all(sg.member(m) for m in degrees)
 
 
 @given(data=st.data())
 def test_divisor_enumeration_is_the_cone_below_the_degree(data):
+    # the facet normals cut out the real cone: the walk of m - C lists the
+    # elements m' of S with m - m' in it and no other, by weight, and with
+    # apery those of them outside N + S
     sg = data.draw(presentations())
-    members = sg.degrees_up_to(4)
-    m = data.draw(st.sampled_from(members))
-    divisors = sg.divisors(m)
-    region = sg._members
-    assert divisors == divisor_degrees(sg, m)
-    # the facet normals cut out the real cone: the enumeration holds the
-    # elements m' with m - m' in it, and no other
+    m = data.draw(st.sampled_from(sg.degrees_up_to(4)))
     assert all(sum(map(mul, y, n)) >= 0 for y in sg._cone_facets() for n in sg.generators)
-    assert region == {x for x in Semigroup(sg.dim, sg.generators).members_up_to(sg.weight(m))
-                      if in_real_cone(sg, sg.sub_degree(m, x))}
-    # a shift of m, often off the semigroup (then D(m) is empty): every
-    # degree with m minus it in S is answered by lookup, correctly
+    rows = tuple((y, sum(map(mul, y, m))) for y in (sg._int_grading, *sg._cone_facets()))
+    cone = [x for x in sg.degrees_up_to(sg.weight(m))
+            if in_real_cone(sg, sg.sub_degree(m, x))]
+    assert sg._walk(rows) == cone
+    big_n = _sum(sg)
+    assert sg._walk(rows, big_n) == [
+        x for x in cone if not sg.member(sg.sub_degree(x, big_n))]
+
+
+@given(data=st.data())
+def test_apery_divisors_are_the_divisors_outside_n_plus_s(data):
+    # also at shifts of m, which mostly leave the semigroup: then D(m) is empty
+    sg = data.draw(presentations())
+    m = data.draw(st.sampled_from(sg.degrees_up_to(4)))
     shift = data.draw(st.lists(st.integers(-1, 1), min_size=sg.dim, max_size=sg.dim))
-    m = tuple(a + b for a, b in zip(m, shift))
-    divisors = sg.divisors(m)
-    member = Semigroup(sg.dim, sg.generators).member
-    assert divisors == (divisor_degrees(sg, m) if member(m) else frozenset())
-    queries = {sg.sub_degree(x, n) for x in divisors for n in sg.generators}
-    queries |= {m} | {x for x in members if member(sg.sub_degree(m, x))}
-    search = mock.Mock(wraps=sg._search)
-    with mock.patch.object(sg, "_search", search):
-        for q in sorted(queries):
-            assert sg.member(q) == member(q), (m, q)
-    assert search.call_count == 0
+    reference, big_n = Semigroup(sg.dim, sg.generators), _sum(sg)
+    for q in (m, tuple(a + b for a, b in zip(m, shift))):
+        expected = sorted((x for x in divisor_degrees(reference, q)
+                           if not reference.member(sg.sub_degree(x, big_n))),
+                          key=lambda x: (sg.weight(x), x))
+        search = mock.Mock(wraps=sg._search)
+        with mock.patch.object(sg, "_search", search):
+            assert sg.apery_divisors(q) == expected, (sg, q)
+        assert search.call_count == 0
+
+
+@given(data=st.data())
+def test_betti_delta_vanishes_where_the_walk_skips(data):
+    # at a degree of D(m) in N + S the comparison complex is the full simplex
+    sg = data.draw(presentations())
+    m = data.draw(st.sampled_from(sg.degrees_up_to(6)))
+    skipped = divisor_degrees(sg, m) - set(sg.apery_divisors(m))
+    r = sg.num_generators
+    for field in FIELDS:
+        engine = ResolutionEngine(sg, Config(field=field))
+        for x in skipped:
+            assert build_delta(sg, x).masks == frozenset(range(1 << r)), (sg, x)
+            assert [engine.betti_delta(x, j) for j in range(-1, r)] == [0] * (r + 1), \
+                (sg, m, x, field)
 
 
 @given(data=st.data())
@@ -298,18 +320,30 @@ def test_comparison_complex_memo_matches_the_layered_oracle(data):
         assert set(engine._delta) == {cx.masks for cx in oracle.values()}
 
 
-@given(sg=presentations())
-def test_comparison_complexes_read_off_their_neighbours_match_the_oracle(sg):
-    # in weight order every m - n_i in S comes first, so each face set is read
-    # off the neighbours'; in reverse order every degree but 0 falls back to
-    # build_delta.  Both must give the complex grown as index tuples.
+@given(data=st.data())
+def test_comparison_complexes_read_off_their_neighbours_match_the_oracle(data):
+    # walk_face_sets reads each face set off the neighbours' along a weight
+    # ball and along the Apéry degrees of a D(m), building none on its own;
+    # betti_delta builds the complex at a degree no walk recorded.  All must
+    # give the complex grown as index tuples.
+    from toricsyz import resolution
+
+    sg = data.draw(presentations())
     degrees = sg.degrees_up_to(8)
-    oracle = {m: layered_delta(sg, m).masks for m in degrees}
-    for walk in (degrees, degrees[::-1]):
+    divisors = sg.apery_divisors(data.draw(st.sampled_from(degrees)))
+    for walk in (degrees, divisors):
+        oracle = {m: layered_delta(sg, m).masks for m in walk}
         engine = ResolutionEngine(sg, Config())
-        for m in walk:
-            engine.betti_delta(m, 0)
-        assert {m: engine._delta_faces[m] for m in degrees} == oracle, sg
+        with mock.patch.object(resolution, "build_delta", side_effect=AssertionError):
+            engine.walk_face_sets(walk)
+            assert [engine.betti_delta(m, 0) for m in walk] == [
+                betti_reduced(engine._delta[oracle[m]], 0, get_field("rational"))
+                for m in walk]
+        assert engine._delta_faces == oracle, sg
+    engine = ResolutionEngine(sg, Config())
+    for m in degrees[::-1]:
+        engine.betti_delta(m, 0)
+    assert engine._delta_faces == {m: layered_delta(sg, m).masks for m in degrees}, sg
 
 
 @given(data=st.data())

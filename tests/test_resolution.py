@@ -640,6 +640,12 @@ class TestLevelZeroWithoutElimination:
         assert not edges & set(widths), sorted(edges & set(widths))
 
 
+def _outside_n_plus_s(sg, degrees) -> set:
+    """The degrees m with m - N not in S, N the sum of the generators."""
+    big_n = tuple(map(sum, zip(*sg.generators)))
+    return {m for m in degrees if not sg.member(sg.sub_degree(m, big_n))}
+
+
 class TestComparisonComplexOnlyForCounts:
     def test_minimalize_builds_no_comparison_complex(self):
         engine = ResolutionEngine(Semigroup(1, [[3], [5]]), Config())
@@ -659,13 +665,13 @@ class TestComparisonComplexOnlyForCounts:
         monkeypatch.setattr(ResolutionEngine, "_decompose_reduced", recording)
         fragment = engine.harvest(m, max_level)
         assert fragment.report["passed"]
-        # a face set looked up for each degree of D(m) and no other, and
-        # one shared complex per distinct face set among them
-        divisors = divisor_degrees(engine.semigroup, m)
-        assert set(engine._delta_faces) == divisors
+        # a face set recorded for each degree of D(m) outside N + S and no
+        # other, and one shared complex per distinct face set among them
+        walked = _outside_n_plus_s(engine.semigroup, divisor_degrees(engine.semigroup, m))
+        assert set(engine._delta_faces) == walked
         assert set(engine._delta) == {build_delta(engine.semigroup, mp).masks
-                                      for mp in divisors}
-        assert (len(divisors), len(engine._delta)) == (109, 29)
+                                      for mp in walked}
+        assert (len(walked), len(engine._delta)) == (68, 28)
         assert all(engine._delta[faces].masks is faces
                    for faces in engine._delta_faces.values())
         # m has no homology, so its fiber complex is never built
@@ -697,9 +703,8 @@ class TestComparisonComplexOnlyForCounts:
                      "--field", "32003", "--format", "json"]) == 0
         degrees = [tuple(row["degree"]) for row in json.loads(capsys.readouterr().out)["rows"]]
         # walked by weight, each face set is read off those at m - n_i: no
-        # degree is built on its own, and only neighbours outside S (and
-        # degree 0) take a membership test
-        assert builds == [] and len(members) < len(degrees)
+        # degree is built on its own, and none takes a membership test
+        assert builds == [] and members == []
         face_sets = {build_delta(example_semigroup, m).masks for m in degrees}
         assert (len(degrees), len(face_sets)) == (230, 29)
         assert max(reductions.values()) == 1
@@ -717,8 +722,8 @@ class TestComparisonComplexOnlyForCounts:
         engine = ResolutionEngine(sg, Config())
         fragment = engine.harvest((10, 10), 2)
         assert fragment.report["passed"] and fragment.ranks() == {0: 4, 1: 4, 2: 1}
-        divisors = divisor_degrees(sg, (10, 10))
-        assert set(engine._delta_faces) == divisors
+        walked = _outside_n_plus_s(sg, divisor_degrees(sg, (10, 10)))
+        assert set(engine._delta_faces) == walked
         assert builds == []
         for m, faces in engine._delta_faces.items():
             assert faces == build_delta(sg, m).masks, m

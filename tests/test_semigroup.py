@@ -5,12 +5,15 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from oracles import brute_force_fiber, s_less
+from oracles import brute_force_fiber, divisor_degrees, s_less
 
 from toricsyz import (
     DEGREVLEX,
+    Config,
     NotCombinatoriallyFinite,
+    ResolutionEngine,
     Semigroup,
+    SemigroupError,
     ZeroGenerator,
     mono_str,
 )
@@ -291,13 +294,50 @@ def test_cone_facets(columns, facets):
 
 
 def test_divisors_on_a_plane_in_z3():
-    # degrees off the plane z = x + y, or outside the cone, divide nothing
+    # N = (2, 2, 4): of D(N), N alone lies in N + S.  Degrees off the plane
+    # z = x + y, or outside the cone, divide nothing.  The order is by weight
+    # (here the last coordinate), ties by degree.
     sg = Semigroup(3, [[1, 0, 1], [0, 1, 1], [1, 1, 2]])
-    assert sg.divisors((2, 1, 3)) == {(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2),
-                                      (2, 0, 2), (2, 1, 3)}
-    assert sg.divisors((2, 1, 4)) == frozenset()
-    assert sg.divisors((-1, 1, 0)) == frozenset()
+    assert sg.apery_divisors((2, 1, 3)) == [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 2),
+                                            (2, 0, 2), (2, 1, 3)]
+    assert sg.apery_divisors((2, 2, 4)) == [(0, 0, 0), (0, 1, 1), (1, 0, 1), (0, 2, 2),
+                                            (1, 1, 2), (2, 0, 2), (1, 2, 3), (2, 1, 3)]
+    assert sg.apery_divisors((2, 1, 4)) == []
+    assert sg.apery_divisors((-1, 1, 0)) == []
     assert not sg.member((2, 1, 4)) and not sg.member((1, 0, 2))
+
+
+def test_apery_divisors_of_a_mixed_sign_presentation():
+    # (-1, 1) puts m - n_1 after m in degree order; the walk still lists
+    # D(m) minus N + S by weight
+    sg = Semigroup(2, [[-1, 1], [0, 1], [2, 1], [3, 1]])
+    m, big_n = (10, 10), (4, 4)
+    divisors = divisor_degrees(sg, m)
+    expected = sorted((x for x in divisors
+                       if not sg.member(tuple(a - b for a, b in zip(x, big_n)))),
+                      key=lambda x: (sg.weight(x), x))
+    assert sg.apery_divisors(m) == expected
+    assert (len(divisors), len(expected)) == (109, 68)
+
+
+class TestDegreeLength:
+    """A degree of the wrong length is an error that names it and dim, not
+    one silently cut to dim coordinates."""
+
+    @pytest.mark.parametrize("degree", [(4, 1, 0), (4,)])
+    def test_member(self, example_semigroup, degree):
+        with pytest.raises(SemigroupError, match=rf"degree \({degree[0]},.*dim is 2"):
+            example_semigroup.member(degree)
+
+    def test_fiber(self, example_semigroup):
+        with pytest.raises(SemigroupError, match=r"degree \(8, 2, 1\).*dim is 2"):
+            example_semigroup.fiber((8, 2, 1), DEGREVLEX)
+
+    def test_apery_divisors(self, example_semigroup):
+        with pytest.raises(SemigroupError, match=r"degree \(60,\).*dim is 2"):
+            example_semigroup.apery_divisors((60,))
+        with pytest.raises(SemigroupError, match=r"degree \(60,\).*dim is 2"):
+            ResolutionEngine(example_semigroup, Config()).harvest((60,), 3)
 
 
 def test_matrix_rank(example_semigroup, numerical_semigroup):
