@@ -3,24 +3,23 @@
 Boundary matrices are taken in the fixed face orders of the host complex.
 Elimination scans columns left to right; its pivot columns are the first
 columns independent of all columns to their left, the greedy basis of the
-column matroid, so A restricted to them is injective.  Every basis and
-decomposition here is read off what the pivot columns alone decide:
-normal-form kernel vectors, and the one solution supported on the pivot
-columns.  The pivot columns are load bearing; the row rule is not, so
-gauss_reduce picks its pivot rows to keep fill-in low.
+column matroid, so A restricted to them is injective.  An elimination is
+read in one way, solve: the one solution supported on the pivot columns.
+The pivot columns are load bearing; the row rule is not, so gauss_reduce
+picks its pivot rows to keep fill-in low.
 
 The fixed basis of the cycles in dimension j has two parts.  Its boundary
 part is the boundaries of the pivot faces of d_{j+1}, each with that one
 face as its preimage on the pivot faces.  Its homology part is a set of
-kernel vectors of d_j with coefficient 1 at one free (non-pivot) column,
-0 at the others: projecting onto the free columns, in their fixed order
-(_free_columns), is injective on cycles and makes them unit vectors.  One
-reduction of the projected [boundary part | units] both selects and
-solves: its pivot units, the first whose units extend the projected
-boundary part, are the free columns of the representatives, and solving a
-projected cycle against it gives that cycle's coordinates in the basis.
-Only where nullity(d_j) > rank(d_{j+1}) are there representatives, and
-is d_j reduced for its kernel.  Every choice here is load bearing: the
+normal-form kernel vectors of d_j: 1 at one free (non-pivot) face f and
+the rest on pivot faces, that is f plus the solve of minus f's boundary.
+Projecting onto the free faces, in their fixed order (_free_columns), is
+injective on cycles and makes these unit vectors.  One reduction of the
+projected [boundary part | units] both selects and solves: its pivot
+units, the first whose units extend the projected boundary part, are the
+free faces of the representatives, and solving a projected cycle against
+it gives that cycle's coordinates in the basis.  Built and cached bases
+pass one check (_basis_fault).  Every choice here is load bearing: the
 resolution machinery is only well defined relative to these bases.
 
 Every matrix is built as rows of (column, nonzero entry) pairs, the one
@@ -299,14 +298,16 @@ def representative_fault(chain: Chain, face_index: dict, field, dim: int, degree
     """Why chain is off the normal form of a fixed homology representative.
 
     None when chain is a nonzero cycle on the dim-faces indexed by
-    face_index (the faces at degree) with coefficient 1 at its last face
-    in the fixed order, as every fixed representative is; otherwise the
-    first fault, as a phrase.
+    face_index (the faces at degree), with no zero coefficient and with
+    coefficient 1 at its last face in the fixed order, as every fixed
+    representative is; otherwise the first fault, as a phrase.
     """
     if not chain:
         return "is empty"
     if not chain.keys() <= face_index.keys():
         return f"has a face that is not a {dim}-face at degree {degree}"
+    if not all(chain.values()):
+        return "has a zero coefficient"
     if chain_boundary(chain, field):
         return "is not a cycle"
     if chain[max(chain, key=face_index.__getitem__)] != field.one:
@@ -323,41 +324,19 @@ class GaussDecomposition:
 
     ``pivots`` lists the input columns of the pivots in ascending order: the
     columns independent of all input columns to their left.  They alone fix
-    kernel_columns and solve, whichever rows gauss_reduce picked to pivot.
+    solve, the one read-out, whichever rows gauss_reduce picked to pivot.
     ``rows[t]``, a dict column -> nonzero scalar, is the echelon row of
     pivot t: 1 at pivots[t] and nothing to its left.  ``steps[t]`` is (row
     swapped with t, scale of row t, [(row, multiple of row t added)]).
     """
 
-    def __init__(self, field, nrows, ncols, rank, rows, steps, pivots):
+    def __init__(self, field, nrows, rank, rows, steps, pivots):
         self.field = field
         self.nrows = nrows
-        self.ncols = ncols
         self.rank = rank
         self.rows = rows
         self.steps = steps
         self.pivots = pivots
-
-    def kernel_columns(self):
-        """The normal-form kernel basis, one vector per free column f.
-
-        In _free_columns order, the kernel vector with 1 at f and 0 at the
-        other free columns.  The echelon rows are reduced upward, each by the
-        rows below it, which are already 0 at every other pivot; then minus
-        row t's entry at f is the vector's entry at pivots[t].
-        """
-        field, pivots = self.field, self.pivots
-        pos = {c: t for t, c in enumerate(pivots)}
-        rows = [dict(row) for row in self.rows]
-        for t in range(self.rank - 1, -1, -1):
-            for c in [c for c in rows[t] if c in pos and c != pivots[t]]:
-                field.axpy(rows[t], rows[pos[c]], field.neg(rows[t][c]))
-        kernel = {f: {f: field.one} for f in _free_columns(pivots, self.ncols)}
-        for p, row in zip(pivots, rows):
-            for f, v in row.items():
-                if f != p:
-                    kernel[f][p] = field.neg(v)
-        return list(kernel.values())
 
     def solve(self, vec: dict):
         """The solution of A x = vec on the pivot columns, or None when inconsistent.
@@ -397,7 +376,7 @@ def gauss_reduce(rows, ncols: int, field) -> GaussDecomposition:
     lowest index (Markowitz, Management Sci. 3, 1957), which keeps 0/+-1
     boundary matrices off Fraction arithmetic.  It is swapped up, scaled to
     1 and cleared from the rows below.  Any row rule gives the same
-    pivots, kernel columns and solutions.
+    pivots and solutions.
     """
     m = len(rows)
     fo, of = field.one, field.of
@@ -426,7 +405,7 @@ def gauss_reduce(rows, ncols: int, field) -> GaussDecomposition:
             field.axpy(M[i], src, f)
         steps.append((piv, scale, ops))
         pivots.append(c)
-    return GaussDecomposition(field, m, ncols, len(pivots), M[:len(pivots)], steps, pivots)
+    return GaussDecomposition(field, m, len(pivots), M[:len(pivots)], steps, pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +443,7 @@ class ChainBasis:
 
         Built on first use and kept.  Its pivot columns past the boundaries
         are the units of the representatives' last faces, in order: the
-        selection of fixed_cycle_basis, which load_cached_basis checks.
+        selection of fixed_cycle_basis, which _basis_fault checks.
         """
         if self._solver is None:
             field, nb = self.field, len(self.boundary)
@@ -510,7 +489,7 @@ def _free_columns(pivots, ncols: int) -> list:
 
     Swapping position t with pivots[t], for each t in turn, leaves them past
     the rank in this order.  It is not ascending in general, and as the
-    order of kernel_columns and ChainBasis.free it decides the representatives.
+    order of ChainBasis.free it decides the representatives.
     """
     col_at = list(range(ncols))
     for t, c in enumerate(pivots):
@@ -583,28 +562,56 @@ def _boundary_basis(complex_, j: int, field) -> ChainBasis:
 def fixed_cycle_basis(complex_, j: int, field) -> ChainBasis:
     """The fixed basis of cycles in dimension j, boundaries listed first.
 
-    There is homology only where nullity(d_j) > rank(d_{j+1}), that is where
-    there are more free faces than pivot up-faces, and only there is d_j
-    reduced a second time, keeping its echelon rows, for its normal-form
-    kernel columns; the basis's solver then selects the representatives
-    among them, and express solves with that same reduction.
+    Only where nullity(d_j) > rank(d_{j+1}), that is where there are more
+    free faces than pivot up-faces, is there homology and is d_j reduced a
+    second time.  The basis's solver picks the free faces; the one at face
+    f is 1 at f plus the solve of minus f's boundary column, the kernel
+    vector on d_j's pivots and f, so f is its last face.
     """
     basis = _boundary_basis(complex_, j, field)
     faces, nb = basis.faces, len(basis.boundary)
     if len(basis.free) <= nb:
         return basis
-    kernel = gauss_reduce(boundary_matrix(complex_, j).data, len(faces),
-                          field).kernel_columns()
-    free = set(basis.free)
-    for col, face in zip(kernel, basis.free):
-        if [(faces[k], v) for k, v in col.items() if faces[k] in free] != [(face, field.one)]:
-            raise ArithmeticError("kernel column is not in normal form")
+    mat = boundary_matrix(complex_, j)
+    reduced = gauss_reduce(mat.data, len(faces), field)
+    row_of = {face: i for i, face in enumerate(mat.row_faces)}
+    for p in basis.solver().pivots[nb:]:
+        face = basis.free[p - nb]
+        column = {row_of[facet]: -sign for facet, sign in face_boundary(face)}
+        rep = {basis.face_index[face]: field.one, **reduced.solve(column)}
+        basis.homology.append({faces[k]: rep[k] for k in sorted(rep)})
+    fault = _basis_fault(basis)
+    if fault:
+        raise ArithmeticError(fault)
+    return basis
+
+
+def _basis_fault(basis: ChainBasis):
+    """Why basis.homology is not the fixed homology part of basis, or None.
+
+    The one check of built and cached bases: each representative passes
+    representative_fault and has its last face as its one free face, and
+    the solver's pivots are the boundary columns, then the units of those
+    last faces, in order; the unit block spans every free row, so that
+    fixes their number at nullity(d_j) - rank(d_{j+1}).
+    """
+    nb, index = len(basis.boundary), basis.face_index
+    column = {face: nb + i for i, face in enumerate(basis.free)}
+    last = []
+    for chain in basis.homology:
+        fault = representative_fault(chain, index, basis.field, basis.dim, basis.degree)
+        if fault:
+            return f"homology representative {fault}"
+        free = [face for face in chain if face in column]
+        if free != [max(chain, key=index.__getitem__)]:
+            return "homology representative has a free face other than its last face"
+        last.append(column[free[0]])
     pivots = basis.solver().pivots
     if pivots[:nb] != list(range(nb)):
-        raise ArithmeticError("boundary basis vectors are dependent")
-    basis.homology = [{faces[k]: col[k] for k in sorted(col)}
-                      for col in (kernel[p - nb] for p in pivots[nb:])]
-    return basis
+        return "boundary basis vectors are dependent"
+    if pivots[nb:] != last:
+        return "homology representatives are not the selected ones"
+    return None
 
 
 def betti_reduced(complex_, j: int, field) -> int:
@@ -642,13 +649,9 @@ def load_cached_basis(cache_dir, key, field, complex_, j):
     An entry holds only the homology chains ({"homology": [...]}); the
     rest of the basis is built from complex_ as fixed_cycle_basis builds
     it.  An entry counts as a miss when it cannot be read back (invalid
-    JSON, bad scalars), when its keys are not exactly {"homology"} (every
-    earlier format), or when its chains are not the fixed representatives.
-    Those pass representative_fault, have their last face as their one
-    free face, and are what the solver selects: its pivots are the
-    boundary columns, then the units of those last faces, in order.  The
-    unit block spans every free row, so this also fixes their number at
-    nullity(d_j) - rank(d_{j+1}).
+    JSON, bad scalars, a face that is not a list of ints), when its keys
+    are not exactly {"homology"} (every earlier format), or when its
+    chains fail _basis_fault, the check every built basis passes.
     """
     path = os.path.join(cache_dir, f"basis-{key}.json")
     try:
@@ -656,30 +659,25 @@ def load_cached_basis(cache_dir, key, field, complex_, j):
             data = json.load(fh)
         if type(data) is not dict or data.keys() != {"homology"}:
             return None
-        homology = [{tuple(face): field.from_str(c) for face, c in ch}
+        homology = [{_cached_face(face): field.from_str(c) for face, c in ch}
                     for ch in data["homology"]]
     except FileNotFoundError:
         return None
     except (ValueError, TypeError, ArithmeticError, RecursionError):
-        # bad JSON, UTF-8 or scalar text is a ValueError, a zero denominator
-        # an ArithmeticError, and arrays nested too deeply a RecursionError
+        # bad JSON, UTF-8, face or scalar text is a ValueError, a zero
+        # denominator an ArithmeticError, and arrays nested too deeply a
+        # RecursionError
         return None
     basis = _boundary_basis(complex_, j, field)
     basis.homology = homology
-    nb, index = len(basis.boundary), basis.face_index
-    column = {face: nb + i for i, face in enumerate(basis.free)}
-    want = list(range(nb))
-    for chain in homology:
-        if representative_fault(chain, index, field, j, basis.degree):
-            return None
-        # the fixed representative's one free face is its last face
-        free = [face for face in chain if face in column]
-        if free != [max(chain, key=index.__getitem__)]:
-            return None
-        want.append(column[free[0]])
-    if basis.solver().pivots != want:
-        return None
-    return basis
+    return None if _basis_fault(basis) else basis
+
+
+def _cached_face(face) -> Face:
+    """face as a tuple when it is a list of ints (a JSON bool is no int), else ValueError."""
+    if type(face) is not list or not all(type(x) is int for x in face):
+        raise ValueError(f"malformed face {face!r}")
+    return tuple(face)
 
 
 def store_cached_basis(cache_dir, key, basis) -> None:

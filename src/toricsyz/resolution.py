@@ -750,8 +750,8 @@ class ResolutionEngine:
         polynomial of the record's degree with no zero coefficient; each
         record must compose to zero with the level below.  Each
         witness must be a nonzero cycle on the level-faces of the fiber
-        complex at the record's degree, with coefficient 1 at its last face
-        in the fixed order, as every fixed homology representative has.  No
+        complex at the record's degree, with no zero coefficient and 1 at its
+        last face in the fixed order, as every fixed representative has.  No
         (level, degree) may hold more generators than the homology rank
         from the comparison complex, which shares nothing with the fixed
         bases the generators came from, and each generator index must be

@@ -478,7 +478,8 @@ class Semigroup:
                 reduced = gauss_reduce(_sparse_rows(spanning), rank, field)
                 if reduced.rank < rank - 1:
                     continue  # dependent: spans no hyperplane
-                (kernel,) = reduced.kernel_columns()
+                (f,) = set(range(rank)) - set(reduced.pivots)
+                kernel = {f: 1, **reduced.solve({i: -q[f] for i, q in enumerate(spanning)})}
                 den = lcm(*(x.denominator for x in kernel.values()))
                 z = [int(kernel.get(c, 0) * den) for c in range(rank)]
                 dots = [_dot(z, q) for q in points]  # not all 0: the points span

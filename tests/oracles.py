@@ -7,7 +7,7 @@ from itertools import combinations, product
 from dense_gauss import DenseDecomposition, dense_gauss_reduce, to_dense
 
 from toricsyz.complexes import DeltaComplex, NablaComplex
-from toricsyz.homology import ChainBasis, boundary_matrix
+from toricsyz.homology import ChainBasis, _free_columns, boundary_matrix
 from toricsyz.orders import DEGREVLEX, mono_div, mono_gcd, mono_is_unit, mono_mul
 from toricsyz.resolution import ResolutionEngine, ResolutionFragment
 from toricsyz.semigroup import _fourier_motzkin_numerators
@@ -211,6 +211,21 @@ def reduce_columns(columns, nrows: int, field) -> DenseDecomposition:
         for i, v in col.items():
             rows[i][k] = v
     return dense_gauss_reduce(rows, len(columns), field)
+
+
+def kernel_by_solve(g, rows, ncols: int, field) -> list:
+    """The normal-form kernel vectors of a sparse decomposition g, read through solve.
+
+    rows are g's input rows of (column, entry) pairs.  One vector per free
+    column f, in the fixed free order (_free_columns): 1 at f plus the
+    solve of minus column f, supported on the pivots, as the reference's
+    kernel columns of Q are.
+    """
+    columns = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for k, v in row:
+            columns[k][i] = field.neg(field.of(v))
+    return [{f: field.one, **g.solve(columns[f])} for f in _free_columns(g.pivots, ncols)]
 
 
 def _reference_q(complex_, j, field) -> DenseDecomposition:

@@ -184,7 +184,7 @@ def test_criterion_6_structural_invariants(tmp_path):
                 for face in cx.faces_of_dim(j):
                     assert chain_boundary(chain_boundary({face: 1})) == {}
 
-        # echelon rows, kernel columns and solutions of every elimination
+        # echelon rows and solutions of every elimination
         for m in [(24, 4), (36, 6), (45, 7)]:
             cx = build_nabla(sg, m, DEGREVLEX)
             for j in range(0, 2):
@@ -192,7 +192,7 @@ def test_criterion_6_structural_invariants(tmp_path):
                 if not mat.col_faces:
                     continue
                 g = gauss_reduce(mat.data, len(mat.col_faces), field)
-                check_decomposition(g, mat.data, field)
+                check_decomposition(g, mat.data, len(mat.col_faces), field)
 
         # fiber enumeration agrees with the boxed brute force
         for m in sg.degrees_up_to(5):

@@ -218,6 +218,25 @@ class TestHarvestAndVerify:
         assert out == ("verification: FAILED\n"
                        "  violation: (1, (17,), 0): zero coefficient on (0, (10,), 0)\n")
 
+    def test_verify_rejects_a_zero_witness_coefficient(self, capsys, tmp_path):
+        # a zero term keeps the witness a cycle with 1 at its last face, and
+        # its "0/1" would be printed; no fixed representative holds a zero
+        sg_path = tmp_path / "s4567.json"
+        sg_path.write_text('{"dim": 1, "generators": [[4], [5], [6], [7]]}',
+                           encoding="utf-8")
+        frag_path = tmp_path / "fragment.json"
+        assert run(capsys, "--format", "json", "harvest", str(sg_path), "-m", "17",
+                   "--max-level", "1", "--output", str(frag_path))[0] == 0
+        data = json.loads(frag_path.read_text(encoding="utf-8"))
+        gen = next(g for g in data["generators"] if g["id"] == [1, [17], 0])
+        assert [[0, 2], "1/1"] not in gen["witness"]
+        gen["witness"].append([[0, 2], "0/1"])
+        frag_path.write_text(json.dumps(data), encoding="utf-8")
+        code, out = run(capsys, "verify", str(sg_path), str(frag_path))
+        assert code == 1
+        assert out == ("verification: FAILED\n"
+                       "  violation: (1, (17,), 0): witness has a zero coefficient\n")
+
     def test_verify_rejects_an_exponent_scalar_at_once(self, capsys, semigroup_file,
                                                        tmp_path):
         # read as a Fraction, "1e10000000" is a ten-million-digit integer
@@ -538,6 +557,32 @@ class TestCorruptCacheEntry:
         data["homology"] = [[[list(face), field.to_str(c)] for face, c in sorted(h.items())]]
         path.write_text(json.dumps(data), encoding="utf-8")
         assert run(capsys, *argv) == (0, out)
+        assert path.read_bytes() == original
+
+    @pytest.mark.parametrize("edit", [
+        lambda chain: chain.append([[0, 2], "0/1"]),
+        lambda chain: chain.__setitem__(0, [[False, True], chain[0][1]]),
+    ], ids=["zero-coefficient", "boolean-face"])
+    def test_crafted_representative_is_recomputed(self, capsys, tmp_path, edit):
+        # <4,5,6,7> at 17 in dimension 1: an explicit zero term, or the face
+        # [0, 1] written [false, true], keeps the chain equal to the fixed
+        # representative as a dict, but would change the printed witness
+        semigroup = tmp_path / "s4567.json"
+        semigroup.write_text('{"dim": 1, "generators": [[4], [5], [6], [7]]}',
+                             encoding="utf-8")
+        cache = tmp_path / "cache"
+        argv = ["harvest", str(semigroup), "-m", "17", "--max-level", "1",
+                "--format", "json"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--cache", str(cache)) == (0, out)
+        path = _cache_entry(cache, Semigroup.from_file(str(semigroup)), (17,), 1)
+        original = path.read_bytes()
+        data = json.loads(original)
+        assert data["homology"][0][0][0] == [0, 1]
+        edit(data["homology"][0])
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert run(capsys, *argv, "--cache", str(cache)) == (0, out)
         assert path.read_bytes() == original
 
 

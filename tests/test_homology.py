@@ -7,7 +7,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from dense_gauss import check_decomposition, to_dense, to_pairs
+from dense_gauss import check_decomposition, dense_gauss_reduce, to_dense, to_pairs
+from oracles import kernel_by_solve
 
 from toricsyz import (
     DEGREVLEX,
@@ -133,14 +134,15 @@ class TestGaussReduce:
         rows = to_pairs([[1, 1, 1, 1]])
         g = gauss_reduce(rows, 4, Q)
         assert g.rank == 1
-        kernel = g.kernel_columns()
+        kernel = kernel_by_solve(g, rows, 4, Q)
         assert kernel == [{1: 1, 0: -1}, {2: 1, 0: -1}, {3: 1, 0: -1}]
-        check_decomposition(g, rows, Q)
+        check_decomposition(g, rows, 4, Q)
 
     def test_zero_matrix(self):
-        g = gauss_reduce(to_pairs([[0, 0], [0, 0]]), 2, Q)
+        rows = to_pairs([[0, 0], [0, 0]])
+        g = gauss_reduce(rows, 2, Q)
         assert (g.rank, g.pivots, g.rows, g.steps) == (0, [], [], [])
-        assert g.kernel_columns() == [{0: 1}, {1: 1}]
+        assert kernel_by_solve(g, rows, 2, Q) == [{0: 1}, {1: 1}]
         assert g.solve({}) == {}
         assert g.solve({1: 3}) is None
 
@@ -150,19 +152,24 @@ class TestGaussReduce:
         a1 = boundary_matrix(cx, 1)
         g = gauss_reduce(a1.data, 2, Q)
         assert g.rank == echelon_rank(to_dense(a1.data, 2)) == 2
-        assert g.kernel_columns() == []
+        assert kernel_by_solve(g, a1.data, 2, Q) == []
 
     @pytest.mark.parametrize("m", [(52, 8), (36, 6), (45, 7)])
     def test_block_form_and_invertibility(self, example_semigroup, m):
-        # echelon rows, kernel columns and solutions, checked on the matrix
+        # echelon rows and solutions, checked on the matrix, and the
+        # kernel vectors read through solve, against the dense reference
         cx = build_nabla(example_semigroup, m, DEGREVLEX)
         for j in range(0, 3):
             mat = boundary_matrix(cx, j)
-            if not mat.col_faces:
+            n = len(mat.col_faces)
+            if not n:
                 continue
-            g = gauss_reduce(mat.data, len(mat.col_faces), Q)
-            assert g.rank == echelon_rank(to_dense(mat.data, len(mat.col_faces)))
-            check_decomposition(g, mat.data, Q)
+            g = gauss_reduce(mat.data, n, Q)
+            assert g.rank == echelon_rank(to_dense(mat.data, n))
+            check_decomposition(g, mat.data, n, Q)
+            ref = dense_gauss_reduce(to_dense(mat.data, n), n, Q)
+            assert kernel_by_solve(g, mat.data, n, Q) == \
+                [dict(*to_pairs([col])) for col in ref.kernel_columns()]
 
     def test_solve_consistency(self):
         g = gauss_reduce(to_pairs([[1, 2], [2, 4]]), 2, Q)
@@ -229,24 +236,21 @@ class TestFixedCycleBasis:
             assert len(basis.boundary) == rank_up
             assert len(basis.homology) == betti_reduced(cx, j, Q)
 
-    def test_kernel_column_off_normal_form_is_rejected(self, example_semigroup,
-                                                       monkeypatch):
-        # the representatives are read off kernel columns only where there
-        # is homology: the two vertices of the fiber of (21,3) in dimension 0
-        original = GaussDecomposition.kernel_columns
+    def test_scaled_solve_is_rejected(self, example_semigroup, monkeypatch):
+        # the representatives are solved for only where there is homology:
+        # the two vertices of the fiber of (21,3) in dimension 0; a solve
+        # that doubles its answer gives 1 at the free face plus twice the
+        # rest, which is no cycle, and the basis check refuses it
+        original = GaussDecomposition.solve
 
-        def broken(self):
-            # doubling the free coefficient keeps a cycle but breaks the
-            # normal form the free-coordinate selection relies on
-            kernel = original(self)
-            free = next(k for k in kernel[0] if k not in self.pivots)
-            kernel[0][free] *= 2
-            return kernel
+        def doubled(self, vec):
+            x = original(self, vec)
+            return {k: 2 * v for k, v in x.items()}
 
         cx = build_nabla(example_semigroup, (21, 3), DEGREVLEX)
         assert len(fixed_cycle_basis(cx, 0, Q).homology) == 1
-        monkeypatch.setattr(GaussDecomposition, "kernel_columns", broken)
-        with pytest.raises(ArithmeticError, match="normal form"):
+        monkeypatch.setattr(GaussDecomposition, "solve", doubled)
+        with pytest.raises(ArithmeticError, match="homology representative is not a cycle"):
             fixed_cycle_basis(cx, 0, Q)
 
 
@@ -576,9 +580,13 @@ class TestFieldModes:
         f = PrimeField(2)
         cx = build_nabla(example_semigroup, (52, 8), DEGREVLEX)
         mat = boundary_matrix(cx, 1)
-        g = gauss_reduce(mat.data, len(mat.col_faces), f)
+        n = len(mat.col_faces)
+        g = gauss_reduce(mat.data, n, f)
         assert g.rank == len(cx.vertices) - 1  # connected
-        check_decomposition(g, mat.data, f)
+        check_decomposition(g, mat.data, n, f)
+        ref = dense_gauss_reduce(to_dense(mat.data, n), n, f)
+        assert kernel_by_solve(g, mat.data, n, f) == \
+            [dict(*to_pairs([col])) for col in ref.kernel_columns()]
 
 
 class TestBasisVectorsAreCycles:

@@ -32,6 +32,7 @@ from oracles import (
     layered_delta,
     harvest_every_basis,
     in_real_cone,
+    kernel_by_solve,
     nabla_face_order,
     oracle_v0,
     pruned_fourier_motzkin_point,
@@ -58,7 +59,14 @@ from toricsyz import (
     get_field,
 )
 from toricsyz import cli
-from toricsyz.homology import load_cached_basis, reduce_boundary
+from toricsyz.homology import (
+    _basis_fault,
+    basis_cache_key,
+    chain_boundary,
+    load_cached_basis,
+    reduce_boundary,
+    store_cached_basis,
+)
 from toricsyz.resolution import syz_mono_mul
 from toricsyz.serialize import (
     decomposition_to_json,
@@ -357,11 +365,58 @@ def test_homology_representatives_are_the_greedy_extension(data):
                 basis = fixed_cycle_basis(cx, j, field)
                 index = basis.face_index
                 boundary = [{index[f]: c for f, c in ch.items()} for ch in basis.boundary]
-                kernel = gauss_reduce(boundary_matrix(cx, j).data, len(basis.faces),
-                                      field).kernel_columns()
+                d_j = boundary_matrix(cx, j).data
+                kernel = kernel_by_solve(gauss_reduce(d_j, len(basis.faces), field), d_j,
+                                         len(basis.faces), field)
                 homology = [{index[f]: c for f, c in ch.items()} for ch in basis.homology]
                 assert homology == greedy_extension(field, boundary, kernel), \
                     (sg, m, j, field)
+
+
+def _crafted_representatives(basis):
+    """Each representative changed so that it is no longer the fixed one.
+
+    Plus the boundary of an up-face (a cycle in the same class), scaled by
+    2 (a cycle with 2 at its last face), and with an explicit zero term on
+    a face it misses; the rest of the homology part is kept.
+    """
+    field, two = basis.field, basis.field.of(2)
+    for i, h in enumerate(basis.homology):
+        variants = [{face: field.of(two * c) for face, c in h.items()}]
+        if basis.up_faces:
+            plus = dict(h)
+            field.axpy(plus, chain_boundary({basis.up_faces[0]: field.one}, field), field.one)
+            variants.append(plus)
+        variants += [{**h, face: field.zero} for face in basis.faces if face not in h][:1]
+        for chain in variants:
+            yield basis.homology[:i] + [chain] + basis.homology[i + 1:]
+
+
+@given(data=st.data())
+def test_built_and_cached_bases_pass_one_check(data):
+    # fixed_cycle_basis and load_cached_basis share _basis_fault: a built
+    # basis passes it and comes back from the cache with equal homology,
+    # and a changed representative is refused by the check and the loader
+    sg = data.draw(presentations())
+    degrees = [m for m in sg.degrees_up_to(6) if len(sg.fiber(m, DEGREVLEX)) <= 12]
+    for field in map(get_field, FIELDS):
+        with tempfile.TemporaryDirectory() as cache:
+            for m in degrees:
+                cx = build_nabla(sg, m, DEGREVLEX)
+                for j in range(sg.num_generators):
+                    basis = fixed_cycle_basis(cx, j, field)
+                    assert _basis_fault(basis) is None, (sg, m, j, field)
+                    key = basis_cache_key(sg, m, j, "degrevlex", field.name)
+                    store_cached_basis(cache, key, basis)
+                    loaded = load_cached_basis(cache, key, field, cx, j)
+                    assert loaded.homology == basis.homology, (sg, m, j, field)
+                    for homology in _crafted_representatives(basis):
+                        bad = copy.copy(basis)
+                        bad.homology = homology
+                        assert _basis_fault(bad), (sg, m, j, field, homology)
+                        store_cached_basis(cache, key, bad)
+                        assert load_cached_basis(cache, key, field, cx, j) is None, \
+                            (sg, m, j, field, homology)
 
 
 @given(data=st.data())
