@@ -649,9 +649,10 @@ def load_cached_basis(cache_dir, key, field, complex_, j):
     An entry holds only the homology chains ({"homology": [...]}); the
     rest of the basis is built from complex_ as fixed_cycle_basis builds
     it.  An entry counts as a miss when it cannot be read back (invalid
-    JSON, bad scalars, a face that is not a list of ints), when its keys
-    are not exactly {"homology"} (every earlier format), or when its
-    chains fail _basis_fault, the check every built basis passes.
+    JSON, bad scalars, a face that is not a list of ints, a chain that
+    lists one face twice), when its keys are not exactly {"homology"}
+    (every earlier format), or when its chains fail _basis_fault, the
+    check every built basis passes.
     """
     path = os.path.join(cache_dir, f"basis-{key}.json")
     try:
@@ -661,6 +662,8 @@ def load_cached_basis(cache_dir, key, field, complex_, j):
             return None
         homology = [{_cached_face(face): field.from_str(c) for face, c in ch}
                     for ch in data["homology"]]
+        if list(map(len, homology)) != list(map(len, data["homology"])):
+            return None  # a face listed twice
     except FileNotFoundError:
         return None
     except (ValueError, TypeError, ArithmeticError, RecursionError):

@@ -8,13 +8,14 @@ exists exactly when no nonzero nonnegative combination of the columns
 vanishes.  The weight also bounds every fiber enumeration.
 
 w is found by Fourier-Motzkin elimination on {w.n_i >= 1} that drops only
-rows the other rows imply: each row is divided by the gcd of its
-coefficients and right-hand side (never rounded, since integer tightening
-would change the rational polyhedron and so w), duplicates are merged,
-and Chernikov's rule drops combinations of too many generators.  Every
-projection is the one plain elimination gives, and w is rebuilt from the
-projections alone, so it is plain elimination's point; w shows in
-`validate` output, in weight bounds and in degree order.
+rows the other rows imply: a pair of rows that would combine too many
+generators is skipped before its row is built (Chernikov's rule), each
+row is divided by the gcd of its coefficients and right-hand side (never
+rounded, since integer tightening would change the rational polyhedron
+and so w), and duplicates are merged.  Every projection is the one plain
+elimination gives, and w is rebuilt from the rows that bound each
+variable where it is eliminated, so it is plain elimination's point; w
+shows in `validate` output, in weight bounds and in degree order.
 
 The rebuild and the scaling to min w.n_i = 1 run in integers: the point
 is kept as numerators over one common denominator, bounds are compared by
@@ -86,39 +87,33 @@ def _shown(x) -> str:
     return json.dumps(x, default=repr)
 
 
-def _pruned(rows, eliminated: int):
-    """The rows of one projected system with the redundant ones removed.
+def _pruned(rows):
+    """The rows of one projected system, scaled and with duplicates merged.
 
     Each row is (coeffs, rhs, history), the history being a bitmask of the
-    original rows it combines.  Every dropped row is implied by the kept
-    ones, so the system still describes the same polyhedron:
-    - a row whose history has more than eliminated + 1 members is dropped
-      (Chernikov's rule): its multipliers are no extreme combination, so
-      the rows of the extreme ones, which this rule keeps, imply it;
-    - each row is divided by the gcd of its coefficients and rhs, and rows
-      then equal are merged, keeping the smaller history where one history
-      contains the other; duplicates with incomparable histories all stay,
-      since each may be the row of an extreme combination and its history
-      is what later steps test;
-    - all-zero rows are kept as they are, for the infeasibility checks.
+    original rows it combines; no row past Chernikov's count reaches here.
+    Each row is divided by the gcd of its coefficients and rhs (0 >= 0
+    goes), and rows then equal are merged, keeping the smaller history
+    where one history contains the other.  Duplicates with incomparable
+    histories all stay: each may be the row of an extreme combination, and
+    its history is what later steps test.
     """
-    limit = eliminated + 1
     kept: dict[tuple, list[int]] = {}
-    zero_rows = []
     for coeffs, rhs, history in rows:
-        if not any(coeffs):
-            zero_rows.append((coeffs, rhs, history))
-            continue
-        if history.bit_count() > limit:
-            continue
         g = gcd(*coeffs, rhs)
-        if g > 1:  # exact division: rounding rhs would change the polyhedron
-            coeffs, rhs = tuple(c // g for c in coeffs), rhs // g
-        histories = kept.setdefault((coeffs, rhs), [])
-        if any(h & ~history == 0 for h in histories):
-            continue  # a kept duplicate's history is a subset of this one
-        histories[:] = [h for h in histories if h & ~history] + [history]
-    return [(c, b, h) for (c, b), hs in kept.items() for h in hs] + zero_rows
+        if g != 1:
+            if not g:
+                continue  # 0 >= 0
+            # exact division: rounding rhs would change the polyhedron
+            coeffs, rhs = tuple([c // g for c in coeffs]), rhs // g
+        histories = kept.get((coeffs, rhs))
+        if histories is None:
+            kept[coeffs, rhs] = [history]
+        elif all(h & ~history for h in histories):
+            # no kept duplicate's history is a subset of this one: keep
+            # this one, and drop those whose histories contain it
+            histories[:] = [h for h in histories if history & ~h] + [history]
+    return [(c, b, h) for (c, b), hs in kept.items() for h in hs]
 
 
 def _fourier_motzkin_numerators(rows: list[tuple[tuple[int, ...], int]], dim: int):
@@ -131,63 +126,67 @@ def _fourier_motzkin_numerators(rows: list[tuple[tuple[int, ...], int]], dim: in
     Deterministic by construction.
 
     Plain Fourier-Motzkin elimination can square the row count at every
-    step, so each projected system is pruned (`_pruned`): rows are divided
-    by the gcd of their coefficients and right-hand side, duplicates with
-    nested histories are merged, and after k eliminations a combined row
-    built from more than k + 1 original rows is dropped (Chernikov's rule;
-    S. N. Chernikov, 1965; J.-L. Imbert, 1993).  Only implied rows go, so
-    every projected system describes the same polyhedron as the unpruned
-    one.  The interval each coordinate is clamped into is the fiber of that
-    projection over the coordinates already fixed, which redundant rows do
-    not narrow, so the point is the one plain elimination would give.
+    step.  Here, after k eliminations, a pair whose histories together hold
+    more than k + 1 original rows is skipped before its row is built
+    (Chernikov's rule; S. N. Chernikov, 1965; J.-L. Imbert, 1993): its
+    multipliers are no extreme combination, so the rows of the extreme
+    ones, which the rule keeps, imply it.  That holds for all-zero rows
+    too, so an infeasible system stays infeasible.  The rows built are
+    scaled and merged (`_pruned`).  Only implied rows go, so every
+    projected system describes the same polyhedron as the unpruned one.
 
-    The rebuild runs in integers: the residuals are numerators over den,
-    bounds are compared by cross-multiplication, and each coordinate is
-    reduced once, when it is fixed.
+    The interval each coordinate is clamped into is the fiber of that
+    projection over the coordinates already fixed, which redundant rows do
+    not narrow, so the point is the one plain elimination would give.  It
+    is rebuilt from the rows that bound each variable in the system it is
+    eliminated from (index 0: the last one); a row that is 0 there passed
+    on to the next system, so it holds at the coordinates fixed before.
+    The last system's other rows are all zero; one with rhs > 0 leaves no
+    point.  The rebuild runs in integers: the residuals are numerators over
+    den, bounds are compared by cross-multiplication, and each coordinate
+    is reduced once, when it is fixed.
     """
     # row i's history is the bit 1 << i
-    systems = [_pruned([(c, b, 1 << i) for i, (c, b) in enumerate(rows)], 0)]
-    for var in range(dim - 1, 0, -1):
-        current = systems[-1]
-        lower, upper, combined = [], [], []
-        for row in current:
+    system = _pruned([(c, b, 1 << i) for i, (c, b) in enumerate(rows)])
+    bounds = []  # the rows bounding each variable, from the last one down
+    for var in range(dim - 1, -1, -1):
+        lower, upper, rest = [], [], []
+        for row in system:
             c = row[0][var]
-            if c > 0:
-                lower.append(row)
-            elif c < 0:
-                upper.append(row)
-            else:
-                combined.append(row)
+            (lower if c > 0 else upper if c < 0 else rest).append(row)
+        bounds.append(lower + upper)
+        if not var:
+            break
+        limit = dim - var + 1  # Chernikov's count once var is eliminated
         for pc, prhs, ph in lower:
+            a = pc[var]
             for nc, nrhs, nh in upper:
-                a, b = pc[var], -nc[var]
-                # a*(upper row) + b*(lower row): positive combination, var cancels
-                coeffs = tuple(a * nc[i] + b * pc[i] for i in range(dim))
-                combined.append((coeffs, a * nrhs + b * prhs, ph | nh))
-        systems.append(_pruned(combined, dim - var))
+                if (history := ph | nh).bit_count() <= limit:
+                    b = -nc[var]
+                    # a*(upper row) + b*(lower row): positive combination, var cancels
+                    rest.append((tuple(map(add, map(a.__mul__, nc), map(b.__mul__, pc))),
+                                 a * nrhs + b * prhs, history))
+        system = _pruned(rest)
+    if any(rhs > 0 for _, rhs, _ in rest):
+        return None
 
     nums: list[int] = []  # the coordinates fixed so far, times den
     den = 1
-    for var in range(dim):
+    for var, bounding in enumerate(reversed(bounds)):
         # each bound is (n, c) with c > 0, standing for n / (c * den)
         lo = hi = None
-        for coeffs, rhs, _ in systems[dim - 1 - var]:
+        for coeffs, rhs, _ in bounding:
             c = coeffs[var]
             # den * (rhs - coeffs . point) over the coordinates already fixed
             residual = rhs * den - sum(map(mul, coeffs, nums))
             if c > 0:
                 if lo is None or residual * lo[1] > lo[0] * c:
                     lo = (residual, c)
-            elif c < 0:
-                if hi is None or residual * hi[1] > hi[0] * c:
-                    hi = (-residual, -c)
-            elif residual > 0:
-                return None
+            elif hi is None or residual * hi[1] > hi[0] * c:
+                hi = (-residual, -c)
         if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
             return None
-        x = (0, 1)
-        if lo is not None and lo[0] > 0:
-            x = lo
+        x = lo if lo is not None and lo[0] > 0 else (0, 1)
         if hi is not None and hi[0] * x[1] < x[0] * hi[1]:
             x = hi
         # the coordinate n / d in lowest terms; den becomes the lcm of them all

@@ -562,11 +562,13 @@ class TestCorruptCacheEntry:
     @pytest.mark.parametrize("edit", [
         lambda chain: chain.append([[0, 2], "0/1"]),
         lambda chain: chain.__setitem__(0, [[False, True], chain[0][1]]),
-    ], ids=["zero-coefficient", "boolean-face"])
+        lambda chain: chain.insert(0, [[0, 1], "7/1"]),
+    ], ids=["zero-coefficient", "boolean-face", "face-listed-twice"])
     def test_crafted_representative_is_recomputed(self, capsys, tmp_path, edit):
-        # <4,5,6,7> at 17 in dimension 1: an explicit zero term, or the face
-        # [0, 1] written [false, true], keeps the chain equal to the fixed
-        # representative as a dict, but would change the printed witness
+        # <4,5,6,7> at 17 in dimension 1: an explicit zero term, the face
+        # [0, 1] written [false, true], or [0, 1] listed twice keeps the
+        # chain equal to the fixed representative as a dict, but would
+        # change the printed witness or leave the entry off canonical form
         semigroup = tmp_path / "s4567.json"
         semigroup.write_text('{"dim": 1, "generators": [[4], [5], [6], [7]]}',
                              encoding="utf-8")

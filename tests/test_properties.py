@@ -58,7 +58,7 @@ from toricsyz import (
     gauss_reduce,
     get_field,
 )
-from toricsyz import cli
+from toricsyz import cli, semigroup
 from toricsyz.homology import (
     _basis_fault,
     basis_cache_key,
@@ -118,21 +118,27 @@ def small_complexes(draw, fiber_only=False):
 
 
 @st.composite
-def generator_columns(draw, max_dim=4, max_gens=7):
-    """Nonzero mixed-sign columns, some followed by their negatives."""
+def generator_columns(draw, max_dim=4, max_gens=7, max_total=None):
+    """Nonzero mixed-sign columns, many followed by a partner.
+
+    The partner is the column's negative, a repeat of it or a multiple of
+    it: a +- pair admits no positive grading, and a repeat or a multiple
+    gives rows that merge once scaled.  At most max_gens columns are drawn,
+    and the list is cut to max_total.
+    """
     d = draw(st.integers(1, max_dim))
     column = st.lists(st.integers(-2, 3), min_size=d, max_size=d).filter(any)
     columns = []
     for col in draw(st.lists(column, min_size=1, max_size=max_gens)):
         columns.append(col)
-        # a +- pair admits no positive grading
-        if draw(st.integers(0, 5)) == 0:
-            columns.append([-x for x in col])
-    return d, columns
+        factor = draw(st.sampled_from((None, None, None, -1, -1, 1, 2, 3)))
+        if factor is not None:
+            columns.append([factor * x for x in col])
+    return d, columns[:max_total]
 
 
 @settings(max_examples=200)
-@given(generator_columns())
+@given(generator_columns(max_gens=10, max_total=10))
 def test_pruned_elimination_gives_the_reference_point(case):
     d, columns = case
     rows = [(tuple(col), 1) for col in columns]
@@ -144,6 +150,23 @@ def test_pruned_elimination_gives_the_reference_point(case):
     else:
         scale = min(sum(a * b for a, b in zip(point, col)) for col in columns)
         assert Semigroup(d, columns).grading == tuple(x / scale for x in point)
+
+
+@settings(max_examples=200)
+@given(generator_columns(max_gens=10, max_total=10))
+@example((3, [[1, 0, -2], [1, 2, 3], [-2, -1, 3], [3, 0, -2]]))
+def test_no_row_past_chernikovs_count_is_built(case):
+    # the k-th merge, after k eliminations, sees only rows of at most k + 1
+    # original rows: a pair past the count is skipped before its row exists
+    d, columns = case
+    merged = []
+    merge = semigroup._pruned
+    with mock.patch.object(semigroup, "_pruned",
+                           lambda rows: merged.append(rows) or merge(rows)):
+        semigroup._fourier_motzkin_numerators([(tuple(col), 1) for col in columns], d)
+    assert len(merged) == d
+    for k, rows in enumerate(merged):
+        assert all(history.bit_count() <= k + 1 for _, _, history in rows), (k, columns)
 
 
 @given(generator_columns())

@@ -1,3 +1,5 @@
+import json
+import os
 import random
 import signal
 import sys
@@ -124,6 +126,44 @@ def test_heavy_tail_certificates_within_a_second(d, r):
         with time_limit(1.0):
             sg = Semigroup(d, columns)
         assert min(sg.weight(n) for n in sg.generators) == 1, columns
+
+
+CERTIFICATES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                            "certificates.json")
+
+
+def certificate_draw():
+    """The presentations of golden/certificates.json: 20 for each d in 5..7.
+
+    Sizes where plain elimination is out of reach.  Every fourth one has its
+    last column replaced by minus the sum of two others (or by minus one
+    other), a zero combination, so it has no positive grading.
+    """
+    rng = random.Random(31)
+    draws = []
+    for d in (5, 6, 7):
+        for i in range(20):
+            columns = _base_presentation(rng, d, rng.randint(d + 1, 18))
+            if i % 4 == 3:
+                picked = rng.sample(columns[:-1], rng.randint(1, 2))
+                columns[-1] = [-sum(xs) for xs in zip(*picked)]
+            draws.append((d, columns))
+    return draws
+
+
+def test_certificates_match_golden():
+    # captured once from the build-then-prune elimination, never regenerated
+    with open(CERTIFICATES, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert [(g["dim"], g["generators"]) for g in golden] == certificate_draw()
+    assert any(g["grading"] is None for g in golden)
+    for g in golden:
+        if g["grading"] is None:
+            with pytest.raises(NotCombinatoriallyFinite):
+                Semigroup(g["dim"], g["generators"])
+        else:
+            grading = Semigroup(g["dim"], g["generators"]).grading
+            assert [str(x) for x in grading] == g["grading"], g["generators"]
 
 
 class TestDegreeArithmetic:
