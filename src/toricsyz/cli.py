@@ -10,9 +10,12 @@ invocations with a shared --cache directory produce byte-identical output.
 
 betti and scan read their ranks off the comparison complex of each degree;
 --delta-crosscheck recomputes them on the fiber complex and exits 1 where
-the two disagree.  The --cache directory holds fixed bases, which only the
-generator-making commands (minimalize, harvest) and the cross-check read
-or write.
+the two disagree.  Every comparison complex is read off a walk of S by
+weight (scan: the weight ball; harvest, betti, delta and verify: the
+Apéry divisors of their degrees), never through a membership search;
+nabla counts its components on one too.  The --cache directory holds
+fixed bases, which only the generator-making commands (minimalize,
+harvest) and the cross-check read or write.
 
 main() reads a plain command line straight off the grammar table; the
 argparse parser is built only for help and errors.
@@ -193,10 +196,11 @@ def _cmd_fiber(args, engine):
 def _cmd_nabla(args, engine):
     m = _parse_degree(args.degree, engine.semigroup.dim)
     cx = engine.nabla(m)
-    lines = [
-        f"fiber complex at {m}: {len(cx.vertices)} vertices, "
-        f"{len(cx.components()) if cx.vertices else 0} component(s)"
-    ]
+    # the comparison complex is the nerve of this one's cover simplices, so
+    # it has as many components: one more than its reduced H_0.  Its d_1
+    # has at most r^2 columns, where this one's can have |fiber|^2.
+    components = engine.betti_delta(m, 0) + 1 if cx.vertices else 0
+    lines = [f"fiber complex at {m}: {len(cx.vertices)} vertices, {components} component(s)"]
     if cx.is_void:
         lines.append("  (empty complex: degree not in the semigroup)")
     lines += [f"  facet {list(f)}" for f in cx.facets()]

@@ -21,9 +21,10 @@ complex depends on m only through which subsets pass the test, many
 degrees share one face set: the engine reduces one complex per face set.
 Neighbouring degrees determine it: F containing i is a face at m exactly
 when F - {i} is one at m - n_i, and the empty face is one exactly when m
-is in S, so the engine, walking a divisor-closed set of S by weight,
-reads Delta_m off the face sets at the m - n_i; build_delta builds the
-complex of one degree on its own.
+is in S.  So along a divisor-closed set of S walked by weight, Delta_m
+is read off the face sets at the m - n_i (`read_face_sets`), and this is
+the only way it is built: at one degree, `build_delta` walks that
+degree's Apéry divisors (`delta_face_set`).  No membership is searched.
 """
 from __future__ import annotations
 
@@ -161,26 +162,6 @@ class NablaComplex:
         maximal = [d for d in sets if not any(d < other for other in sets)]
         return tuple(sorted(tuple(sorted(d)) for d in maximal))
 
-    def components(self) -> list[set[int]]:
-        """Connected components of the vertex set (union of cover simplices)."""
-        parent = list(range(len(self.vertices)))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for members in self.cover:
-            for other in members[1:]:
-                ra, rb = find(members[0]), find(other)
-                if ra != rb:
-                    parent[rb] = ra
-        groups: dict[int, set[int]] = {}
-        for i in range(len(self.vertices)):
-            groups.setdefault(find(i), set()).add(i)
-        return [groups[k] for k in sorted(groups)]
-
     def to_dict(self):
         return {
             "degree": list(self.degree),
@@ -256,38 +237,54 @@ def _mask_face(mask: int) -> Face:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def build_delta(semigroup: Semigroup, m: Degree) -> DeltaComplex:
-    """The comparison complex of m, grown one face size at a time as subset masks.
+def read_face_sets(semigroup: Semigroup, degrees, known: dict, unions: dict) -> None:
+    """Record in ``known`` the comparison complex's face set at each degree of a walk.
 
-    Faces are closed under subsets (m - n_F in S implies m - n_G in S for
-    G inside F), so a face F grows only by an index i above all of its
-    own, and the candidate F | bit i is tested for membership only when
-    each of its other facets, the candidate with one bit of F cleared, is
-    already a face.  Each face carries its bits and m - n_F, so a
-    candidate costs lookups, one subtraction and one membership test; the
-    work follows the faces found, never all 2^r subsets.
+    The degrees are a set of S closed under divisors in S, by weight, as
+    `Semigroup.degrees_up_to` and `Semigroup.apery_divisors` list them:
+    each m - n_i in S is among them and weighs less than m, so its face
+    set is known first, and a neighbour without one lies outside S.  With
+    m in S,
+
+        Delta_m = {empty} | U_i {G + {i} : G in Delta_(m - n_i), i not in G},
+
+    as F containing i is a face at m exactly when F - {i} is one at
+    m - n_i.  ``unions`` maps the neighbours' face sets to their union, so
+    degrees with the same neighbours share it, and each union to itself,
+    so that equal face sets are one object.
     """
-    m = tuple(m)
-    if not semigroup.member(m):
-        return DeltaComplex(semigroup, m, frozenset())
-    member = semigroup.member
-    gens = semigroup.generators
-    r = len(gens)
-    faces = {0}
-    layer = [(0, (), m)]  # (face mask F, its bits ascending, m - n_F)
-    while layer:
-        grown = []
-        for face, bits, rest in layer:
-            for i in range(face.bit_length(), r):
+    gens, void = semigroup.generators, frozenset()
+    for m in degrees:
+        below = tuple([known.get(tuple(map(sub, m, n)), void) for n in gens])
+        faces = unions.get(below)
+        if faces is None:
+            found = {0}
+            for i, faces_i in enumerate(below):
                 bit = 1 << i
-                cand = face | bit
-                for other in bits:
-                    if cand ^ other not in faces:
-                        break
-                else:
-                    target = tuple(map(sub, rest, gens[i]))
-                    if member(target):
-                        faces.add(cand)
-                        grown.append((cand, bits + (bit,), target))
-        layer = grown
-    return DeltaComplex(semigroup, m, frozenset(faces))
+                found.update(g | bit for g in faces_i if not g & bit)
+            found = frozenset(found)
+            faces = unions[below] = unions.setdefault(found, found)
+        known[m] = faces
+
+
+def delta_face_set(semigroup: Semigroup, m: Degree, known: dict,
+                   unions: dict) -> frozenset[int]:
+    """The face set of Delta_m, read off the walk of `Semigroup.apery_divisors(m)`.
+
+    The walk's degrees are recorded as `read_face_sets` records them.  m
+    is among them unless it is in N + S, N the sum of the generators, where
+    every m - n_F is in S and Delta_m is the full simplex, or outside S,
+    where the walk is empty and so is Delta_m.
+    """
+    walk = semigroup.apery_divisors(m)
+    read_face_sets(semigroup, walk, known, unions)
+    if m not in known:
+        faces = frozenset(range(1 << semigroup.num_generators) if walk else ())
+        known[m] = unions.setdefault(faces, faces)
+    return known[m]
+
+
+def build_delta(semigroup: Semigroup, m: Degree) -> DeltaComplex:
+    """The comparison complex of m on its own (`delta_face_set`)."""
+    m = tuple(m)
+    return DeltaComplex(semigroup, m, delta_face_set(semigroup, m, {}, {}))

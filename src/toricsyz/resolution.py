@@ -25,9 +25,9 @@ queries pieces of one and the same minimal system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from operator import sub
 
-from .complexes import DeltaComplex, NablaComplex, build_delta, build_nabla
+from .complexes import (DeltaComplex, NablaComplex, build_nabla, delta_face_set,
+                        read_face_sets)
 from .config import Config
 from .homology import (
     ChainBasis,
@@ -261,7 +261,7 @@ class ResolutionEngine:
         # one complex, with its reductions, that all those degrees share
         self._delta_faces: dict[Degree, frozenset[int]] = {}
         self._delta: dict[frozenset[int], DeltaComplex] = {}
-        self._delta_unions: dict[tuple, frozenset[int]] = {}  # see walk_face_sets
+        self._delta_unions: dict = {}  # see complexes.read_face_sets
         self._delta_betti: dict[tuple, int] = {}  # (face set, j) -> Betti number
         self._bases: dict[tuple, ChainBasis] = {}
         self._psi: dict[tuple, SyzygyVector] = {}
@@ -320,55 +320,43 @@ class ResolutionEngine:
         theorem both have the same reduced homology; this one has at most
         2^r faces and needs no fiber.  It depends on m only through its
         face set, so every degree with the same face set shares one
-        complex, built at the first of them; that complex keeps its
+        complex, built when the first of them is asked; that complex keeps its
         boundary reductions, so each (face set, dimension) is reduced once
         and neighbouring dimensions share them; the count itself is kept
         per (face set, dimension).
 
         The face set is the one a walk recorded (`walk_face_sets`), as in
-        `scan` and `harvest`; at a degree no walk recorded, as in `betti`
-        and `verify`, build_delta builds the complex.
+        `scan`, `harvest` and `check_entries`; at a degree no walk recorded,
+        as in `betti`, it is read off the walk of that degree's Apéry
+        divisors (`complexes.delta_face_set`), which records theirs too.
         """
         m = tuple(m)
-        faces = self._delta_faces.get(m)
-        if faces is None:
-            cx = build_delta(self.semigroup, m)
-            faces = self._delta_faces[m] = self._delta.setdefault(cx.masks, cx).masks
+        faces = self._face_set(m)
         key = (faces, j)
         betti = self._delta_betti.get(key)
         if betti is None:
-            betti = self._delta_betti[key] = betti_reduced(self._delta[faces], j, self.field)
+            cx = self._delta.get(faces)
+            if cx is None:
+                cx = self._delta[faces] = DeltaComplex(self.semigroup, m, faces)
+            betti = self._delta_betti[key] = betti_reduced(cx, j, self.field)
         return betti
+
+    def _face_set(self, m: Degree) -> frozenset[int]:
+        """m's recorded face set, else the one read off its Apéry divisors' walk."""
+        faces = self._delta_faces.get(m)
+        if faces is None:
+            faces = delta_face_set(self.semigroup, m, self._delta_faces, self._delta_unions)
+        return faces
 
     def walk_face_sets(self, degrees: list) -> list:
         """Record the comparison complex's face set at each degree of a walk; return the degrees.
 
-        The degrees are a set of S closed under divisors in S, by weight, as
-        `Semigroup.degrees_up_to` and `Semigroup.apery_divisors` list them:
-        each m - n_i in S is among them and weighs less than m, so its face
-        set is recorded first, and a neighbour without one lies outside S.
-        With m in S,
-
-            Delta_m = {empty} | U_i {G + {i} : G in Delta_(m - n_i), i not in G},
-
-        as F containing i is a face at m exactly when F - {i} is one at
+        The degrees are a set of S closed under divisors in S, by weight;
+        `complexes.read_face_sets` reads each face set off those at the
         m - n_i.  Degrees whose neighbours have the same face sets share one
         union, and degrees with the same face set share one complex.
         """
-        sg = self.semigroup
-        known, unions, void = self._delta_faces, self._delta_unions, frozenset()
-        for m in degrees:
-            below = tuple(known.get(tuple(map(sub, m, n)), void) for n in sg.generators)
-            faces = unions.get(below)
-            if faces is None:
-                found = {0}
-                for i, faces_i in enumerate(below):
-                    bit = 1 << i
-                    found.update(g | bit for g in faces_i if not g & bit)
-                found = frozenset(found)
-                faces = unions[below] = self._delta.setdefault(
-                    found, DeltaComplex(sg, m, found)).masks
-            known[m] = faces
+        read_face_sets(self.semigroup, degrees, self._delta_faces, self._delta_unions)
         return degrees
 
     # -- one recursion step, every level ----------------------------------
@@ -755,7 +743,10 @@ class ResolutionEngine:
         (level, degree) may hold more generators than the homology rank
         from the comparison complex, which shares nothing with the fixed
         bases the generators came from, and each generator index must be
-        below that rank.
+        below that rank.  The record degrees' comparison complexes are read
+        heaviest first, so the walk of the Apéry divisors of one record
+        degree records every lighter one among them: a harvested fragment
+        costs one walk.
         """
         sg = self.semigroup
         violations = []
@@ -785,6 +776,9 @@ class ResolutionEngine:
         by_key: dict = {}
         for gid, (level, degree, _value, _witness) in entries.items():
             by_key.setdefault((level, degree), []).append(gid)
+        unread = {degree for _, degree in by_key} - self._delta_faces.keys()
+        for degree in sorted(unread, key=lambda d: (sg.weight(d), d), reverse=True):
+            self._face_set(degree)
         ranks: dict = {}
         for (level, degree), gids in sorted(by_key.items()):
             ranks[str(level)] = ranks.get(str(level), 0) + len(gids)

@@ -23,15 +23,17 @@ cross-multiplication, and each coordinate is reduced once.  This gives
 the same w as rational arithmetic, and the numerators are also the
 integer weights of the fiber search and of the degree enumeration.
 
-Membership is one memoized depth-first search (`member`).  Enumeration
-is one walk from 0 that steps by the generators inside a region
-{x : y.x <= b for each row (y, b)}, the rows nonnegative on the
-generators, and pops its elements in (weight, degree) order.
-`degrees_up_to` walks a weight ball; `apery_divisors(m)` walks m - C, C
-the real cone of S, and lists there only the Apéry set
-Ap(S, N) = S - (N + S) of N = n_1 + ... + n_r, so every test on the way
-is a set lookup.  Each walk lists a subset of S closed under divisors in
-S, by weight, which is what the engine reads comparison complexes along.
+Membership is one memoized depth-first search (`member`); no comparison
+complex is built on it.  Enumeration is one walk from 0 that steps by
+the generators inside a region {x : y.x <= b for each row (y, b)}, the
+rows nonnegative on the generators, and pops its elements in (weight,
+degree) order.  `degrees_up_to` walks a weight ball; `apery_divisors(m)`
+walks m - C, C the real cone of S, and lists there only the Apéry set
+Ap(S, N) = S - (N + S) of N = n_1 + ... + n_r.  Ap meets each line
+x + ZN at most once, so with every element keyed by its line (`_line`)
+each test on the way is one lookup.  Each walk lists a subset of S closed
+under divisors in S, by weight, which is what the engine reads
+comparison complexes along.
 
 Presentations are read strictly: dim and every generator entry must be
 ints (not bools), so a float, string or null in a JSON input is an error
@@ -43,8 +45,8 @@ import json
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
-from math import floor, gcd, lcm
-from operator import add, floordiv, le, mul, sub
+from math import floor, gcd, inf, lcm
+from operator import add, le, mul, sub
 
 from .homology import RationalField, gauss_reduce
 from .orders import Monomial, TermOrder
@@ -68,13 +70,13 @@ def _dot(w, v):
     return sum(map(mul, w, v))
 
 
-def _meets(x, found, step, tries: int) -> bool:
-    """Is one of x, x - step, ..., x - (tries - 1) step in found?"""
-    for _ in range(tries):
-        if x in found:
-            return True
-        x = tuple(map(sub, x, step))
-    return False
+def _line(x, step, p: int) -> tuple[int, ...]:
+    """x's class in Z^d / Z.step: x - floor(x_p / step_p) step, step_p != 0.
+
+    Two points share it exactly when they lie on one line x + Z.step.
+    """
+    q = x[p] // step[p]
+    return tuple([a - q * b for a, b in zip(x, step)])
 
 
 def _sparse_rows(rows):
@@ -398,23 +400,23 @@ class Semigroup:
         along as integers.
 
         With apery = N, the sum of the generators, only the elements outside
-        N + S are listed and stepped from.  Every element seen lies in S, so
-        x is in N + S exactly when some x - kN, k >= 1, has been seen: such
-        an x is a + kN with a in the Apéry set, which is closed under
-        divisors in S, and a lies in the region and weighs less than x, so
-        the walk has listed it.
+        N + S are listed and stepped from.  The Apéry set meets each line
+        x + ZN at most once (of a and a + kN, k >= 1, in S, the second is in
+        N + S), and x in S is in N + S exactly when some x - kN, k >= 1, is
+        in it; being closed under divisors in S, lying in the region and
+        weighing less than x, that one has been listed.  So x is in N + S
+        exactly when an element listed before it lies on its line (`_line`).
         """
         bounds = tuple(b for _, b in rows)
         steps = tuple((n, tuple(_dot(y, n) for y, _ in rows)) for n in self.generators)
-        at_sum = tuple(map(sum, zip(*(dn for _, dn in steps))))  # y.N per row, all > 0
+        if apery:
+            p = next(k for k, a in enumerate(apery) if a)
         zero = self.zero_degree()
-        listed, seen = [], {zero}
+        listed, seen, roots = [], {zero}, {}  # roots: line -> its listed element
         heap = [(0, zero, (0,) * len(rows))] if min(bounds) >= 0 else []
         while heap:
             _, x, vals = heappop(heap)
-            # only the x - kN with every y.(x - kN) >= 0 can have been seen
-            if apery and _meets(tuple(map(sub, x, apery)), seen, apery,
-                                min(map(floordiv, vals, at_sum))):
+            if apery and roots.setdefault(_line(x, apery, p), x) is not x:
                 continue
             listed.append(x)
             for n, dn in steps:
@@ -443,18 +445,19 @@ class Semigroup:
         (`_cone_facets`) and the weight row they imply, which keeps it
         bounded by its first row alone, and lists the Apéry set
         Ap(S, N) = S - (N + S) there.  S = Ap + kN over k >= 0, and each
-        such a = m - m' - kN with m - m' in S lies in m - C, so m' is kept
-        exactly when some m - m' - kN is listed.  The result is closed under
-        divisors in S: each m' - n_i in S lies in Ap and in D(m).
+        such a = m - m' - kN with m - m' in S lies in m - C; Ap meets the
+        line of m - m' at most once, so m' is kept exactly when the element
+        listed on that line weighs at most v.(m - m').  The result is closed
+        under divisors in S: each m' - n_i in S lies in Ap and in D(m).
         """
         m = self._degree(m)
         big_n = tuple(map(sum, zip(*self.generators)))
         rows = (self._int_grading, *self._cone_facets())
         listed = self._walk(tuple((y, _dot(y, m)) for y in rows), big_n)
-        found, v, wn = set(listed), self._int_grading, sum(self._wdots)
-        # only the m - x - kN of weight >= 0 can be listed
+        v, p = self._int_grading, next(k for k, a in enumerate(big_n) if a)
+        roots = {_line(x, big_n, p): _dot(v, x) for x in listed}
         return [x for x in listed
-                if _meets(rest := tuple(map(sub, m, x)), found, big_n, _dot(v, rest) // wn + 1)]
+                if roots.get(_line(rest := tuple(map(sub, m, x)), big_n, p), inf) <= _dot(v, rest)]
 
     def _cone_facets(self) -> tuple[tuple[int, ...], ...]:
         """Primitive integer normals y of the facets of the real cone C of S.

@@ -337,6 +337,27 @@ def nabla_is_face(complex_, face) -> bool:
     return not mono_is_unit(face_gcd(complex_, face))
 
 
+def components(complex_) -> list[set[int]]:
+    """Connected components of a fiber complex's vertex set (union of cover simplices)."""
+    parent = list(range(len(complex_.vertices)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for members in complex_.cover:
+        for other in members[1:]:
+            ra, rb = find(members[0]), find(other)
+            if ra != rb:
+                parent[rb] = ra
+    groups: dict[int, set[int]] = {}
+    for i in range(len(complex_.vertices)):
+        groups.setdefault(find(i), set()).add(i)
+    return [groups[k] for k in sorted(groups)]
+
+
 def delta_is_face(complex_, face) -> bool:
     """Whether a set of variable indices is a face of a comparison complex."""
     return face_masks([face]) <= complex_.masks

@@ -821,11 +821,11 @@ class TestInternalCheckFailures:
 
 
 class TestMembershipBySetLookup:
-    """scan and harvest make no membership search: each walks a set of S closed
-    under divisors in S by weight, scan the degrees it reports, harvest the
-    Apéry degrees of D(M), and reads every comparison complex off those of
-    its neighbours.  betti and delta never walk, since a walk up to the
-    weight of a large degree costs far more than the searches it saves."""
+    """No command makes a membership search to build a comparison complex: each
+    walks a set of S closed under divisors in S by weight, scan the degrees
+    it reports, harvest the Apéry degrees of D(M), and betti, delta and
+    verify those of their degrees, and reads every comparison complex off
+    those of its neighbours."""
 
     def test_scan_searches_for_no_member_after_enumerating(self, capsys, semigroup_file,
                                                            monkeypatch):
@@ -899,17 +899,24 @@ class TestMembershipBySetLookup:
     @pytest.mark.parametrize("argv", [
         ["betti", "-m", "90,15"],
         ["delta", "-m", "60,10"],
-    ], ids=["betti", "delta"])
-    def test_single_degree_commands_enumerate_nothing(self, capsys, semigroup_file,
-                                                      monkeypatch, argv):
-        walks = []
-        walk = Semigroup._walk
+        ["verify", "fragment.json"],
+    ], ids=["betti", "delta", "verify"])
+    def test_single_degree_commands_search_for_no_member(self, capsys, semigroup_file,
+                                                         tmp_path, monkeypatch, argv):
+        if argv[0] == "verify":
+            fragment = tmp_path / argv[1]
+            assert main(["harvest", semigroup_file, "-m", "60,10", "--max-level", "3",
+                         "--format", "json", "--output", str(fragment)]) == 0
+            argv = ["verify", str(fragment)]
+        searches = []
+        search = Semigroup._search
 
-        def counted(self, rows, apery=None):
-            walks.append(rows)
-            return walk(self, rows, apery)
+        def logged_search(self, m, find_all):
+            if not find_all:
+                searches.append(m)
+            return search(self, m, find_all)
 
-        monkeypatch.setattr(Semigroup, "_walk", counted)
-        code, _ = run(capsys, argv[0], semigroup_file, *argv[1:])
+        monkeypatch.setattr(Semigroup, "_search", logged_search)
+        code, out = run(capsys, argv[0], semigroup_file, *argv[1:])
         assert code == 0
-        assert walks == []
+        assert searches == []

@@ -2,7 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
-from oracles import DegreeMismatch, delta_is_face, face_gcd, nabla_is_face, restrict_nabla
+from oracles import (DegreeMismatch, components, delta_is_face, face_gcd, nabla_is_face,
+                     restrict_nabla)
 
 from toricsyz import (
     DEGREVLEX,
@@ -22,13 +23,13 @@ class TestBuildNabla:
     def test_52_8_connected(self, example_semigroup):
         cx = build_nabla(example_semigroup, (52, 8), DEGREVLEX)
         assert len(cx.vertices) == 8
-        assert len(cx.components()) == 1
+        assert len(components(cx)) == 1
 
     def test_21_3_disconnected(self, example_semigroup):
         cx = build_nabla(example_semigroup, (21, 3), DEGREVLEX)
         assert len(cx.vertices) == 2
         assert cx.faces_of_dim(1) == ()
-        assert len(cx.components()) == 2
+        assert len(components(cx)) == 2
 
     def test_empty_complex(self, example_semigroup):
         cx = build_nabla(example_semigroup, (1, 0), DEGREVLEX)

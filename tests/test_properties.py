@@ -9,6 +9,7 @@ which are kept whether or not a grading exists.  Fiber and comparison
 complexes for the spanning-forest check are drawn directly, as vertex and
 face sets.
 """
+import argparse
 import contextlib
 import copy
 import io
@@ -24,6 +25,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from oracles import (
     MemoOffEngine,
     brute_force_fiber,
+    components,
     divisor_degrees,
     face_masks,
     fourier_motzkin_point,
@@ -281,20 +283,33 @@ def test_divisor_enumeration_is_the_cone_below_the_degree(data):
         x for x in cone if not sg.member(sg.sub_degree(x, big_n))]
 
 
-@given(data=st.data())
-def test_apery_divisors_are_the_divisors_outside_n_plus_s(data):
-    # also at shifts of m, which mostly leave the semigroup: then D(m) is empty
-    sg = data.draw(presentations())
-    m = data.draw(st.sampled_from(sg.degrees_up_to(4)))
-    shift = data.draw(st.lists(st.integers(-1, 1), min_size=sg.dim, max_size=sg.dim))
+@st.composite
+def degree_and_shift(draw):
+    """A presentation, a degree of weight at most 4 and a shift of it by -1, 0 or 1."""
+    sg = draw(presentations())
+    m = draw(st.sampled_from(sg.degrees_up_to(4)))
+    shift = draw(st.lists(st.integers(-1, 1), min_size=sg.dim, max_size=sg.dim))
+    return sg, m, tuple(a + b for a, b in zip(m, shift))
+
+
+@given(degree_and_shift())
+# N = (-1, 6): the step of the line key's coordinate is negative
+@example((Semigroup(2, [[-1, 2], [-1, 3], [1, 1]]), (-1, 9), (0, 9)))
+# N = (4, 4) is not primitive: x and x + (1, 1) lie on different lines
+@example((Semigroup(2, [[1, 0], [1, 2], [2, 2]]), (9, 10), (9, 9)))
+def test_apery_divisors_are_the_divisors_outside_n_plus_s(case):
+    # also at shifts of m, which mostly leave the semigroup: then D(m) is
+    # empty; the comparison complex read off the walk is the layered one
+    sg, *degrees = case
     reference, big_n = Semigroup(sg.dim, sg.generators), _sum(sg)
-    for q in (m, tuple(a + b for a, b in zip(m, shift))):
+    for q in degrees:
         expected = sorted((x for x in divisor_degrees(reference, q)
                            if not reference.member(sg.sub_degree(x, big_n))),
                           key=lambda x: (sg.weight(x), x))
         search = mock.Mock(wraps=sg._search)
         with mock.patch.object(sg, "_search", search):
             assert sg.apery_divisors(q) == expected, (sg, q)
+            assert build_delta(sg, q).masks == layered_delta(reference, q).masks, (sg, q)
         assert search.call_count == 0
 
 
@@ -311,6 +326,19 @@ def test_betti_delta_vanishes_where_the_walk_skips(data):
             assert build_delta(sg, x).masks == frozenset(range(1 << r)), (sg, x)
             assert [engine.betti_delta(x, j) for j in range(-1, r)] == [0] * (r + 1), \
                 (sg, m, x, field)
+
+
+@given(degree_and_shift())
+def test_nabla_counts_the_components_of_the_fiber_complex(case):
+    # nabla counts them on the comparison complex, the nerve of the fiber
+    # complex's cover simplices; the oracle joins the covers by union-find
+    sg, *degrees = case
+    engine = ResolutionEngine(sg, Config())
+    for q in degrees:
+        _code, lines, _body = cli._cmd_nabla(argparse.Namespace(degree=",".join(map(str, q))),
+                                             engine)
+        count = len(components(engine.nabla(q)))
+        assert lines[0].endswith(f" vertices, {count} component(s)"), (sg, q, lines[0])
 
 
 @given(data=st.data())
@@ -354,9 +382,9 @@ def test_comparison_complex_memo_matches_the_layered_oracle(data):
 @given(data=st.data())
 def test_comparison_complexes_read_off_their_neighbours_match_the_oracle(data):
     # walk_face_sets reads each face set off the neighbours' along a weight
-    # ball and along the Apéry degrees of a D(m), building none on its own;
-    # betti_delta builds the complex at a degree no walk recorded.  All must
-    # give the complex grown as index tuples.
+    # ball and along the Apéry degrees of a D(m), walking none on its own;
+    # betti_delta walks the Apéry divisors of a degree no walk recorded.  All
+    # must give the complex grown as index tuples.
     from toricsyz import resolution
 
     sg = data.draw(presentations())
@@ -365,7 +393,7 @@ def test_comparison_complexes_read_off_their_neighbours_match_the_oracle(data):
     for walk in (degrees, divisors):
         oracle = {m: layered_delta(sg, m).masks for m in walk}
         engine = ResolutionEngine(sg, Config())
-        with mock.patch.object(resolution, "build_delta", side_effect=AssertionError):
+        with mock.patch.object(resolution, "delta_face_set", side_effect=AssertionError):
             engine.walk_face_sets(walk)
             assert [engine.betti_delta(m, 0) for m in walk] == [
                 betti_reduced(engine._delta[oracle[m]], 0, get_field("rational"))

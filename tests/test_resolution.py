@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from oracles import divisor_degrees, level_records, oracle_v0, registry_to_json
+from oracles import components, divisor_degrees, level_records, oracle_v0, registry_to_json
 
 from toricsyz import (
     Binomial,
@@ -425,7 +425,7 @@ class TestHarvest:
         engine.harvest((60, 10), 2)
         for rec in level_records(engine)[0]:
             cx = engine.nabla(rec.degree)
-            comps = cx.components()
+            comps = components(cx)
             spot = {
                 next(i for i, c in enumerate(comps)
                      if cx.vertex_index[mono] in c)
@@ -694,7 +694,7 @@ class TestComparisonComplexOnlyForCounts:
                 reductions[complex_.masks, j] += 1
                 return _original(complex_, j, *args)
             monkeypatch.setattr(homology, name, counted)
-        builds = _count_calls(monkeypatch, resolution, "build_delta")
+        builds = _count_calls(monkeypatch, resolution, "delta_face_set")
         members = _count_calls(monkeypatch, Semigroup, "member")
         path = tmp_path / "example.json"
         path.write_text(json.dumps(example_semigroup.to_dict()))
@@ -718,7 +718,7 @@ class TestComparisonComplexOnlyForCounts:
         # weight, m - n_1 comes first, so every face set is read off its
         # neighbours and none is built on its own
         sg = Semigroup(2, [[-1, 1], [0, 1], [2, 1], [3, 1]])
-        builds = _count_calls(monkeypatch, resolution, "build_delta")
+        builds = _count_calls(monkeypatch, resolution, "delta_face_set")
         engine = ResolutionEngine(sg, Config())
         fragment = engine.harvest((10, 10), 2)
         assert fragment.report["passed"] and fragment.ranks() == {0: 4, 1: 4, 2: 1}
